@@ -27,11 +27,12 @@
 //! * a shared [`Progress`] estimate is credited per node and per pruned
 //!   subtree — the subtree sizes are known in closed form, so the
 //!   fraction is exact, monotone, and reaches 1.0 on completion;
-//! * with the profiler on (`pkgrec_trace::timeline`), unit claim and
-//!   finish stamps per worker feed the per-worker utilization tables
-//!   and Chrome-trace export — timestamps live in that side-channel,
-//!   never in the flight ring, so the bit-identical recording contract
-//!   is untouched.
+//! * with the profiler on (`pkgrec_trace::timeline`), the same unit
+//!   claim records carry a timestamp and worker id, and a timed unit
+//!   end follows each walk; they feed the per-worker utilization tables
+//!   and Chrome-trace export. The flight recording is the ring's
+//!   deterministic projection — time fields and time-only events
+//!   dropped — so the bit-identical recording contract is untouched.
 
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -42,7 +43,7 @@ use std::time::Duration;
 use pkgrec_data::Tuple;
 use pkgrec_guard::{Budget, Interrupted, Meter, SharedMeter, WorkerMeter};
 use pkgrec_trace::flight::{self, FlightEvent, PruneReason};
-use pkgrec_trace::timeline;
+use pkgrec_trace::{timeline, Telemetry};
 
 use crate::error::CoreError;
 use crate::instance::{Classified, RecInstance, Reject, SearchContext};
@@ -430,11 +431,9 @@ fn sequential_walk(
     let mut sink = ProgressSink::new(progress, total_nodes);
     sink.skip(preskipped);
 
-    let fl = flight::is_enabled();
-    if fl {
-        flight::begin_search(units.len() as u64);
-    }
-    let tl = timeline::is_enabled();
+    let telemetry = pkgrec_trace::telemetry();
+    let (fl, tl) = (telemetry.flight, telemetry.profile);
+    flight::begin_search(units.len() as u64);
     let _phase = timeline::phase("enumerate");
 
     let meter = opts.budget.meter();
@@ -447,15 +446,8 @@ fn sequential_walk(
     let mut wstat = WorkerStat::default();
     let mut interrupted = None;
     for (idx, unit) in units.iter().enumerate() {
-        if fl {
-            flight::begin_unit(idx as u64);
-        }
-        let claim_start = if tl {
-            timeline::unit_claim(idx as u64);
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        flight::begin_unit(idx as u64);
+        let claim_start = tl.then(std::time::Instant::now);
         let steps_before = stats.packages_enumerated;
         let (mut pkg, start) = unit_seed(items, *unit);
         let flow = unit_walk_caught(
@@ -472,9 +464,9 @@ fn sequential_walk(
             &mut sink,
             fl,
         );
+        let steps = stats.packages_enumerated - steps_before;
+        flight::end_unit(steps, flow.is_continue());
         if let Some(claimed) = claim_start {
-            let steps = stats.packages_enumerated - steps_before;
-            timeline::unit_finish(idx as u64, steps);
             wstat.busy_ns = wstat.busy_ns.saturating_add(
                 u64::try_from(claimed.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
@@ -482,12 +474,7 @@ fn sequential_walk(
             wstat.steps += steps;
         }
         match flow {
-            ControlFlow::Continue(()) => {
-                if fl {
-                    flight::record(FlightEvent::UnitFinished);
-                }
-                sink.unit_done();
-            }
+            ControlFlow::Continue(()) => sink.unit_done(),
             ControlFlow::Break(UnitStop::Visitor) => {
                 sink.flush();
                 // The rest of the space is decided (the visitor chose
@@ -715,9 +702,9 @@ struct UnitOutcome<A> {
     acc: A,
     stats: SearchStats,
     error: Option<CoreError>,
-    /// The unit's flight-recorder events, drained from the worker's
-    /// ring so the coordinator can replay them in unit order. `None`
-    /// while recording is off.
+    /// The unit's ring records, drained from the worker's ring so the
+    /// coordinator can replay them in unit order. `None` while both
+    /// the flight and the profile channel are off.
     events: Option<flight::UnitEvents>,
 }
 
@@ -948,10 +935,20 @@ impl WorkQueues {
     }
 }
 
-/// One worker: claim units off the work-stealing deques, walk each,
-/// and report the outcomes (with their drained flight events) plus
-/// this thread's trace aggregates and — when the profiler is on — its
-/// [`WorkerStat`] attribution.
+/// What one worker hands back to the coordinator.
+struct WorkerResult<A> {
+    outcomes: Vec<UnitOutcome<A>>,
+    trace: pkgrec_trace::TraceReport,
+    /// Utilization attribution, when the profiler is on.
+    stat: Option<WorkerStat>,
+    /// Timed records left in the worker's ring: its start and the
+    /// units it abandoned.
+    leftover: flight::UnitEvents,
+}
+
+/// One worker: run under the coordinator's telemetry (with this
+/// worker's index), claim units off the scheduler, walk each, and
+/// report the outcomes with their drained ring records.
 #[allow(clippy::too_many_arguments)]
 fn run_worker<R: ValidPackageReducer>(
     ctx: &SearchContext<'_>,
@@ -964,20 +961,13 @@ fn run_worker<R: ValidPackageReducer>(
     shared: &SharedMeter,
     progress: &Progress,
     total_nodes: f64,
-    fl: bool,
-    tl: bool,
-    tl_scope: u64,
-    worker: u32,
-) -> (
-    Vec<UnitOutcome<R::Acc>>,
-    pkgrec_trace::TraceReport,
-    Option<WorkerStat>,
-) {
+    telemetry: Telemetry,
+) -> WorkerResult<R::Acc> {
+    let _telemetry = telemetry.enter();
+    let (fl, tl, worker) = (telemetry.flight, telemetry.profile, telemetry.worker);
+    let keep_events = fl || tl;
     let span = pkgrec_trace::span!("enumerate.worker");
-    let _tl_tag = timeline::enter(tl_scope, worker);
-    if tl {
-        timeline::worker_alive();
-    }
+    timeline::worker_alive();
     let meter = shared.worker();
     let items = ctx.items();
     let mut sink = ProgressSink::new(progress, total_nodes);
@@ -1001,15 +991,8 @@ fn run_worker<R: ValidPackageReducer>(
         };
         debug_assert!(u < units.len(), "schedulers hand out only seeded unit indexes");
         let mark = flight::mark();
-        if fl {
-            flight::begin_unit(u as u64);
-        }
-        let claim_start = if tl {
-            timeline::unit_claim(u as u64);
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        flight::begin_unit(u as u64);
+        let claim_start = tl.then(std::time::Instant::now);
         let (mut pkg, start) = unit_seed(items, units[u]);
         let mut acc = reducer.new_acc();
         let mut stats = SearchStats::default();
@@ -1027,9 +1010,9 @@ fn run_worker<R: ValidPackageReducer>(
             &mut sink,
             fl,
         );
+        let steps = stats.packages_enumerated;
+        flight::end_unit(steps, flow.is_continue());
         if let Some(claimed) = claim_start {
-            let steps = stats.packages_enumerated;
-            timeline::unit_finish(u as u64, steps);
             wstat.busy_ns = wstat.busy_ns.saturating_add(
                 u64::try_from(claimed.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
@@ -1038,16 +1021,13 @@ fn run_worker<R: ValidPackageReducer>(
         }
         match flow {
             ControlFlow::Continue(()) => {
-                if fl {
-                    flight::record(FlightEvent::UnitFinished);
-                }
                 sink.unit_done();
                 outcomes.push(UnitOutcome {
                     idx: u,
                     acc,
                     stats,
                     error: None,
-                    events: fl.then(|| flight::drain_from(mark)),
+                    events: keep_events.then(|| flight::drain_from(mark)),
                 });
             }
             ControlFlow::Break(UnitStop::Abandoned) => {
@@ -1061,7 +1041,7 @@ fn run_worker<R: ValidPackageReducer>(
                     acc,
                     stats,
                     error: None,
-                    events: fl.then(|| flight::drain_from(mark)),
+                    events: keep_events.then(|| flight::drain_from(mark)),
                 });
             }
             ControlFlow::Break(UnitStop::Error(e)) => {
@@ -1071,7 +1051,7 @@ fn run_worker<R: ValidPackageReducer>(
                     acc,
                     stats,
                     error: Some(e),
-                    events: fl.then(|| flight::drain_from(mark)),
+                    events: keep_events.then(|| flight::drain_from(mark)),
                 });
             }
             ControlFlow::Break(UnitStop::Budget(cut)) => {
@@ -1082,7 +1062,7 @@ fn run_worker<R: ValidPackageReducer>(
                     acc,
                     stats,
                     error: None,
-                    events: fl.then(|| flight::drain_from(mark)),
+                    events: keep_events.then(|| flight::drain_from(mark)),
                 });
                 break;
             }
@@ -1090,7 +1070,12 @@ fn run_worker<R: ValidPackageReducer>(
     }
     sink.flush();
     drop(span);
-    (outcomes, pkgrec_trace::take(), tl.then_some(wstat))
+    WorkerResult {
+        outcomes,
+        trace: pkgrec_trace::take(),
+        stat: tl.then_some(wstat),
+        leftover: flight::drain_all().into_timed(),
+    }
 }
 
 /// The parallel engine. Determinism argument, under either scheduler:
@@ -1134,27 +1119,18 @@ fn parallel_reduce<R: ValidPackageReducer>(
         sink.flush();
     }
 
-    let fl = flight::is_enabled();
-    if fl {
-        // The coordinator's ring holds the merged recording; workers
-        // record into their own rings and hand events back per unit.
-        flight::begin_search(units.len() as u64);
-    }
-    let tl = timeline::is_enabled();
-    // Workers tag their stamps with the coordinator's profiling scope
-    // so a serve request's timeline stays isolated from its neighbors.
-    let tl_scope = timeline::current_scope();
+    // The coordinator's ring holds the merged recording; workers
+    // record into their own rings and hand records back per unit.
+    flight::begin_search(units.len() as u64);
+    // Workers run under the coordinator's telemetry — channels and
+    // profiling scope — so a serve request's records stay its own.
+    let telemetry = pkgrec_trace::telemetry();
     let _phase = timeline::phase("enumerate");
 
     let shared = opts.budget.shared_meter();
     let floor = AtomicUsize::new(usize::MAX);
     let jobs = jobs.min(units.len());
     let sched = Scheduler::new(units.len(), jobs, !opts.budget.is_unlimited());
-    type WorkerResult<A> = (
-        Vec<UnitOutcome<A>>,
-        pkgrec_trace::TraceReport,
-        Option<WorkerStat>,
-    );
     let (worker_results, join_panic): (Vec<WorkerResult<R::Acc>>, Option<String>) =
         std::thread::scope(|s| {
             let units = &units;
@@ -1175,10 +1151,10 @@ fn parallel_reduce<R: ValidPackageReducer>(
                             shared,
                             progress,
                             total_nodes,
-                            fl,
-                            tl,
-                            tl_scope,
-                            w as u32,
+                            Telemetry {
+                                worker: w as u32,
+                                ..telemetry
+                            },
                         )
                     })
                 })
@@ -1208,10 +1184,11 @@ fn parallel_reduce<R: ValidPackageReducer>(
 
     let mut outcomes: Vec<UnitOutcome<R::Acc>> = Vec::new();
     let mut worker_stats: Vec<WorkerStat> = Vec::new();
-    for (worker_outcomes, report, wstat) in worker_results {
-        pkgrec_trace::absorb(&report);
-        outcomes.extend(worker_outcomes);
-        worker_stats.extend(wstat);
+    for result in worker_results {
+        pkgrec_trace::absorb(&result.trace);
+        flight::replay(&result.leftover);
+        outcomes.extend(result.outcomes);
+        worker_stats.extend(result.stat);
     }
     outcomes.sort_by_key(|o| o.idx);
     worker_stats.sort_by_key(|w| w.worker);
@@ -1225,7 +1202,12 @@ fn parallel_reduce<R: ValidPackageReducer>(
     };
     for outcome in outcomes {
         if outcome.idx > floor {
-            break;
+            // Above the floor a unit leaves the recording but stays on
+            // the timeline.
+            if let Some(events) = outcome.events {
+                flight::replay(&events.into_timed());
+            }
+            continue;
         }
         if let Some(events) = &outcome.events {
             flight::replay(events);

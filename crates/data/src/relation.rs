@@ -306,11 +306,11 @@ mod tests {
     }
 
     /// Satellite regression: concurrent first probes of the same column
-    /// must build its index exactly once. Counters are thread-local, so
-    /// each prober hands its report back for the main thread to absorb.
+    /// must build its index exactly once. Tracing is per thread, so
+    /// each prober turns it on and hands its report back to the main
+    /// thread.
     #[test]
     fn concurrent_lookups_build_the_index_at_most_once() {
-        let _scope = pkgrec_trace::scoped();
         let r = std::sync::Arc::new(rel());
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
         let mut total = pkgrec_trace::TraceReport::default();
@@ -319,7 +319,7 @@ mod tests {
                 let r = std::sync::Arc::clone(&r);
                 let barrier = std::sync::Arc::clone(&barrier);
                 std::thread::spawn(move || {
-                    pkgrec_trace::reset();
+                    let _scope = pkgrec_trace::scoped();
                     barrier.wait();
                     for _ in 0..100 {
                         let _ = r.lookup(0, &Value::Int(1));

@@ -412,7 +412,6 @@ fn route(service: &Service, req: &Request, ctx: &RequestCtx) -> Routed {
             }
         },
         ("GET", "/debug/slow") => Routed::json((200, service.debug_slow_json())),
-        ("GET", "/debug/profile") => Routed::json((200, service.debug_profile_json())),
         ("GET" | "POST", "/explain") => {
             let db = query_param(query, "db");
             Routed::json(fenced(service, &ctx.id, || {

@@ -27,16 +27,13 @@ use pkgrec_query::parser::{parse_fo, parse_query};
 use pkgrec_query::Query;
 use pkgrec_trace::json::write_string;
 use pkgrec_trace::window::RollingWindow;
-use pkgrec_trace::{flight, prom, timeline, Histogram, TraceReport};
+use pkgrec_trace::{flight, prom, timeline, Histogram, Telemetry, TraceReport};
 
 use crate::access_log::AccessLog;
 use crate::request::{parse_fn_spec, parse_solve_request, ProblemKind, SolveRequest};
 
-/// How many recent slow requests `GET /debug/slow` retains.
+/// How many recent slow or failed requests `GET /debug/slow` retains.
 const SLOW_RING_CAP: usize = 32;
-
-/// How many recent profiled requests `GET /debug/profile` retains.
-const PROFILE_RING_CAP: usize = 32;
 
 /// Service-level limits. Every request is clamped to them, so a
 /// client can tighten the deadline or parallelism but never exceed
@@ -52,20 +49,18 @@ pub struct ServiceConfig {
     pub max_jobs: usize,
     /// Prepared-instance cache capacity (entries, FIFO eviction).
     pub plan_cache_cap: usize,
-    /// Requests slower than this (total, milliseconds) land in the
-    /// `/debug/slow` ring. 0 records everything.
+    /// Requests at least this slow (total, milliseconds) or answered
+    /// with an error status land in the `/debug/slow` ring. 0 records
+    /// everything.
     pub slow_threshold_ms: u64,
     /// Whether per-second rolling windows are maintained (the bench
     /// turns them off to measure their cost; production leaves them on).
     pub windows_enabled: bool,
-    /// Tail-sampling profiler threshold (total, milliseconds): when
-    /// set, every request records a profile timeline, but it is kept —
-    /// a `/debug/profile` ring entry plus, under a flight export
-    /// directory, a `<request-id>.profile.json` Chrome trace — only
-    /// for requests at least this slow or answered with an error
-    /// status. 0 keeps everything; `None` disables the profiler
-    /// entirely (no stamps taken).
-    pub profile_slow_ms: Option<u64>,
+    /// Tail-sampling profiler: every request records a profile
+    /// timeline, kept only with its `/debug/slow` entry (as a timeline
+    /// summary plus, under a flight export directory, a
+    /// `<request-id>.profile.json` Chrome trace). Off: no stamps taken.
+    pub profile: bool,
 }
 
 impl Default for ServiceConfig {
@@ -76,7 +71,7 @@ impl Default for ServiceConfig {
             plan_cache_cap: 64,
             slow_threshold_ms: 250,
             windows_enabled: true,
-            profile_slow_ms: None,
+            profile: false,
         }
     }
 }
@@ -249,7 +244,8 @@ pub struct RequestCtx {
     pub queue_us: u64,
 }
 
-/// One `/debug/slow` entry: the black-box pointer for a slow request.
+/// One `/debug/slow` entry: the black-box pointer for a slow or failed
+/// request.
 #[derive(Debug, Clone)]
 struct SlowEntry {
     id: String,
@@ -260,21 +256,10 @@ struct SlowEntry {
     queue_us: u64,
     solve_us: u64,
     total_us: u64,
-}
-
-/// One `/debug/profile` entry: the retained summary of a tail-sampled
-/// request (the full Chrome trace, when a flight directory is set,
-/// lives in `<request-id>.profile.json` on disk).
-#[derive(Debug, Clone)]
-struct ProfileEntry {
-    id: String,
-    db: Option<String>,
-    problem: Option<String>,
-    status: u16,
-    outcome: String,
-    total_us: u64,
-    /// The rendered [`timeline::TimelineSummary`] JSON object.
-    summary: String,
+    /// The rendered [`timeline::TimelineSummary`] JSON object, while
+    /// the profiler is armed (the full Chrome trace, when a flight
+    /// directory is set, lives in `<request-id>.profile.json`).
+    timeline: Option<String>,
 }
 
 /// The resident service state shared by every worker thread.
@@ -293,7 +278,6 @@ pub struct Service {
     access_log: Option<Arc<AccessLog>>,
     flight_dir: Option<PathBuf>,
     slow: Mutex<VecDeque<SlowEntry>>,
-    profiled: Mutex<VecDeque<ProfileEntry>>,
 }
 
 impl Service {
@@ -310,7 +294,6 @@ impl Service {
             access_log: None,
             flight_dir: None,
             slow: Mutex::new(VecDeque::new()),
-            profiled: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -319,8 +302,8 @@ impl Service {
         self.access_log = Some(log);
     }
 
-    /// Export each request's flight recording (when the recorder is
-    /// enabled) to `dir/<request-id>.flight.jsonl`.
+    /// Record every request's flight recording and export it to
+    /// `dir/<request-id>.flight.jsonl`.
     pub fn set_flight_dir(&mut self, dir: impl Into<PathBuf>) {
         self.flight_dir = Some(dir.into());
     }
@@ -361,42 +344,43 @@ impl Service {
     /// clamped budget, encode, and account the request on every
     /// observability surface — cumulative metrics, rolling window,
     /// access log, slow ring and (when enabled) the per-request flight
-    /// export. Returns `(http_status, response_body)`; every failure
-    /// mode is a typed error body carrying the request id.
+    /// export and profile. Returns `(http_status, response_body)`;
+    /// every failure mode is a typed error body carrying the request
+    /// id.
     pub fn handle_solve_ctx(&self, body: &[u8], ctx: &RequestCtx) -> (u16, String) {
         let started = Instant::now();
         pkgrec_trace::counter!("serve.requests");
-        // Tail-sampling profiler: while armed, *every* request stamps a
-        // timeline under its own scope — the keep/drop decision needs
-        // the request's final latency and status, which only exist at
-        // the end — and `retain_profile` then keeps or discards it.
-        let _profiling = self.config.profile_slow_ms.map(|_| timeline::scoped());
-        let prof_scope = self.config.profile_slow_ms.map(|_| timeline::begin_scope());
+        // The request's telemetry comes from the configuration alone:
+        // channels are per thread, so nothing another request or the
+        // environment switches on can leak into this one. Tracing feeds
+        // `/metrics`; the profiler stamps *every* request, because the
+        // tail-sampling decision needs the final latency and status.
+        let _telemetry = Telemetry {
+            trace: true,
+            flight: self.flight_dir.is_some(),
+            profile: self.config.profile,
+            ..Telemetry::default()
+        }
+        .enter();
+        // A fresh ring per request: the flight export and the timeline
+        // are this request's black box and nothing else's.
+        let _ = flight::drain_all();
+        let scope = timeline::begin_scope();
         let req = match parse_solve_request(body) {
             Ok(req) => req,
             Err(e) => {
                 Metrics::bump(&self.metrics.rejected_bad_request);
                 pkgrec_trace::counter!("serve.rejected.bad_request");
                 let err = ServeError::new(400, "bad_request", e.message);
-                self.account(ctx, started, None, err.status, &err.outcome(), None);
-                if let Some(scope) = prof_scope {
-                    self.retain_profile(ctx, &scope, started, None, err.status, &err.outcome());
-                }
+                self.account(ctx, started, None, err.status, &err.outcome(), None, &scope);
                 return (err.status, err.body_with_id(Some(&ctx.id)));
             }
         };
         Metrics::bump(&self.metrics.requests);
 
         // Collect this solve's trace so `/metrics` can report merged
-        // counters/spans across requests; enable() nests refcounted, so
-        // concurrent requests and an operator-enabled trace compose.
-        let _trace = pkgrec_trace::scoped();
+        // counters/spans across requests.
         pkgrec_trace::reset();
-        if self.flight_dir.is_some() {
-            // A fresh ring per request, so the export is this
-            // request's black box and nothing else's.
-            flight::reset();
-        }
         let result = self.solve_rendered(&req);
         let report = pkgrec_trace::take();
         self.metrics
@@ -427,10 +411,15 @@ impl Service {
                 )
             }
         };
-        self.account(ctx, started, Some(&req), status, &outcome, Some(&report));
-        if let Some(scope) = prof_scope {
-            self.retain_profile(ctx, &scope, started, Some(&req), status, &outcome);
-        }
+        self.account(
+            ctx,
+            started,
+            Some(&req),
+            status,
+            &outcome,
+            Some(&report),
+            &scope,
+        );
         (status, body)
     }
 
@@ -492,9 +481,11 @@ impl Service {
     }
 
     /// Stamp one finished request onto every passive surface: the
-    /// latency histogram, the rolling window, the slow ring and the
-    /// access log. `req`/`report` are `None` when parsing failed before
-    /// a request existed.
+    /// latency histogram, the rolling window, the slow ring (with the
+    /// request's profile while the profiler is armed) and the access
+    /// log. `req`/`report` are `None` when parsing failed before a
+    /// request existed.
+    #[allow(clippy::too_many_arguments)]
     fn account(
         &self,
         ctx: &RequestCtx,
@@ -503,6 +494,7 @@ impl Service {
         status: u16,
         outcome: &str,
         report: Option<&TraceReport>,
+        scope: &timeline::ScopeGuard,
     ) {
         let solve_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let total_us = ctx.queue_us.saturating_add(solve_us);
@@ -514,7 +506,14 @@ impl Service {
         if self.config.windows_enabled {
             self.metrics.window.record(total_us, status >= 400);
         }
-        if total_us >= self.config.slow_threshold_ms.saturating_mul(1000) {
+        // The timeline is per-request state: always drained, kept only
+        // with a ring entry.
+        let tl = self.config.profile.then(|| timeline::take_scope(scope.id()));
+        if total_us >= self.config.slow_threshold_ms.saturating_mul(1000) || status >= 400 {
+            let timeline = tl.map(|tl| {
+                self.export_profile(&ctx.id, &tl);
+                tl.summarize().to_json()
+            });
             let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
             while slow.len() >= SLOW_RING_CAP {
                 slow.pop_front();
@@ -528,6 +527,7 @@ impl Service {
                 queue_us: ctx.queue_us,
                 solve_us,
                 total_us,
+                timeline,
             });
         }
         if let Some(log) = &self.access_log {
@@ -542,9 +542,6 @@ impl Service {
     /// telemetry, never a request outcome.
     fn export_flight(&self, id: &str) {
         let Some(dir) = &self.flight_dir else { return };
-        if !flight::is_enabled() {
-            return;
-        }
         let recording = flight::take_recording();
         if recording.is_empty() {
             return;
@@ -552,62 +549,21 @@ impl Service {
         let _ = std::fs::write(dir.join(format!("{id}.flight.jsonl")), recording.to_jsonl());
     }
 
-    /// The tail-sampling keep/drop decision, once per request while
-    /// the profiler is armed. Always drains the request's timeline
-    /// scope (stamps are per-request state and must not leak into the
-    /// next request's profile); keeps it only when the request was at
-    /// least `profile_slow_ms` slow or failed: a `/debug/profile` ring
-    /// entry, plus — when a flight export directory is configured — a
-    /// `<request-id>.profile.json` Chrome trace next to the flight
-    /// recording. Like the flight export, this is best-effort
-    /// telemetry: write failures are swallowed.
-    fn retain_profile(
-        &self,
-        ctx: &RequestCtx,
-        scope: &timeline::ScopeGuard,
-        started: Instant,
-        req: Option<&SolveRequest>,
-        status: u16,
-        outcome: &str,
-    ) {
-        let tl = timeline::take_scope(scope.id());
-        let threshold_us = self
-            .config
-            .profile_slow_ms
-            .unwrap_or(0)
-            .saturating_mul(1000);
-        let solve_us = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        let total_us = ctx.queue_us.saturating_add(solve_us);
-        if total_us < threshold_us && status < 400 {
-            return;
-        }
-        if let Some(dir) = &self.flight_dir {
-            // One file that is both a valid Chrome trace (Perfetto
-            // opens it directly) and self-identifying: the format
-            // tolerates extra top-level keys, so the request id rides
-            // along in front of the standard `traceEvents`.
-            let chrome = tl.to_chrome_json();
-            let mut body = String::with_capacity(chrome.len() + ctx.id.len() + 24);
-            body.push_str("{\"request_id\":");
-            write_string(&mut body, &ctx.id);
-            body.push(',');
-            body.push_str(&chrome[1..]);
-            let _ = std::fs::write(dir.join(format!("{}.profile.json", ctx.id)), body);
-        }
-        let summary = tl.summarize();
-        let mut ring = self.profiled.lock().unwrap_or_else(|e| e.into_inner());
-        while ring.len() >= PROFILE_RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(ProfileEntry {
-            id: ctx.id.clone(),
-            db: req.map(|r| r.db.clone()),
-            problem: req.map(|r| r.problem.name().to_string()),
-            status,
-            outcome: outcome.to_string(),
-            total_us,
-            summary: summary.to_json(),
-        });
+    /// Write a retained request's timeline as a Chrome trace next to
+    /// its flight export, when a flight directory is configured. One
+    /// file that is both a valid Chrome trace (Perfetto opens it
+    /// directly) and self-identifying: the format tolerates extra
+    /// top-level keys, so the request id rides along in front of the
+    /// standard `traceEvents`. Best-effort, like the flight export.
+    fn export_profile(&self, id: &str, tl: &timeline::Timeline) {
+        let Some(dir) = &self.flight_dir else { return };
+        let chrome = tl.to_chrome_json();
+        let mut body = String::with_capacity(chrome.len() + id.len() + 24);
+        body.push_str("{\"request_id\":");
+        write_string(&mut body, id);
+        body.push(',');
+        body.push_str(&chrome[1..]);
+        let _ = std::fs::write(dir.join(format!("{id}.profile.json")), body);
     }
 
     /// Close the access log (final flush + writer join). Idempotent;
@@ -772,9 +728,9 @@ impl Service {
             write_string(&mut out, name);
         }
         out.push_str("],\"flight\":{\"enabled\":");
-        out.push_str(if flight::is_enabled() { "true" } else { "false" });
+        out.push_str(if self.flight_dir.is_some() { "true" } else { "false" });
         out.push_str(",\"capacity\":");
-        out.push_str(&flight::capacity().to_string());
+        out.push_str(&flight::CAPACITY.to_string());
         out.push_str("},\"trace\":");
         {
             let report = m.trace.lock().unwrap_or_else(|e| e.into_inner());
@@ -907,13 +863,16 @@ impl Service {
         out
     }
 
-    /// The `GET /debug/slow` body: the retained slow-request ring,
-    /// oldest first.
+    /// The `GET /debug/slow` body: the retained ring of slow and failed
+    /// requests, oldest first, each with its timeline summary while the
+    /// profiler is armed. Reading does not drain the ring.
     pub fn debug_slow_json(&self) -> String {
         let slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::with_capacity(64 + slow.len() * 128);
+        let mut out = String::with_capacity(64 + slow.len() * 256);
         out.push_str("{\"threshold_ms\":");
         out.push_str(&self.config.slow_threshold_ms.to_string());
+        out.push_str(",\"profile\":");
+        out.push_str(if self.config.profile { "true" } else { "false" });
         out.push_str(",\"slow\":[");
         for (i, e) in slow.iter().enumerate() {
             if i > 0 {
@@ -941,49 +900,8 @@ impl Service {
             out.push_str(&e.solve_us.to_string());
             out.push_str(",\"total_us\":");
             out.push_str(&e.total_us.to_string());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// The `GET /debug/profile` body: the retained tail-sampled
-    /// request ring (oldest first, capped at [`PROFILE_RING_CAP`]),
-    /// each entry carrying its timeline summary inline. Reading does
-    /// not drain the ring.
-    pub fn debug_profile_json(&self) -> String {
-        let ring = self.profiled.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::with_capacity(64 + ring.len() * 256);
-        out.push_str("{\"profile_slow_ms\":");
-        match self.config.profile_slow_ms {
-            Some(ms) => out.push_str(&ms.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"profiled\":[");
-        for (i, e) in ring.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"request_id\":");
-            write_string(&mut out, &e.id);
-            out.push_str(",\"db\":");
-            match &e.db {
-                Some(db) => write_string(&mut out, db),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"problem\":");
-            match &e.problem {
-                Some(p) => write_string(&mut out, p),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"status\":");
-            out.push_str(&e.status.to_string());
-            out.push_str(",\"outcome\":");
-            write_string(&mut out, &e.outcome);
-            out.push_str(",\"total_us\":");
-            out.push_str(&e.total_us.to_string());
             out.push_str(",\"timeline\":");
-            out.push_str(&e.summary);
+            out.push_str(e.timeline.as_deref().unwrap_or("null"));
             out.push('}');
         }
         out.push_str("]}");
@@ -1602,19 +1520,15 @@ mod tests {
     #[test]
     fn tail_sampler_retains_slow_and_error_requests_with_timelines() {
         let mut svc = service();
-        svc.config.profile_slow_ms = Some(0); // keep everything
+        svc.config.profile = true;
+        svc.config.slow_threshold_ms = 0; // keep everything
         svc.handle_solve(br#"{"db":"shop","problem":"eval","query":"q(x, p) :- item(x, p)."}"#);
         svc.handle_solve(b"{broken");
-        let parsed = json::parse(&svc.debug_profile_json()).unwrap();
-        assert_eq!(parsed.get("profile_slow_ms").and_then(Json::as_u64), Some(0));
-        let profiled = parsed.get("profiled").and_then(Json::as_array).unwrap();
-        assert_eq!(profiled.len(), 2);
-        let ok = &profiled[0];
-        assert!(ok
-            .get("request_id")
-            .and_then(Json::as_str)
-            .unwrap()
-            .starts_with("req-"));
+        let parsed = json::parse(&svc.debug_slow_json()).unwrap();
+        assert_eq!(parsed.get("profile").and_then(Json::as_bool), Some(true));
+        let slow = parsed.get("slow").and_then(Json::as_array).unwrap();
+        assert_eq!(slow.len(), 2);
+        let ok = &slow[0];
         assert_eq!(ok.get("status").and_then(Json::as_u64), Some(200));
         // The first solve compiles its plan, so its retained timeline
         // carries at least the `compile` phase.
@@ -1629,16 +1543,33 @@ mod tests {
                 .any(|p| p.get("name").and_then(Json::as_str) == Some("compile")),
             "expected a compile phase, got {phases:?}"
         );
-        // Errors are retained regardless of latency...
-        assert_eq!(profiled[1].get("status").and_then(Json::as_u64), Some(400));
+        assert_eq!(slow[1].get("status").and_then(Json::as_u64), Some(400));
 
-        // ...but a fast, successful request under a high threshold is
-        // profiled and then discarded by the tail decision.
-        svc.config.profile_slow_ms = Some(60_000);
+        // Under a high threshold a fast, successful request is profiled
+        // and then dropped by the tail decision; an error is still kept.
+        svc.config.slow_threshold_ms = 60_000;
         svc.handle_solve(br#"{"db":"shop","problem":"eval","query":"q(x, p) :- item(x, p)."}"#);
-        let parsed = json::parse(&svc.debug_profile_json()).unwrap();
-        let profiled = parsed.get("profiled").and_then(Json::as_array).unwrap();
-        assert_eq!(profiled.len(), 2, "a fast ok request must be dropped");
+        svc.handle_solve(b"{still broken");
+        let parsed = json::parse(&svc.debug_slow_json()).unwrap();
+        let slow = parsed.get("slow").and_then(Json::as_array).unwrap();
+        assert_eq!(slow.len(), 3, "a fast ok request must be dropped");
+        assert_eq!(slow[2].get("status").and_then(Json::as_u64), Some(400));
+        assert!(slow[2].get("timeline").and_then(|t| t.get("wall_ns")).is_some());
+    }
+
+    /// Telemetry is armed per request from the configuration: a
+    /// service without the profiler attaches no timeline even while the
+    /// calling thread has profiling on.
+    #[test]
+    fn request_telemetry_comes_from_the_config_alone() {
+        let mut svc = service();
+        svc.config.slow_threshold_ms = 0;
+        let _profiling = timeline::scoped();
+        svc.handle_solve(br#"{"db":"shop","problem":"eval","query":"q(x, p) :- item(x, p)."}"#);
+        let parsed = json::parse(&svc.debug_slow_json()).unwrap();
+        let slow = parsed.get("slow").and_then(Json::as_array).unwrap();
+        assert_eq!(slow[0].get("timeline"), Some(&Json::Null));
+        assert!(timeline::is_enabled(), "the caller's state is restored");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The flight recorder: a bounded, per-thread ring buffer of
-//! structured search events — the event-level companion to the
-//! aggregate counters in the crate root.
+//! The event ring and its deterministic projection, the flight
+//! recorder — the event-level companion to the aggregate counters in
+//! the crate root.
 //!
 //! Aggregates answer "how much work happened"; the flight recorder
 //! answers "what was the solver doing *just now*, and why did it give
@@ -8,32 +8,42 @@
 //! N events that led up to it (its black box), and every prune carries
 //! a typed [`PruneReason`] saying *which* rule cut the subtree.
 //!
-//! # Model
+//! # One ring, two projections
 //!
-//! Recording is per-thread (like the trace collector) and bounded: a
-//! ring of at most [`capacity`] records, evicting the oldest when full
-//! (the `dropped` count is preserved so a recording says how much
-//! history was lost). Each record carries the index of the search
-//! *unit* it happened in — the prefix partitions of the parallel
-//! engine — which is what makes parallel recordings mergeable: a
-//! worker drains its events per unit ([`mark`] / [`drain_from`]) and
-//! the coordinator [`replay`]s the kept units in index order, so an
-//! uninterrupted parallel run reproduces the sequential event stream
-//! bit for bit.
+//! Every thread owns one bounded ring of records (at most
+//! [`CAPACITY`], evicting the oldest when full). A record is a
+//! [`FlightEvent`] stamped with the search *unit* it happened in, plus
+//! two independent marks:
 //!
-//! Recording is **off by default** and costs one relaxed atomic load
-//! per probe while off. Enable it with [`enable`] / [`scoped`], or
-//! process-wide with the `PKGREC_FLIGHT` environment variable (any
-//! nonempty value other than `0`).
+//! * `flight` — the record belongs to the **deterministic projection**,
+//!   the flight recording ([`take_recording`]). It never carries a time
+//!   field, so an uninterrupted parallel run reproduces the sequential
+//!   recording bit for bit;
+//! * `timing` — a wall-clock timing (time, profiling scope, worker),
+//!   present while the profile channel is on. The **timed projection**
+//!   ([`crate::timeline`]) keeps exactly these records.
+//!
+//! Unit claims belong to both projections; search events (branches,
+//! prunes, valid packages, interruptions) only to the deterministic
+//! one; worker starts, unit ends and phase brackets only to the timed
+//! one. The channels are per thread ([`crate::Telemetry`]): flight
+//! recording is **off by default** and costs one thread-local load per
+//! probe while off. Turn it on with [`scoped`] or, as every thread's
+//! default, with the `PKGREC_FLIGHT` environment variable.
+//!
+//! Parallel recordings merge through the ring: a worker drains its
+//! records per unit ([`mark`] / [`drain_from`]) and the coordinator
+//! [`replay`]s the kept units in index order. Timed records of units
+//! above the merge floor survive the merge as timed-only records
+//! ([`UnitEvents::into_timed`]), so the timeline still shows them.
 //!
 //! Serialization is JSONL via the crate's hand-rolled writer: one JSON
 //! object per record, validated by the bundled `jsonl_check` tool.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
-use crate::json;
+use crate::{json, telemetry, Telemetry, TelemetryGuard};
 
 /// Why a subtree of the package-space search was skipped. Each reason
 /// owns one `enumerate.pruned.*` counter (see the registry table in the
@@ -76,7 +86,9 @@ impl PruneReason {
     }
 }
 
-/// One structured search event.
+/// One structured event. The last four variants are time-only: they
+/// are recorded only while profiling and never reach the flight
+/// recording.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightEvent {
     /// A search started, partitioned into `units` units.
@@ -121,9 +133,29 @@ pub enum FlightEvent {
         /// What kind of candidate, e.g. `"qrpp.relaxation"`.
         label: &'static str,
     },
+    /// Time-only: a parallel worker started. Emitted once per spawned
+    /// worker so workers that never win a claim still get a track.
+    WorkerAlive,
+    /// Time-only: the unit's walk ended (completed, cut or abandoned)
+    /// after `steps` steps.
+    UnitEnd {
+        /// Search steps ticked in the unit.
+        steps: u64,
+    },
+    /// Time-only: a solve phase (e.g. `compile`, `enumerate`) opened.
+    PhaseOpen {
+        /// The phase name.
+        name: &'static str,
+    },
+    /// Time-only: the matching phase closed.
+    PhaseClose {
+        /// The phase name.
+        name: &'static str,
+    },
 }
 
-/// One recorded event, stamped with the unit it happened in.
+/// One event of the flight recording, stamped with the unit it
+/// happened in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightRecord {
     /// Index of the search unit active when the event fired (0 before
@@ -164,103 +196,129 @@ impl FlightRecord {
                 let _ = write!(out, "\"candidate\",\"label\":");
                 json::write_string(out, label);
             }
+            FlightEvent::WorkerAlive => out.push_str("\"worker_alive\""),
+            FlightEvent::UnitEnd { steps } => {
+                let _ = write!(out, "\"unit_end\",\"steps\":{steps}");
+            }
+            FlightEvent::PhaseOpen { name } | FlightEvent::PhaseClose { name } => {
+                let open = matches!(self.event, FlightEvent::PhaseOpen { .. });
+                out.push_str(if open {
+                    "\"phase_open\""
+                } else {
+                    "\"phase_close\""
+                });
+                out.push_str(",\"name\":");
+                json::write_string(out, name);
+            }
         }
         out.push('}');
     }
 }
 
-/// Process-wide enable count, composable like the trace enable.
-static FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
-/// Ring capacity (records kept per thread). One global knob: the
-/// recorder is a black box, not an archive.
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-
-/// Default per-thread ring capacity.
-pub const DEFAULT_CAPACITY: usize = 4096;
-
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PKGREC_FLIGHT").is_ok_and(|v| !v.is_empty() && v != "0")
-    })
+/// When, in which profiling scope and on which worker a timed record
+/// happened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Timing {
+    /// Nanoseconds since the process profiling epoch
+    /// ([`crate::timeline::now_ns`]).
+    pub(crate) t_ns: u64,
+    /// The profiling scope (0 = none).
+    pub(crate) scope: u64,
+    /// The worker index (coordinator = 0).
+    pub(crate) worker: u32,
 }
 
-/// Whether flight recording is on (via [`enable`] or `PKGREC_FLIGHT`).
-#[inline]
-pub fn is_enabled() -> bool {
-    FLIGHT.load(Ordering::Relaxed) != 0 || env_enabled()
-}
-
-/// Enable recording process-wide; pair with [`disable`] or use
-/// [`scoped`].
-pub fn enable() {
-    FLIGHT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Undo one [`enable`] (saturating, like the trace enable).
-pub fn disable() {
-    let _ = FLIGHT.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-        Some(n.saturating_sub(1))
-    });
-}
-
-/// RAII guard: recording stays enabled until it drops.
-#[derive(Debug)]
-pub struct ScopedFlight(());
-
-impl Drop for ScopedFlight {
-    fn drop(&mut self) {
-        disable();
+impl Timing {
+    fn now(t: &Telemetry) -> Timing {
+        Timing {
+            t_ns: crate::timeline::now_ns(),
+            scope: t.scope,
+            worker: t.worker,
+        }
     }
 }
 
-/// Enable recording for the lifetime of the returned guard.
-#[must_use = "recording is disabled again when the guard drops"]
-pub fn scoped() -> ScopedFlight {
-    enable();
-    ScopedFlight(())
+/// One entry of a thread's event ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Record {
+    /// Index of the search unit active when the event fired.
+    pub(crate) unit: u64,
+    /// The event.
+    pub(crate) event: FlightEvent,
+    /// Present while profiling: the timed projection keeps the record.
+    pub(crate) timing: Option<Timing>,
+    /// Whether the deterministic projection (the flight recording)
+    /// keeps the record.
+    pub(crate) flight: bool,
 }
 
-/// Set the per-thread ring capacity (clamped to at least 16). Applies
-/// to subsequent pushes on every thread.
-pub fn set_capacity(records: usize) {
-    CAPACITY.store(records.max(16), Ordering::Relaxed);
-}
-
-/// The current ring capacity.
-pub fn capacity() -> usize {
-    CAPACITY.load(Ordering::Relaxed)
-}
+/// Records kept per thread ring: the one capacity shared by both
+/// projections. Eviction is oldest first and counted per projection
+/// (`dropped` of the recording, of the scope's timeline).
+pub const CAPACITY: usize = 1 << 16;
 
 /// Per-thread ring buffer. `pushed` is the *logical* stream position —
 /// records evicted by capacity still advance it — so marks taken with
 /// [`mark`] stay valid as the ring wraps.
 #[derive(Default)]
 struct Ring {
-    events: VecDeque<FlightRecord>,
-    /// Logical records appended (and not drained/truncated away).
+    records: VecDeque<Record>,
+    /// Logical records appended (and not drained/removed).
     pushed: u64,
-    /// Records evicted by the capacity bound.
+    /// Flight records evicted by the capacity bound.
     dropped: u64,
+    /// Timed records evicted by the capacity bound, per scope.
+    timed_dropped: Vec<(u64, u64)>,
     /// Current unit index, stamped onto every record.
     unit: u64,
 }
 
+fn add_drops(drops: &mut Vec<(u64, u64)>, scope: u64, n: u64) {
+    match drops.iter_mut().find(|(s, _)| *s == scope) {
+        Some((_, count)) => *count += n,
+        None => drops.push((scope, n)),
+    }
+}
+
 impl Ring {
-    fn push(&mut self, rec: FlightRecord) {
-        let cap = capacity();
-        while self.events.len() >= cap {
-            self.events.pop_front();
-            self.dropped += 1;
+    fn push(&mut self, rec: Record) {
+        if self.records.len() >= CAPACITY {
+            if let Some(old) = self.records.pop_front() {
+                if old.flight {
+                    self.dropped += 1;
+                }
+                if let Some(t) = old.timing {
+                    add_drops(&mut self.timed_dropped, t.scope, 1);
+                }
+            }
         }
-        self.events.push_back(rec);
+        self.records.push_back(rec);
         self.pushed += 1;
+    }
+
+    /// Push `event` at the current unit.
+    fn push_event(&mut self, event: FlightEvent, timing: Option<Timing>, flight: bool) {
+        let unit = self.unit;
+        self.push(Record {
+            unit,
+            event,
+            timing,
+            flight,
+        });
+    }
+
+    /// Keep the records `keep` returns true for (it may rewrite them);
+    /// the logical position moves back by the number removed, so the
+    /// positions of the survivors' successors stay consistent.
+    fn retain(&mut self, keep: impl FnMut(&mut Record) -> bool) {
+        let before = self.records.len();
+        self.records.retain_mut(keep);
+        self.pushed -= (before - self.records.len()) as u64;
     }
 }
 
 thread_local! {
-    static RING: std::cell::RefCell<Ring> = std::cell::RefCell::new(Ring::default());
+    static RING: RefCell<Ring> = RefCell::new(Ring::default());
 }
 
 #[inline]
@@ -268,17 +326,38 @@ fn with_ring<R>(f: impl FnOnce(&mut Ring) -> R) -> Option<R> {
     RING.try_with(|r| f(&mut r.borrow_mut())).ok()
 }
 
-/// Record one event, stamped with the current unit. No-op while
-/// recording is disabled.
+/// Whether flight recording is on for the calling thread.
+#[inline]
+pub fn is_enabled() -> bool {
+    telemetry().flight
+}
+
+/// Turn flight recording on for the calling thread until the guard
+/// drops.
+#[must_use = "recording is switched off again when the guard drops"]
+pub fn scoped() -> TelemetryGuard {
+    Telemetry {
+        flight: true,
+        ..telemetry()
+    }
+    .enter()
+}
+
+/// Record one search event, stamped with the current unit. No-op while
+/// recording is off.
 #[inline]
 pub fn record(event: FlightEvent) {
-    if !is_enabled() {
-        return;
+    if is_enabled() {
+        with_ring(|r| r.push_event(event, None, true));
     }
-    with_ring(|r| {
-        let unit = r.unit;
-        r.push(FlightRecord { unit, event });
-    });
+}
+
+/// Record a time-only event. No-op while profiling is off.
+pub(crate) fn stamp(event: FlightEvent) {
+    let t = telemetry();
+    if t.profile {
+        with_ring(|r| r.push_event(event, Some(Timing::now(&t)), false));
+    }
 }
 
 /// Start a new search: reset the unit stamp to 0 and record
@@ -289,82 +368,167 @@ pub fn begin_search(units: u64) {
     }
     with_ring(|r| {
         r.unit = 0;
-        r.push(FlightRecord {
-            unit: 0,
-            event: FlightEvent::SearchStart { units },
-        });
+        r.push_event(FlightEvent::SearchStart { units }, None, true);
     });
 }
 
-/// Enter unit `unit`: subsequent records are stamped with it, and a
-/// [`FlightEvent::UnitClaimed`] is recorded.
+/// Claim unit `unit`: subsequent records are stamped with it, and one
+/// [`FlightEvent::UnitClaimed`] record serves both projections — in the
+/// flight recording while it is on, timed while profiling.
 pub fn begin_unit(unit: u64) {
-    if !is_enabled() {
+    let t = telemetry();
+    if !(t.flight || t.profile) {
         return;
     }
     with_ring(|r| {
         r.unit = unit;
-        r.push(FlightRecord {
-            unit,
-            event: FlightEvent::UnitClaimed,
-        });
+        let timing = t.profile.then(|| Timing::now(&t));
+        r.push_event(FlightEvent::UnitClaimed, timing, t.flight);
     });
 }
 
-/// The current logical stream position (0 while disabled). Pass to
-/// [`drain_from`] / [`discard_from`] to address everything recorded
-/// after this point.
-pub fn mark() -> u64 {
-    with_ring(|r| r.pushed).unwrap_or(0)
+/// End the current unit after `steps` steps: a timed
+/// [`FlightEvent::UnitEnd`] while profiling, and
+/// [`FlightEvent::UnitFinished`] in the flight recording when the walk
+/// `completed`.
+pub fn end_unit(steps: u64, completed: bool) {
+    stamp(FlightEvent::UnitEnd { steps });
+    if completed {
+        record(FlightEvent::UnitFinished);
+    }
 }
 
-/// Events drained out of a ring for one unit of work, carried by the
-/// worker's outcome until the coordinator [`replay`]s them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UnitEvents {
-    /// The still-buffered records of the range, oldest first.
-    pub records: Vec<FlightRecord>,
-    /// Records of the range already evicted by the capacity bound.
-    pub dropped: u64,
+/// A position in the calling thread's ring; pass to [`drain_from`] /
+/// [`discard_from`] to address everything recorded after it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Mark {
+    pos: u64,
+    dropped: u64,
 }
 
-/// Remove and return every record at logical position ≥ `from` (a
-/// [`mark`]). Records of the range that were already evicted are
-/// reported via [`UnitEvents::dropped`], so a later [`replay`] restores
-/// the exact ring state a direct recording would have produced.
-pub fn drain_from(from: u64) -> UnitEvents {
-    with_ring(|r| {
-        let excess = r.pushed.saturating_sub(from);
-        let in_ring = (excess.min(r.events.len() as u64)) as usize;
-        let at = r.events.len() - in_ring;
-        let records: Vec<FlightRecord> = r.events.split_off(at).into();
-        let dropped = excess - in_ring as u64;
-        r.dropped -= dropped;
-        r.pushed = from;
-        UnitEvents { records, dropped }
+/// The current position of the calling thread's ring.
+pub fn mark() -> Mark {
+    with_ring(|r| Mark {
+        pos: r.pushed,
+        dropped: r.dropped,
     })
     .unwrap_or_default()
 }
 
-/// Remove every record at logical position ≥ `from` without keeping it
-/// (an abandoned parallel unit's partial recording).
-pub fn discard_from(from: u64) {
-    let _ = drain_from(from);
+/// Records drained out of a ring for one unit of work, carried by the
+/// worker's outcome until the coordinator [`replay`]s them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UnitEvents {
+    /// The still-buffered records of the range, oldest first.
+    records: Vec<Record>,
+    /// Flight records of the range already evicted by the capacity
+    /// bound.
+    dropped: u64,
+    /// Timed records evicted, per scope (carried by [`drain_all`]).
+    timed_dropped: Vec<(u64, u64)>,
 }
 
-/// Append a drained range to this thread's ring, preserving each
-/// record's unit stamp. This is how the parallel coordinator merges the
-/// per-worker recordings in unit order.
-pub fn replay(events: &UnitEvents) {
-    if !is_enabled() {
-        return;
+impl UnitEvents {
+    /// The timed part only, for a unit that leaves the flight
+    /// recording (abandoned or above the merge floor) but stays on the
+    /// timeline.
+    pub fn into_timed(mut self) -> UnitEvents {
+        self.records.retain_mut(|rec| {
+            rec.flight = false;
+            rec.timing.is_some()
+        });
+        self.dropped = 0;
+        self
     }
+}
+
+/// Remove and return every record after `from`. Flight records evicted
+/// since the mark travel along as a count, so a later
+/// [`replay`] restores the exact recording a direct run would have
+/// produced.
+pub fn drain_from(from: Mark) -> UnitEvents {
+    with_ring(|r| {
+        let excess = r.pushed.saturating_sub(from.pos);
+        let in_ring = (excess.min(r.records.len() as u64)) as usize;
+        let at = r.records.len() - in_ring;
+        let records: Vec<Record> = r.records.split_off(at).into();
+        let dropped = r.dropped.saturating_sub(from.dropped);
+        r.dropped -= dropped;
+        r.pushed = from.pos;
+        UnitEvents {
+            records,
+            dropped,
+            timed_dropped: Vec::new(),
+        }
+    })
+    .unwrap_or_default()
+}
+
+/// Drop every record after `from` from the flight recording (an
+/// abandoned parallel unit's partial walk), keeping its timed records
+/// for the timeline.
+pub fn discard_from(from: Mark) {
+    replay(&drain_from(from).into_timed());
+}
+
+/// Remove and return the calling thread's whole ring, eviction counts
+/// included: how a parallel worker hands its leftover timed records
+/// (its start, abandoned units) to the coordinator before exiting.
+pub fn drain_all() -> UnitEvents {
+    with_ring(|r| {
+        let ring = std::mem::take(r);
+        UnitEvents {
+            records: ring.records.into(),
+            dropped: ring.dropped,
+            timed_dropped: ring.timed_dropped,
+        }
+    })
+    .unwrap_or_default()
+}
+
+/// Append drained records to this thread's ring, preserving each
+/// record's unit stamp. This is how the parallel coordinator merges the
+/// per-worker rings in unit order.
+pub fn replay(events: &UnitEvents) {
     with_ring(|r| {
         r.dropped += events.dropped;
+        for &(scope, n) in &events.timed_dropped {
+            add_drops(&mut r.timed_dropped, scope, n);
+        }
         for rec in &events.records {
             r.push(*rec);
         }
     });
+}
+
+/// Remove the timed records of `scope` from the ring (every scope for
+/// `None`), returning them with the scope's eviction count. Records
+/// the flight recording still needs stay, without their timing.
+pub(crate) fn take_timed(scope: Option<u64>) -> (Vec<Record>, u64) {
+    with_ring(|r| {
+        let mut taken = Vec::new();
+        r.retain(|rec| match rec.timing {
+            Some(t) if scope.is_none_or(|s| s == t.scope) => {
+                taken.push(*rec);
+                rec.timing = None;
+                rec.flight
+            }
+            _ => true,
+        });
+        let dropped = match scope {
+            Some(s) => r
+                .timed_dropped
+                .iter()
+                .position(|&(id, _)| id == s)
+                .map_or(0, |i| r.timed_dropped.swap_remove(i).1),
+            None => std::mem::take(&mut r.timed_dropped)
+                .iter()
+                .map(|d| d.1)
+                .sum(),
+        };
+        (taken, dropped)
+    })
+    .unwrap_or_default()
 }
 
 /// A finished recording: the retained events (oldest first) plus how
@@ -404,21 +568,35 @@ impl FlightRecording {
     }
 }
 
-/// Take this thread's recording and reset the ring (unit stamp
-/// included).
+/// Take this thread's flight recording — the deterministic projection
+/// of its ring — and reset the unit stamp. Timed records stay for the
+/// timeline.
 pub fn take_recording() -> FlightRecording {
     with_ring(|r| {
-        let rec = FlightRecording {
-            events: std::mem::take(&mut r.events).into(),
-            dropped: r.dropped,
+        let events = r
+            .records
+            .iter()
+            .filter(|rec| rec.flight)
+            .map(|rec| FlightRecord {
+                unit: rec.unit,
+                event: rec.event,
+            })
+            .collect();
+        let recording = FlightRecording {
+            events,
+            dropped: std::mem::take(&mut r.dropped),
         };
-        *r = Ring::default();
-        rec
+        r.unit = 0;
+        r.retain(|rec| {
+            rec.flight = false;
+            rec.timing.is_some()
+        });
+        recording
     })
     .unwrap_or_default()
 }
 
-/// Discard this thread's recording.
+/// Discard this thread's flight recording.
 pub fn reset() {
     let _ = take_recording();
 }
@@ -427,24 +605,35 @@ pub fn reset() {
 mod tests {
     use super::*;
 
-    // Tests force-enable via the counter, so they behave the same
-    // whether or not PKGREC_FLIGHT is set in the environment.
+    /// Tests pin their channels explicitly, so they behave the same
+    /// whether or not PKGREC_FLIGHT / PKGREC_PROFILE are set.
+    fn channels(flight: bool, profile: bool) -> TelemetryGuard {
+        Telemetry {
+            flight,
+            profile,
+            ..Telemetry::default()
+        }
+        .enter()
+    }
+
+    fn fr(unit: u64, event: FlightEvent) -> FlightRecord {
+        FlightRecord { unit, event }
+    }
 
     #[test]
     fn disabled_records_nothing() {
+        let _off = channels(false, false);
         reset();
-        if env_enabled() {
-            return; // the env override keeps the recorder on
-        }
         record(FlightEvent::UnitClaimed);
         begin_unit(3);
+        end_unit(5, true);
         assert!(take_recording().is_empty());
-        assert_eq!(mark(), 0);
+        assert_eq!(mark(), Mark::default());
     }
 
     #[test]
     fn records_are_stamped_with_the_current_unit() {
-        let _on = scoped();
+        let _on = channels(true, false);
         reset();
         begin_search(7);
         begin_unit(2);
@@ -453,18 +642,9 @@ mod tests {
         assert_eq!(
             rec.events,
             vec![
-                FlightRecord {
-                    unit: 0,
-                    event: FlightEvent::SearchStart { units: 7 }
-                },
-                FlightRecord {
-                    unit: 2,
-                    event: FlightEvent::UnitClaimed
-                },
-                FlightRecord {
-                    unit: 2,
-                    event: FlightEvent::BranchEnter { depth: 1 }
-                },
+                fr(0, FlightEvent::SearchStart { units: 7 }),
+                fr(2, FlightEvent::UnitClaimed),
+                fr(2, FlightEvent::BranchEnter { depth: 1 }),
             ]
         );
         assert_eq!(rec.dropped, 0);
@@ -472,14 +652,13 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let _on = scoped();
+        let _on = channels(true, false);
         reset();
-        let cap = capacity();
-        for d in 0..(cap + 5) {
+        for d in 0..(CAPACITY + 5) {
             record(FlightEvent::BranchEnter { depth: d as u32 });
         }
         let rec = take_recording();
-        assert_eq!(rec.events.len(), cap);
+        assert_eq!(rec.events.len(), CAPACITY);
         assert_eq!(rec.dropped, 5);
         // The oldest five were evicted.
         assert_eq!(rec.events[0].event, FlightEvent::BranchEnter { depth: 5 });
@@ -487,7 +666,7 @@ mod tests {
 
     #[test]
     fn drain_and_replay_reproduce_direct_recording() {
-        let _on = scoped();
+        let _on = channels(true, false);
         reset();
         // Direct recording.
         begin_unit(0);
@@ -513,7 +692,7 @@ mod tests {
 
     #[test]
     fn discard_removes_a_units_events() {
-        let _on = scoped();
+        let _on = channels(true, false);
         reset();
         record(FlightEvent::UnitClaimed);
         let m = mark();
@@ -527,15 +706,14 @@ mod tests {
 
     #[test]
     fn drain_carries_evicted_counts_through_replay() {
-        let _on = scoped();
+        let _on = channels(true, false);
         reset();
-        let cap = capacity();
         let m = mark();
-        for d in 0..(cap + 3) {
+        for d in 0..(CAPACITY + 3) {
             record(FlightEvent::BranchEnter { depth: d as u32 });
         }
         let drained = drain_from(m);
-        assert_eq!(drained.records.len(), cap);
+        assert_eq!(drained.records.len(), CAPACITY);
         assert_eq!(drained.dropped, 3);
         // The origin ring is clean again.
         let leftover = take_recording();
@@ -543,13 +721,60 @@ mod tests {
         assert_eq!(leftover.dropped, 0);
         replay(&drained);
         let rec = take_recording();
-        assert_eq!(rec.events.len(), cap);
+        assert_eq!(rec.events.len(), CAPACITY);
         assert_eq!(rec.dropped, 3);
+    }
+
+    /// With both channels on, a claim is one record in both
+    /// projections; the recording drops its time field and the
+    /// time-only events, and the timed records outlive the recording.
+    #[test]
+    fn one_claim_record_serves_both_projections() {
+        let _on = channels(true, true);
+        reset();
+        crate::timeline::reset();
+        begin_unit(4);
+        record(FlightEvent::Valid { size: 1 });
+        end_unit(1, true);
+        let recording = take_recording();
+        assert_eq!(
+            recording.events,
+            vec![
+                fr(4, FlightEvent::UnitClaimed),
+                fr(4, FlightEvent::Valid { size: 1 }),
+                fr(4, FlightEvent::UnitFinished),
+            ]
+        );
+        let (timed, dropped) = take_timed(None);
+        let events: Vec<FlightEvent> = timed.iter().map(|r| r.event).collect();
+        assert_eq!(
+            events,
+            [FlightEvent::UnitClaimed, FlightEvent::UnitEnd { steps: 1 }]
+        );
+        assert_eq!(dropped, 0);
+        assert!(drain_all().records.is_empty(), "both projections taken");
+    }
+
+    /// An abandoned unit leaves the recording but keeps its timing.
+    #[test]
+    fn discard_keeps_timed_records() {
+        let _on = channels(true, true);
+        reset();
+        crate::timeline::reset();
+        let m = mark();
+        begin_unit(9);
+        record(FlightEvent::BranchEnter { depth: 2 });
+        end_unit(1, false);
+        discard_from(m);
+        assert!(take_recording().is_empty());
+        let (timed, _) = take_timed(None);
+        assert_eq!(timed.len(), 2);
+        assert!(timed.iter().all(|r| !r.flight && r.unit == 9));
     }
 
     #[test]
     fn jsonl_lines_validate() {
-        let _on = scoped();
+        let _on = channels(true, false);
         reset();
         begin_search(3);
         begin_unit(1);
@@ -568,6 +793,14 @@ mod tests {
         });
         let mut rec = take_recording();
         rec.dropped = 9; // force the overflow header line too
+        for event in [
+            FlightEvent::WorkerAlive,
+            FlightEvent::UnitEnd { steps: 3 },
+            FlightEvent::PhaseOpen { name: "compile" },
+            FlightEvent::PhaseClose { name: "compile" },
+        ] {
+            rec.events.push(fr(1, event));
+        }
         let jsonl = rec.to_jsonl();
         for line in jsonl.lines() {
             json::validate_object(line).unwrap_or_else(|e| panic!("{line}: {e}"));
@@ -575,6 +808,7 @@ mod tests {
         assert!(jsonl.starts_with("{\"event\":\"overflow\",\"dropped\":9}"));
         assert!(jsonl.contains("\"reason\":\"cost\""));
         assert!(jsonl.contains("\"resource\":\"steps\""));
+        assert!(jsonl.contains("\"phase_close\",\"name\":\"compile\""));
     }
 
     #[test]
@@ -583,18 +817,14 @@ mod tests {
             (PruneReason::CostBound, "enumerate.pruned.cost", "cost"),
             (PruneReason::Compat, "enumerate.pruned.compat", "compat"),
             (PruneReason::Budget, "enumerate.pruned.budget", "budget"),
-            (PruneReason::ParallelFloor, "enumerate.pruned.floor", "floor"),
+            (
+                PruneReason::ParallelFloor,
+                "enumerate.pruned.floor",
+                "floor",
+            ),
         ] {
             assert_eq!(reason.counter_name(), counter);
             assert_eq!(reason.label(), label);
         }
-    }
-
-    #[test]
-    fn capacity_is_clamped() {
-        let old = capacity();
-        set_capacity(1);
-        assert_eq!(capacity(), 16);
-        set_capacity(old);
     }
 }

@@ -18,10 +18,11 @@
 //!   serializable [`TraceReport`] with merge, stable (sorted) JSON
 //!   export and a human-readable rendering.
 //!
-//! Tracing is **off by default** and zero-cost while off: every probe
-//! reduces to a single relaxed atomic load. Enable it process-wide with
-//! [`enable`] (or scoped with [`scoped`]); aggregation state is
-//! per-thread, so concurrent solves never contend on a lock.
+//! Tracing is **off by default** and near-free while off: every probe
+//! reduces to one thread-local load. Enablement and aggregation are
+//! both per-thread ([`Telemetry`]): [`scoped`] turns tracing on for the
+//! calling thread only, so concurrent solves never contend on a lock and
+//! never switch each other's telemetry on.
 //!
 //! ```
 //! let _on = pkgrec_trace::scoped();
@@ -85,10 +86,11 @@
 //! | `serve.plan_cache_hits` | serve | solve requests served from the prepared-plan cache |
 //! | `serve.plan_cache_misses` | serve | solve requests that compiled a fresh plan |
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 pub mod chaos;
@@ -174,48 +176,103 @@ pub const EXTRA_FAULT_SITES: &[CounterInfo] = &[CounterInfo {
     help: "connection loop, after reading a request (a `drop` here severs the socket)",
 }];
 
-/// Process-wide enable count (an RAII-friendly counter rather than a
-/// flag, so nested/concurrent enablers compose). Tracing is on while
-/// nonzero; every probe checks this with one relaxed load.
-static ENABLED: AtomicUsize = AtomicUsize::new(0);
-
-/// Whether tracing is currently enabled. This is the *only* cost a
-/// probe pays while tracing is off.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) != 0
+/// The telemetry state of one thread: which of the three channels
+/// record, and the profiling scope and worker index timed records
+/// carry.
+///
+/// State is **per thread**. A guard from [`Telemetry::enter`] (or one
+/// of the `scoped` shorthands: [`scoped`], [`flight::scoped`],
+/// [`timeline::scoped`]) changes the calling thread only, so a
+/// concurrent test or serve request can never switch another thread's
+/// telemetry on or off. A thread that spawns workers hands its state
+/// over explicitly: [`telemetry`] on the spawning side,
+/// [`Telemetry::enter`] on the worker.
+///
+/// A fresh thread starts with tracing off and the flight and profile
+/// channels at the defaults `PKGREC_FLIGHT` / `PKGREC_PROFILE` ask for
+/// (any nonempty value other than `0`), read once per thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Telemetry {
+    /// Spans, counters and histograms ([`span!`], [`counter!`]).
+    pub trace: bool,
+    /// The deterministic projection of the event ring ([`flight`]).
+    pub flight: bool,
+    /// The timed projection of the event ring ([`timeline`]).
+    pub profile: bool,
+    /// Profiling scope timed records are tagged with (0 = none); see
+    /// [`timeline::begin_scope`].
+    pub scope: u64,
+    /// Worker index timed records carry (0 = the coordinator or the
+    /// sequential engine).
+    pub worker: u32,
 }
 
-/// Enable tracing process-wide. Pair with [`disable`], or prefer
-/// [`scoped`] for automatic pairing.
-pub fn enable() {
-    ENABLED.fetch_add(1, Ordering::Relaxed);
-}
+impl Telemetry {
+    /// The state a fresh thread starts in: tracing off, flight and
+    /// profile as the environment asks.
+    fn from_env() -> Telemetry {
+        static ENV: OnceLock<(bool, bool)> = OnceLock::new();
+        let on = |var| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
+        let &(flight, profile) = ENV.get_or_init(|| (on("PKGREC_FLIGHT"), on("PKGREC_PROFILE")));
+        Telemetry {
+            flight,
+            profile,
+            ..Telemetry::default()
+        }
+    }
 
-/// Undo one [`enable`]. Saturates at zero so an unpaired call cannot
-/// wrap the counter.
-pub fn disable() {
-    let _ = ENABLED.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-        Some(n.saturating_sub(1))
-    });
-}
-
-/// RAII handle returned by [`scoped`]: tracing stays enabled until it
-/// drops.
-#[derive(Debug)]
-pub struct ScopedEnable(());
-
-impl Drop for ScopedEnable {
-    fn drop(&mut self) {
-        disable();
+    /// Make this the calling thread's state until the guard drops.
+    #[must_use = "the previous state is restored when the guard drops"]
+    pub fn enter(self) -> TelemetryGuard {
+        TelemetryGuard {
+            prev: STATE.try_with(|s| s.replace(self)).ok(),
+            _thread: PhantomData,
+        }
     }
 }
 
-/// Enable tracing for the lifetime of the returned guard.
-#[must_use = "tracing is disabled again when the guard drops"]
-pub fn scoped() -> ScopedEnable {
-    enable();
-    ScopedEnable(())
+thread_local! {
+    static STATE: Cell<Telemetry> = Cell::new(Telemetry::from_env());
+}
+
+/// The calling thread's telemetry state.
+#[inline]
+pub fn telemetry() -> Telemetry {
+    STATE.try_with(Cell::get).unwrap_or_default()
+}
+
+/// RAII guard from [`Telemetry::enter`]: restores the thread's previous
+/// state when dropped. Not `Send`: it restores the thread it was made
+/// on.
+#[derive(Debug)]
+pub struct TelemetryGuard {
+    prev: Option<Telemetry>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for TelemetryGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev {
+            let _ = STATE.try_with(|s| s.set(prev));
+        }
+    }
+}
+
+/// Whether tracing is on for the calling thread. This is the *only*
+/// cost a probe pays while tracing is off.
+#[inline]
+pub fn is_enabled() -> bool {
+    telemetry().trace
+}
+
+/// Turn tracing on for the calling thread until the guard drops.
+#[must_use = "tracing is switched off again when the guard drops"]
+pub fn scoped() -> TelemetryGuard {
+    Telemetry {
+        trace: true,
+        ..telemetry()
+    }
+    .enter()
 }
 
 /// One frame of the active span stack.
@@ -776,6 +833,19 @@ mod tests {
         drop(_s);
         assert!(snapshot().is_empty());
         assert_eq!(current_span_name(), None);
+    }
+
+    #[test]
+    fn enablement_is_per_thread_and_guards_restore_it() {
+        let _on = scoped();
+        assert!(is_enabled());
+        let elsewhere = std::thread::spawn(is_enabled).join().unwrap();
+        assert!(!elsewhere, "one thread's scoped() must not reach another");
+        {
+            let _off = Telemetry::default().enter();
+            assert!(!is_enabled());
+        }
+        assert!(is_enabled(), "the guard restores the previous state");
     }
 
     #[test]

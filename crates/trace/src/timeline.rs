@@ -1,103 +1,65 @@
-//! Wall-clock profiling side-channel: the solve timeline.
+//! Wall-clock profiling: the timed projection of the event ring.
 //!
 //! The flight recorder ([`crate::flight`]) answers *what the search
 //! did* — a deterministic, bit-identical event stream that parallel
-//! merges must reproduce exactly. This module answers the question the
-//! flight ring deliberately cannot: *where the wall time went*. Its
-//! stamps carry monotonic timestamps, worker ids and scheduling
-//! order — all nondeterministic — so they live in a separate ring and
-//! never touch the flight contract.
+//! merges must reproduce exactly. This module answers *where the wall
+//! time went*. Both read the same per-thread ring: while the profile
+//! channel is on, unit claims carry a timing (monotonic time,
+//! profiling scope, worker) and a few time-only events join them.
+//! The flight recording drops every time field and time-only event, so
+//! timestamps can never break its contract.
 //!
-//! Recorded stamps:
+//! Timed records:
 //!
-//! * **worker alive** — one stamp per spawned worker, so workers that
-//!   never win a unit claim still appear (an idle track is a finding);
-//! * **unit claim / finish** per worker — who ran which search unit,
-//!   when, for how long, ticking how many steps;
+//! * **worker alive** — one per spawned worker, so workers that never
+//!   win a unit claim still appear (an idle track is a finding);
+//! * **unit claim / end** per worker — who ran which search unit, when,
+//!   for how long, ticking how many steps;
 //! * **phase open / close** — coarse solve phases (`compile`,
 //!   `enumerate`, `sketch`, `refine`, `verify`) bracketed by RAII
-//!   [`phase`] guards;
-//! * **counters** — named point samples for counter tracks.
+//!   [`phase`] guards.
 //!
-//! Profiling is **off by default** and free while off: every probe is
-//! one relaxed atomic load (plus one cached env check). Enable it
-//! process-wide with [`enable`] / [`scoped`] or the `PKGREC_PROFILE`
-//! environment variable.
+//! Profiling is **off by default** and costs one thread-local load per
+//! probe while off. Turn it on for the calling thread with [`scoped`],
+//! or as every thread's default with the `PKGREC_PROFILE` environment
+//! variable.
 //!
-//! Stamps are tagged with a **scope** id so concurrent solves (one per
-//! serve request) can be profiled independently: the coordinator calls
-//! [`begin_scope`], worker threads join via [`enter`], and the owner
-//! drains its stamps with [`take_scope`]. The drained [`Timeline`]
-//! exports to Chrome Trace Event Format JSON ([`Timeline::to_chrome_json`],
-//! viewable in Perfetto or `chrome://tracing`) and aggregates into a
-//! [`TimelineSummary`] with a human attribution report.
+//! Timed records are tagged with a **scope** id so a solve can be
+//! drained on its own: the coordinator calls [`begin_scope`], parallel
+//! workers inherit the scope with the rest of the thread's
+//! [`Telemetry`] and hand their records back through the ring's
+//! drain/replay path, and the owner drains them with [`take_scope`].
+//! The drained [`Timeline`] exports to Chrome Trace Event Format JSON
+//! ([`Timeline::to_chrome_json`], viewable in Perfetto or
+//! `chrome://tracing`) and aggregates into a [`TimelineSummary`] with a
+//! human attribution report.
 
-use std::cell::Cell;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::json;
-
-/// Default stamp ring capacity. Stamps are per *unit* and per *phase*,
-/// never per search node, so even large solves fit; overflow evicts the
-/// oldest stamp and counts it in `dropped`.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// Process-wide enable count (RAII-friendly, like tracing and flight).
-static PROFILE: AtomicUsize = AtomicUsize::new(0);
+use crate::flight::{self, FlightEvent};
+use crate::{json, telemetry, Telemetry, TelemetryGuard};
 
 /// Monotonically increasing scope ids; 0 means "no scope".
 static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
 
-/// Whether `PKGREC_PROFILE` asks for profiling (nonempty and not `0`).
-/// Cached: consulted on every probe via [`is_enabled`].
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PKGREC_PROFILE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Whether the timeline is recording. The only cost a probe pays while
-/// profiling is off.
+/// Whether profiling is on for the calling thread. The only cost a
+/// probe pays while it is off.
 #[inline]
 pub fn is_enabled() -> bool {
-    PROFILE.load(Ordering::Relaxed) != 0 || env_enabled()
+    telemetry().profile
 }
 
-/// Enable profiling process-wide. Pair with [`disable`], or prefer
-/// [`scoped`].
-pub fn enable() {
-    PROFILE.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Undo one [`enable`]; saturates at zero.
-pub fn disable() {
-    let _ = PROFILE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-        Some(n.saturating_sub(1))
-    });
-}
-
-/// RAII handle from [`scoped`]: profiling stays enabled until it drops.
-#[derive(Debug)]
-pub struct ScopedEnable(());
-
-impl Drop for ScopedEnable {
-    fn drop(&mut self) {
-        disable();
+/// Turn profiling on for the calling thread until the guard drops.
+#[must_use = "profiling is switched off again when the guard drops"]
+pub fn scoped() -> TelemetryGuard {
+    Telemetry {
+        profile: true,
+        ..telemetry()
     }
-}
-
-/// Enable profiling for the lifetime of the returned guard.
-#[must_use = "profiling is disabled again when the guard drops"]
-pub fn scoped() -> ScopedEnable {
-    enable();
-    ScopedEnable(())
+    .enter()
 }
 
 /// The shared time origin. All stamps are nanoseconds since the first
@@ -112,205 +74,52 @@ pub fn now_ns() -> u64 {
     u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// What one stamp records.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Mark {
-    /// A worker thread started inside the scope. Emitted once per
-    /// spawned worker so lightly loaded workers (which may never claim
-    /// a unit) still get a track in the export and a row in the
-    /// summary — idle workers are a finding, not noise.
-    WorkerAlive,
-    /// A worker claimed search unit `unit`.
-    UnitClaim { unit: u64 },
-    /// A worker finished unit `unit` after ticking `steps` steps.
-    UnitFinish { unit: u64, steps: u64 },
-    /// A solve phase opened (e.g. `compile`, `enumerate`).
-    PhaseOpen { name: &'static str },
-    /// The matching phase closed.
-    PhaseClose { name: &'static str },
-    /// A point sample for a counter track.
-    Counter { name: &'static str, value: f64 },
-}
-
-/// One timeline stamp: a [`Mark`] tagged with wall time, scope and
-/// worker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stamp {
-    /// Nanoseconds since the process profiling epoch.
-    pub t_ns: u64,
-    /// The solve scope the stamp belongs to (0 = unscoped).
-    pub scope: u64,
-    /// The worker index on the stamping thread (coordinator = 0).
-    pub worker: u32,
-    /// What happened.
-    pub mark: Mark,
-}
-
-/// The global stamp ring. One mutex for the whole process is fine
-/// here: stamps land per unit and per phase — a few per millisecond of
-/// search — never per node, and a global ring is what lets worker
-/// threads (whose thread-locals die at scope join) and serve requests
-/// (which need per-scope isolation) share one side-channel.
-struct Store {
-    stamps: VecDeque<Stamp>,
-    capacity: usize,
-    dropped: u64,
-}
-
-fn store() -> MutexGuard<'static, Store> {
-    static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-    STORE
-        .get_or_init(|| {
-            Mutex::new(Store {
-                stamps: VecDeque::new(),
-                capacity: DEFAULT_CAPACITY,
-                dropped: 0,
-            })
-        })
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-thread_local! {
-    /// The (scope, worker) pair stamps on this thread are tagged with.
-    static CURRENT: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
-}
-
-/// The stamp ring capacity.
-pub fn capacity() -> usize {
-    store().capacity
-}
-
-/// Set the stamp ring capacity (clamped to at least 16). Existing
-/// excess stamps are evicted oldest-first into the dropped count.
-pub fn set_capacity(capacity: usize) {
-    let mut s = store();
-    s.capacity = capacity.max(16);
-    while s.stamps.len() > s.capacity {
-        s.stamps.pop_front();
-        s.dropped += 1;
-    }
-}
-
-/// Discard all stamps and the dropped count (every scope).
+/// Discard the calling thread's timed records and eviction counts
+/// (every scope). Flight records stay.
 pub fn reset() {
-    let mut s = store();
-    s.stamps.clear();
-    s.dropped = 0;
-}
-
-/// The scope id stamps on this thread currently carry (0 = none).
-pub fn current_scope() -> u64 {
-    CURRENT.try_with(|c| c.get().0).unwrap_or(0)
+    let _ = flight::take_timed(None);
 }
 
 /// RAII guard from [`begin_scope`]: restores the thread's previous
-/// (scope, worker) tag when dropped.
+/// scope when dropped.
 #[derive(Debug)]
 pub struct ScopeGuard {
     id: u64,
-    prev: Option<(u64, u32)>,
+    _scope: Option<TelemetryGuard>,
 }
 
 impl ScopeGuard {
-    /// The scope id, for [`take_scope`] and for handing to workers via
-    /// [`enter`]. Zero when profiling was disabled at creation.
+    /// The scope id, for [`take_scope`]. Zero when profiling was off at
+    /// creation.
     pub fn id(&self) -> u64 {
         self.id
     }
 }
 
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev {
-            let _ = CURRENT.try_with(|c| c.set(prev));
-        }
-    }
-}
-
-/// Open a fresh profiling scope on this thread (worker 0). Subsequent
-/// stamps from this thread — and from workers that [`enter`] the
-/// scope — are drained together by [`take_scope`]. A no-op returning
-/// scope 0 while profiling is disabled.
+/// Open a fresh profiling scope on this thread. Subsequent timed
+/// records from this thread — and from workers it spawns — are drained
+/// together by [`take_scope`]. A no-op returning scope 0 while
+/// profiling is off.
 pub fn begin_scope() -> ScopeGuard {
-    if !is_enabled() {
-        return ScopeGuard { id: 0, prev: None };
+    let t = telemetry();
+    if !t.profile {
+        return ScopeGuard {
+            id: 0,
+            _scope: None,
+        };
     }
     let id = NEXT_SCOPE.fetch_add(1, Ordering::Relaxed);
-    let prev = CURRENT.try_with(|c| c.replace((id, 0))).ok();
-    ScopeGuard { id, prev }
-}
-
-/// RAII guard from [`enter`]: restores the thread's previous
-/// (scope, worker) tag when dropped.
-#[derive(Debug)]
-pub struct EnterGuard {
-    prev: Option<(u64, u32)>,
-}
-
-impl Drop for EnterGuard {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev {
-            let _ = CURRENT.try_with(|c| c.set(prev));
-        }
+    ScopeGuard {
+        id,
+        _scope: Some(Telemetry { scope: id, ..t }.enter()),
     }
-}
-
-/// Tag this thread's stamps with `(scope, worker)` until the guard
-/// drops — how a parallel worker joins the coordinator's scope.
-pub fn enter(scope: u64, worker: u32) -> EnterGuard {
-    if !is_enabled() || scope == 0 {
-        return EnterGuard { prev: None };
-    }
-    let prev = CURRENT.try_with(|c| c.replace((scope, worker))).ok();
-    EnterGuard { prev }
-}
-
-/// Record one stamp. The timestamp is taken *inside* the ring lock so
-/// stamps are globally time-ordered.
-fn push(mark: Mark) {
-    if !is_enabled() {
-        return;
-    }
-    let (scope, worker) = CURRENT.try_with(Cell::get).unwrap_or((0, 0));
-    let mut s = store();
-    let t_ns = now_ns();
-    if s.stamps.len() >= s.capacity {
-        s.stamps.pop_front();
-        s.dropped += 1;
-    }
-    s.stamps.push_back(Stamp {
-        t_ns,
-        scope,
-        worker,
-        mark,
-    });
 }
 
 /// Stamp: this thread's worker started in its scope. Call once per
 /// spawned worker so even workers that claim no units get a track.
 #[inline]
 pub fn worker_alive() {
-    push(Mark::WorkerAlive);
-}
-
-/// Stamp: this thread's worker claimed search unit `unit`.
-#[inline]
-pub fn unit_claim(unit: u64) {
-    push(Mark::UnitClaim { unit });
-}
-
-/// Stamp: this thread's worker finished unit `unit` after `steps`
-/// steps.
-#[inline]
-pub fn unit_finish(unit: u64, steps: u64) {
-    push(Mark::UnitFinish { unit, steps });
-}
-
-/// Stamp a point sample for the named counter track.
-#[inline]
-pub fn counter(name: &'static str, value: f64) {
-    push(Mark::Counter { name, value });
+    flight::stamp(FlightEvent::WorkerAlive);
 }
 
 /// RAII guard for an open phase; dropping it stamps the close.
@@ -323,56 +132,66 @@ pub struct PhaseGuard {
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if let Some(name) = self.name {
-            push(Mark::PhaseClose { name });
+            flight::stamp(FlightEvent::PhaseClose { name });
         }
     }
 }
 
 /// Open a named solve phase (e.g. `"enumerate"`). A no-op guard while
-/// profiling is disabled.
+/// profiling is off.
 #[inline]
 pub fn phase(name: &'static str) -> PhaseGuard {
     if !is_enabled() {
         return PhaseGuard { name: None };
     }
-    push(Mark::PhaseOpen { name });
+    flight::stamp(FlightEvent::PhaseOpen { name });
     PhaseGuard { name: Some(name) }
 }
 
-/// A drained set of stamps for one scope, time-ordered.
+/// One timed record: an event tagged with wall time, worker and unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamp {
+    /// Nanoseconds since the process profiling epoch.
+    pub t_ns: u64,
+    /// The worker index on the stamping thread (coordinator = 0).
+    pub worker: u32,
+    /// The search unit the event belongs to (claims and unit ends).
+    pub unit: u64,
+    /// What happened: [`FlightEvent::UnitClaimed`] or one of the
+    /// time-only events.
+    pub event: FlightEvent,
+}
+
+/// The timed records of one scope, time-ordered.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
-    /// The scope's stamps, in ring (= time) order.
+    /// The scope's stamps, in time order.
     pub stamps: Vec<Stamp>,
-    /// Stamps evicted from the ring since the last [`reset`] — a
-    /// *global* count (eviction forgets scopes), nonzero means some
-    /// timeline in the process is incomplete.
+    /// The scope's timed records the ring evicted (nonzero means this
+    /// timeline lost its oldest stamps).
     pub dropped: u64,
 }
 
-/// Drain every stamp tagged with `scope` out of the ring, leaving
-/// other scopes' stamps in place.
+/// Drain the calling thread's timed records tagged with `scope`,
+/// leaving other scopes' records in place.
 pub fn take_scope(scope: u64) -> Timeline {
-    let mut s = store();
-    let mut kept = VecDeque::with_capacity(s.stamps.len());
-    let mut taken = Vec::new();
-    for stamp in s.stamps.drain(..) {
-        if stamp.scope == scope {
-            taken.push(stamp);
-        } else {
-            kept.push_back(stamp);
-        }
-    }
-    s.stamps = kept;
-    Timeline {
-        stamps: taken,
-        dropped: s.dropped,
-    }
-}
-
-/// Drain the stamps of this thread's current scope.
-pub fn take_current() -> Timeline {
-    take_scope(current_scope())
+    let (records, dropped) = flight::take_timed(Some(scope));
+    let mut stamps: Vec<Stamp> = records
+        .into_iter()
+        .filter_map(|rec| {
+            let t = rec.timing?;
+            Some(Stamp {
+                t_ns: t.t_ns,
+                worker: t.worker,
+                unit: rec.unit,
+                event: rec.event,
+            })
+        })
+        .collect();
+    // Workers' records arrive in unit order at the merge; put them
+    // back in time order.
+    stamps.sort_by_key(|s| s.t_ns);
+    Timeline { stamps, dropped }
 }
 
 /// Stable track index for a phase name in Chrome export and summaries:
@@ -391,51 +210,87 @@ fn phase_tid(name: &str, extras: &mut Vec<String>) -> usize {
     PHASE_ORDER.len() + extras.len() - 1
 }
 
-/// Append one Chrome trace event object to `out`.
-#[allow(clippy::too_many_arguments)]
-fn write_event(
-    out: &mut String,
-    first: &mut bool,
-    name: &str,
-    ph: &str,
-    pid: u32,
-    tid: usize,
-    ts_ns: Option<u64>,
-    dur_ns: Option<u64>,
-    args: &[(&str, String)],
-) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("{\"name\":");
-    json::write_string(out, name);
-    let _ = write!(out, ",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid}");
-    if let Some(ts) = ts_ns {
-        let _ = write!(out, ",\"ts\":{:.3}", ts as f64 / 1000.0);
-    }
-    if let Some(dur) = dur_ns {
-        let _ = write!(out, ",\"dur\":{:.3}", dur as f64 / 1000.0);
-    }
-    if !args.is_empty() {
-        out.push_str(",\"args\":{");
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+/// Process ids in the Chrome export: worker tracks vs phase tracks.
+const PID_WORKERS: u32 = 1;
+const PID_PHASES: u32 = 2;
+
+/// What a [`Region`] spans.
+#[derive(Clone, Copy, PartialEq)]
+enum Spanned {
+    Unit(u64),
+    Phase(&'static str),
+}
+
+/// A claim paired with its unit end, or a phase open with its close.
+struct Region {
+    what: Spanned,
+    worker: u32,
+    start: u64,
+    end: u64,
+    /// The unit's steps; `None` for phases and unfinished units.
+    steps: Option<u64>,
+    /// Still open at the last stamp (an interrupted solve).
+    open: bool,
+}
+
+/// Chrome trace events appended to one `traceEvents` array.
+struct Events<'a> {
+    out: &'a mut String,
+    first: bool,
+    t0: u64,
+}
+
+impl Events<'_> {
+    /// One event on track `(pid, tid)`, at `ts` (ns since epoch) for
+    /// `dur` ns when given.
+    fn push(
+        &mut self,
+        name: &str,
+        ph: &str,
+        track: (u32, usize),
+        ts: Option<u64>,
+        dur: Option<u64>,
+        args: &[(&str, String)],
+    ) {
+        let out = &mut *self.out;
+        if !std::mem::take(&mut self.first) {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        json::write_string(out, name);
+        let _ = write!(
+            out,
+            ",\"ph\":\"{ph}\",\"pid\":{},\"tid\":{}",
+            track.0, track.1
+        );
+        if let Some(ts) = ts {
+            let _ = write!(out, ",\"ts\":{:.3}", (ts - self.t0) as f64 / 1000.0);
+        }
+        if let Some(dur) = dur {
+            let _ = write!(out, ",\"dur\":{:.3}", dur as f64 / 1000.0);
+        }
+        if !args.is_empty() {
+            out.push_str(",\"args\":{");
+            for (i, (k, v)) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_string(out, k);
+                out.push(':');
+                out.push_str(v);
             }
-            json::write_string(out, k);
-            out.push(':');
-            out.push_str(v);
+            out.push('}');
         }
         out.push('}');
     }
-    out.push('}');
-}
 
-/// Process ids in the Chrome export: worker tracks vs phase/counter
-/// tracks.
-const PID_WORKERS: u32 = 1;
-const PID_PHASES: u32 = 2;
+    /// Name a process or thread track (`M` metadata).
+    fn name_track(&mut self, kind: &str, track: (u32, usize), label: &str) {
+        let mut quoted = String::new();
+        json::write_string(&mut quoted, label);
+        self.push(kind, "M", track, None, None, &[("name", quoted)]);
+    }
+}
 
 impl Timeline {
     /// Whether no stamps were drained.
@@ -453,6 +308,54 @@ impl Timeline {
         self.stamps.iter().map(|s| s.t_ns).max().unwrap_or(0)
     }
 
+    /// Pair each claim with its unit end and each phase open with its
+    /// close, per worker, innermost first. Regions still open at the
+    /// last stamp extend to it; an end whose start was evicted is a
+    /// zero-length region.
+    fn regions(&self) -> Vec<Region> {
+        let t1 = self.t1();
+        let (mut open, mut done): (Vec<Region>, Vec<Region>) = (Vec::new(), Vec::new());
+        for s in &self.stamps {
+            let (what, steps) = match s.event {
+                FlightEvent::UnitClaimed => (Spanned::Unit(s.unit), None),
+                FlightEvent::UnitEnd { steps } => (Spanned::Unit(s.unit), Some(steps)),
+                FlightEvent::PhaseOpen { name } | FlightEvent::PhaseClose { name } => {
+                    (Spanned::Phase(name), None)
+                }
+                _ => continue,
+            };
+            let (worker, t) = (s.worker, s.t_ns);
+            if matches!(
+                s.event,
+                FlightEvent::UnitClaimed | FlightEvent::PhaseOpen { .. }
+            ) {
+                open.push(Region {
+                    what,
+                    worker,
+                    start: t,
+                    end: t1,
+                    steps,
+                    open: true,
+                });
+                continue;
+            }
+            let start = open
+                .iter()
+                .rposition(|r| r.worker == worker && r.what == what)
+                .map_or(t, |i| open.remove(i).start);
+            done.push(Region {
+                what,
+                worker,
+                start,
+                end: t,
+                steps,
+                open: false,
+            });
+        }
+        done.extend(open);
+        done
+    }
+
     /// Serialize as Chrome Trace Event Format JSON (the
     /// `{"traceEvents":[...]}` object form), viewable in Perfetto or
     /// `chrome://tracing`:
@@ -460,10 +363,11 @@ impl Timeline {
     /// * pid 1 — one thread track per worker, with an `X` (complete)
     ///   slice per claimed unit carrying its step count;
     /// * pid 2 — one thread track per phase name, with an `X` slice
-    ///   per phase open/close pair (unclosed phases extend to the last
-    ///   stamp), plus `C` counter events.
+    ///   per phase open/close pair.
     ///
-    /// Timestamps are microseconds relative to the first stamp.
+    /// Unfinished units and phases extend to the last stamp, tagged
+    /// `"open"`. Timestamps are microseconds relative to the first
+    /// stamp.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::with_capacity(4096 + self.stamps.len() * 96);
         self.write_chrome(&mut out);
@@ -473,188 +377,81 @@ impl Timeline {
     /// Append the Chrome trace JSON to `out`, without the trailing
     /// newline. Extra top-level keys record the drop count.
     pub fn write_chrome(&self, out: &mut String) {
-        let t0 = self.t0();
-        let t1 = self.t1();
         out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-
-        // Track naming metadata.
+        let mut ev = Events {
+            out,
+            first: true,
+            t0: self.t0(),
+        };
+        ev.name_track("process_name", (PID_WORKERS, 0), "workers");
+        ev.name_track("process_name", (PID_PHASES, 0), "phases");
         let mut workers: Vec<u32> = self.stamps.iter().map(|s| s.worker).collect();
         workers.sort_unstable();
         workers.dedup();
-        write_event(
-            out,
-            &mut first,
-            "process_name",
-            "M",
-            PID_WORKERS,
-            0,
-            None,
-            None,
-            &[("name", "\"workers\"".to_string())],
-        );
-        write_event(
-            out,
-            &mut first,
-            "process_name",
-            "M",
-            PID_PHASES,
-            0,
-            None,
-            None,
-            &[("name", "\"phases\"".to_string())],
-        );
-        for &w in &workers {
-            let mut label = String::new();
-            json::write_string(&mut label, &format!("worker {w}"));
-            write_event(
-                out,
-                &mut first,
+        for w in workers {
+            ev.name_track(
                 "thread_name",
-                "M",
-                PID_WORKERS,
-                w as usize,
-                None,
-                None,
-                &[("name", label)],
+                (PID_WORKERS, w as usize),
+                &format!("worker {w}"),
             );
         }
         let mut extras = Vec::new();
         let mut named_phases: Vec<&'static str> = Vec::new();
         for stamp in &self.stamps {
-            if let Mark::PhaseOpen { name } = stamp.mark {
-                if !named_phases.contains(&name) {
+            match stamp.event {
+                FlightEvent::PhaseOpen { name } if !named_phases.contains(&name) => {
                     named_phases.push(name);
+                    ev.name_track(
+                        "thread_name",
+                        (PID_PHASES, phase_tid(name, &mut extras)),
+                        name,
+                    );
                 }
-            }
-        }
-        for name in &named_phases {
-            let tid = phase_tid(name, &mut extras);
-            let mut label = String::new();
-            json::write_string(&mut label, name);
-            write_event(
-                out,
-                &mut first,
-                "thread_name",
-                "M",
-                PID_PHASES,
-                tid,
-                None,
-                None,
-                &[("name", label)],
-            );
-        }
-
-        // Slices: match claims to finishes and opens to closes.
-        let mut open_units: Vec<(u32, u64, u64)> = Vec::new(); // (worker, unit, t)
-        let mut open_phases: Vec<(u32, &'static str, u64)> = Vec::new();
-        for stamp in &self.stamps {
-            match stamp.mark {
-                Mark::WorkerAlive => {
-                    // Instant event so the worker's track exists (and
-                    // shows its start) even if it never claims a unit.
-                    write_event(
-                        out,
-                        &mut first,
+                // An instant, so the worker's track exists (and shows
+                // its start) even if it never claims a unit.
+                FlightEvent::WorkerAlive => {
+                    ev.push(
                         "alive",
                         "i",
-                        PID_WORKERS,
-                        stamp.worker as usize,
-                        Some(stamp.t_ns - t0),
+                        (PID_WORKERS, stamp.worker as usize),
+                        Some(stamp.t_ns),
                         None,
                         &[],
                     );
                 }
-                Mark::UnitClaim { unit } => {
-                    open_units.push((stamp.worker, unit, stamp.t_ns));
-                }
-                Mark::UnitFinish { unit, steps } => {
-                    let found = open_units
-                        .iter()
-                        .rposition(|&(w, u, _)| w == stamp.worker && u == unit);
-                    let start = match found {
-                        Some(i) => open_units.remove(i).2,
-                        None => stamp.t_ns,
-                    };
-                    write_event(
-                        out,
-                        &mut first,
-                        &format!("unit {unit}"),
-                        "X",
-                        PID_WORKERS,
-                        stamp.worker as usize,
-                        Some(start - t0),
-                        Some(stamp.t_ns - start),
-                        &[
-                            ("unit", unit.to_string()),
-                            ("steps", steps.to_string()),
-                        ],
-                    );
-                }
-                Mark::PhaseOpen { name } => {
-                    open_phases.push((stamp.worker, name, stamp.t_ns));
-                }
-                Mark::PhaseClose { name } => {
-                    let found = open_phases
-                        .iter()
-                        .rposition(|&(w, n, _)| w == stamp.worker && n == name);
-                    let start = match found {
-                        Some(i) => open_phases.remove(i).2,
-                        None => stamp.t_ns,
-                    };
-                    write_event(
-                        out,
-                        &mut first,
-                        name,
-                        "X",
-                        PID_PHASES,
-                        phase_tid(name, &mut extras),
-                        Some(start - t0),
-                        Some(stamp.t_ns - start),
-                        &[("worker", stamp.worker.to_string())],
-                    );
-                }
-                Mark::Counter { name, value } => {
-                    write_event(
-                        out,
-                        &mut first,
-                        name,
-                        "C",
-                        PID_PHASES,
-                        0,
-                        Some(stamp.t_ns - t0),
-                        None,
-                        &[("value", format!("{value:.3}"))],
-                    );
-                }
+                _ => {}
             }
         }
-        // Interrupted solves leave claims/phases open: extend them to
-        // the last stamp so the track still shows where time went.
-        for (worker, unit, t) in open_units {
-            write_event(
-                out,
-                &mut first,
-                &format!("unit {unit}"),
+        for r in self.regions() {
+            let (name, track, mut args) = match r.what {
+                Spanned::Unit(unit) => {
+                    let mut args = vec![("unit", unit.to_string())];
+                    args.extend(r.steps.map(|steps| ("steps", steps.to_string())));
+                    (
+                        format!("unit {unit}"),
+                        (PID_WORKERS, r.worker as usize),
+                        args,
+                    )
+                }
+                Spanned::Phase(name) => {
+                    let track = (PID_PHASES, phase_tid(name, &mut extras));
+                    (
+                        name.to_string(),
+                        track,
+                        vec![("worker", r.worker.to_string())],
+                    )
+                }
+            };
+            if r.open {
+                args.push(("open", "true".to_string()));
+            }
+            ev.push(
+                &name,
                 "X",
-                PID_WORKERS,
-                worker as usize,
-                Some(t - t0),
-                Some(t1.saturating_sub(t)),
-                &[("unit", unit.to_string()), ("open", "true".to_string())],
-            );
-        }
-        for (worker, name, t) in open_phases {
-            write_event(
-                out,
-                &mut first,
-                name,
-                "X",
-                PID_PHASES,
-                phase_tid(name, &mut extras),
-                Some(t - t0),
-                Some(t1.saturating_sub(t)),
-                &[("worker", worker.to_string()), ("open", "true".to_string())],
+                track,
+                Some(r.start),
+                Some(r.end - r.start),
+                &args,
             );
         }
         let _ = write!(
@@ -667,31 +464,13 @@ impl Timeline {
 
     /// Aggregate the stamps into per-phase and per-worker totals.
     pub fn summarize(&self) -> TimelineSummary {
-        let t0 = self.t0();
-        let t1 = self.t1();
         let mut phases: Vec<PhaseTotal> = Vec::new();
         let mut workers: Vec<WorkerLoad> = Vec::new();
-        let mut open_units: Vec<(u32, u64, u64)> = Vec::new();
-        let mut open_phases: Vec<(u32, &'static str, u64)> = Vec::new();
-
-        fn phase_slot<'a>(phases: &'a mut Vec<PhaseTotal>, name: &str) -> &'a mut PhaseTotal {
-            let idx = match phases.iter().position(|p| p.name == name) {
-                Some(i) => i,
-                None => {
-                    phases.push(PhaseTotal {
-                        name: name.to_string(),
-                        total_ns: 0,
-                        count: 0,
-                    });
-                    phases.len() - 1
-                }
-            };
-            &mut phases[idx]
-        }
         fn worker_slot(workers: &mut Vec<WorkerLoad>, worker: u32) -> &mut WorkerLoad {
-            let idx = match workers.iter().position(|w| w.worker == worker) {
-                Some(i) => i,
-                None => {
+            let idx = workers
+                .iter()
+                .position(|w| w.worker == worker)
+                .unwrap_or_else(|| {
                     workers.push(WorkerLoad {
                         worker,
                         busy_ns: 0,
@@ -699,68 +478,43 @@ impl Timeline {
                         steps: 0,
                     });
                     workers.len() - 1
-                }
-            };
+                });
             &mut workers[idx]
         }
-
+        // Materialize every worker's row, so idle workers show up with
+        // zero busy time instead of vanishing.
         for stamp in &self.stamps {
-            match stamp.mark {
-                Mark::WorkerAlive => {
-                    // Materialize the row so idle workers show up with
-                    // zero busy time instead of vanishing.
-                    let _ = worker_slot(&mut workers, stamp.worker);
-                }
-                Mark::UnitClaim { unit } => {
-                    open_units.push((stamp.worker, unit, stamp.t_ns));
-                }
-                Mark::UnitFinish { unit, steps } => {
-                    let found = open_units
-                        .iter()
-                        .rposition(|&(w, u, _)| w == stamp.worker && u == unit);
-                    let start = match found {
-                        Some(i) => open_units.remove(i).2,
-                        None => stamp.t_ns,
-                    };
-                    let slot = worker_slot(&mut workers, stamp.worker);
-                    slot.busy_ns += stamp.t_ns - start;
-                    slot.units += 1;
-                    slot.steps += steps;
-                }
-                Mark::PhaseOpen { name } => {
-                    open_phases.push((stamp.worker, name, stamp.t_ns));
-                }
-                Mark::PhaseClose { name } => {
-                    let found = open_phases
-                        .iter()
-                        .rposition(|&(w, n, _)| w == stamp.worker && n == name);
-                    let start = match found {
-                        Some(i) => open_phases.remove(i).2,
-                        None => stamp.t_ns,
-                    };
-                    let slot = phase_slot(&mut phases, name);
-                    slot.total_ns += stamp.t_ns - start;
-                    slot.count += 1;
-                }
-                Mark::Counter { .. } => {}
+            if stamp.event == FlightEvent::WorkerAlive {
+                worker_slot(&mut workers, stamp.worker);
             }
         }
-        // Credit still-open regions up to the last stamp (interrupts).
-        for (worker, _unit, t) in open_units {
-            let slot = worker_slot(&mut workers, worker);
-            slot.busy_ns += t1.saturating_sub(t);
-            slot.units += 1;
-        }
-        for (_worker, name, t) in open_phases {
-            let slot = phase_slot(&mut phases, name);
-            slot.total_ns += t1.saturating_sub(t);
-            slot.count += 1;
+        for r in self.regions() {
+            let wall = r.end - r.start;
+            match r.what {
+                Spanned::Unit(_) => {
+                    let slot = worker_slot(&mut workers, r.worker);
+                    slot.busy_ns += wall;
+                    slot.units += 1;
+                    slot.steps += r.steps.unwrap_or(0);
+                }
+                Spanned::Phase(name) => match phases.iter_mut().find(|p| p.name == name) {
+                    Some(p) => {
+                        p.total_ns += wall;
+                        p.count += 1;
+                    }
+                    None => phases.push(PhaseTotal {
+                        name: name.to_string(),
+                        total_ns: wall,
+                        count: 1,
+                    }),
+                },
+            }
         }
         workers.sort_by_key(|w| w.worker);
         let mut extras = Vec::new();
         phases.sort_by_key(|p| phase_tid(&p.name, &mut extras));
         TimelineSummary {
-            wall_ns: t1.saturating_sub(t0),
+            wall_ns: self.t1().saturating_sub(self.t0()),
             stamps: self.stamps.len() as u64,
             dropped: self.dropped,
             phases,
@@ -785,7 +539,7 @@ pub struct PhaseTotal {
 pub struct WorkerLoad {
     /// The worker index (coordinator / sequential engine = 0).
     pub worker: u32,
-    /// Summed claim→finish wall time, nanoseconds.
+    /// Summed claim→end wall time, nanoseconds.
     pub busy_ns: u64,
     /// Units claimed.
     pub units: u64,
@@ -795,15 +549,14 @@ pub struct WorkerLoad {
 
 /// Aggregated view of one scope's timeline: phase totals and worker
 /// utilization, with JSON and human renderings shared by `pkgrec
-/// profile` and serve's `/debug/profile`.
+/// profile` and serve's `/debug/slow`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimelineSummary {
     /// First-to-last stamp wall time, nanoseconds.
     pub wall_ns: u64,
     /// Stamps aggregated.
     pub stamps: u64,
-    /// Ring evictions since the last reset (global; nonzero means some
-    /// timeline in the process lost its oldest stamps).
+    /// The scope's stamps the ring evicted.
     pub dropped: u64,
     /// Per-phase totals, in pipeline order.
     pub phases: Vec<PhaseTotal>,
@@ -907,87 +660,125 @@ impl TimelineSummary {
 mod tests {
     use super::*;
 
-    /// The stamp ring is process-global, so tests that assert on its
-    /// contents (or resize it) must not interleave.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// Tests pin the channels explicitly (flight off, profile on), so
+    /// they behave the same whatever PKGREC_FLIGHT / PKGREC_PROFILE say.
+    fn profiling() -> TelemetryGuard {
+        Telemetry {
+            profile: true,
+            ..Telemetry::default()
+        }
+        .enter()
+    }
+
+    /// Claim-then-end of one unit on the calling thread.
+    fn unit(unit: u64, steps: u64) {
+        flight::begin_unit(unit);
+        flight::end_unit(steps, true);
+    }
+
+    fn stamp(t_ns: u64, worker: u32, unit: u64, event: FlightEvent) -> Stamp {
+        Stamp {
+            t_ns,
+            worker,
+            unit,
+            event,
+        }
     }
 
     #[test]
     fn disabled_probes_record_nothing() {
-        if env_enabled() {
-            return; // force-enabled via PKGREC_PROFILE: skip
-        }
-        let _serial = serial();
-        reset();
+        let _off = Telemetry::default().enter();
         let scope = begin_scope();
         assert_eq!(scope.id(), 0);
-        unit_claim(1);
-        unit_finish(1, 10);
+        unit(1, 10);
         let _p = phase("compile");
-        counter("x", 1.0);
+        worker_alive();
         drop(_p);
         assert!(take_scope(0).is_empty());
     }
 
     #[test]
     fn scopes_isolate_and_drain_their_stamps() {
-        let _serial = serial();
-        let _on = scoped();
+        let _on = profiling();
         let outer = begin_scope();
-        unit_claim(7);
-        unit_finish(7, 3);
+        unit(7, 3);
         let inner_id = {
             let inner = begin_scope();
-            unit_claim(9);
-            unit_finish(9, 4);
+            unit(9, 4);
             inner.id()
         };
         // Back in the outer scope after the inner guard dropped.
-        assert_eq!(current_scope(), outer.id());
+        assert_eq!(telemetry().scope, outer.id());
         let inner_tl = take_scope(inner_id);
         assert_eq!(inner_tl.stamps.len(), 2);
-        assert!(matches!(
-            inner_tl.stamps[0].mark,
-            Mark::UnitClaim { unit: 9 }
-        ));
+        assert_eq!(inner_tl.stamps[0].event, FlightEvent::UnitClaimed);
+        assert_eq!(inner_tl.stamps[0].unit, 9);
         let outer_tl = take_scope(outer.id());
         assert_eq!(outer_tl.stamps.len(), 2);
-        assert!(matches!(
-            outer_tl.stamps[1].mark,
-            Mark::UnitFinish { unit: 7, steps: 3 }
-        ));
+        assert_eq!(outer_tl.stamps[1].event, FlightEvent::UnitEnd { steps: 3 });
+        assert_eq!(outer_tl.stamps[1].unit, 7);
     }
 
     #[test]
-    fn worker_enter_tags_and_restores() {
-        let _serial = serial();
-        let _on = scoped();
+    fn worker_state_tags_and_restores() {
+        let _on = profiling();
         let scope = begin_scope();
         {
-            let _w = enter(scope.id(), 3);
-            unit_claim(0);
-            unit_finish(0, 1);
+            let _w = Telemetry {
+                worker: 3,
+                ..telemetry()
+            }
+            .enter();
+            unit(0, 1);
         }
-        unit_claim(1);
+        flight::begin_unit(1);
         let tl = take_scope(scope.id());
         assert_eq!(tl.stamps[0].worker, 3);
         assert_eq!(tl.stamps[2].worker, 0);
     }
 
+    /// The timeline of one request never sees another's records: scopes
+    /// on other threads are isolated by construction, and two scopes in
+    /// a row on one thread each drain only their own.
+    #[test]
+    fn per_scope_drop_counts_stay_with_their_scope() {
+        let _on = profiling();
+        let big = begin_scope();
+        for u in 0..(flight::CAPACITY as u64 / 2 + 10) {
+            unit(u, 1);
+        }
+        let overflowed = take_scope(big.id());
+        drop(big);
+        assert_eq!(overflowed.dropped, 20);
+        assert_eq!(overflowed.stamps.len(), flight::CAPACITY);
+
+        let small = begin_scope();
+        unit(0, 1);
+        let quiet = take_scope(small.id());
+        assert_eq!(quiet.dropped, 0, "another scope's overflow is not ours");
+        assert_eq!(quiet.stamps.len(), 2);
+        assert_eq!(quiet.summarize().dropped, 0);
+
+        let elsewhere = std::thread::spawn(|| {
+            let _on = profiling();
+            let scope = begin_scope();
+            unit(0, 1);
+            take_scope(scope.id()).dropped
+        });
+        assert_eq!(elsewhere.join().unwrap(), 0);
+    }
+
     #[test]
     fn summary_attributes_time_per_phase_and_worker() {
-        let t = |ns| ns;
         let stamps = vec![
-            Stamp { t_ns: t(0), scope: 1, worker: 0, mark: Mark::PhaseOpen { name: "compile" } },
-            Stamp { t_ns: t(100), scope: 1, worker: 0, mark: Mark::PhaseClose { name: "compile" } },
-            Stamp { t_ns: t(100), scope: 1, worker: 0, mark: Mark::PhaseOpen { name: "enumerate" } },
-            Stamp { t_ns: t(110), scope: 1, worker: 0, mark: Mark::UnitClaim { unit: 0 } },
-            Stamp { t_ns: t(150), scope: 1, worker: 1, mark: Mark::UnitClaim { unit: 1 } },
-            Stamp { t_ns: t(200), scope: 1, worker: 0, mark: Mark::UnitFinish { unit: 0, steps: 40 } },
-            Stamp { t_ns: t(260), scope: 1, worker: 1, mark: Mark::UnitFinish { unit: 1, steps: 60 } },
-            Stamp { t_ns: t(300), scope: 1, worker: 0, mark: Mark::PhaseClose { name: "enumerate" } },
+            stamp(0, 0, 0, FlightEvent::PhaseOpen { name: "compile" }),
+            stamp(100, 0, 0, FlightEvent::PhaseClose { name: "compile" }),
+            stamp(100, 0, 0, FlightEvent::PhaseOpen { name: "enumerate" }),
+            stamp(110, 0, 0, FlightEvent::UnitClaimed),
+            stamp(150, 1, 1, FlightEvent::UnitClaimed),
+            stamp(200, 0, 0, FlightEvent::UnitEnd { steps: 40 }),
+            stamp(260, 1, 1, FlightEvent::UnitEnd { steps: 60 }),
+            stamp(300, 0, 0, FlightEvent::PhaseClose { name: "enumerate" }),
         ];
         let tl = Timeline { stamps, dropped: 0 };
         let s = tl.summarize();
@@ -1012,14 +803,17 @@ mod tests {
     #[test]
     fn open_regions_extend_to_the_last_stamp() {
         let stamps = vec![
-            Stamp { t_ns: 0, scope: 1, worker: 0, mark: Mark::PhaseOpen { name: "enumerate" } },
-            Stamp { t_ns: 10, scope: 1, worker: 2, mark: Mark::UnitClaim { unit: 5 } },
-            Stamp { t_ns: 50, scope: 1, worker: 0, mark: Mark::Counter { name: "steps", value: 9.0 } },
+            stamp(0, 0, 0, FlightEvent::PhaseOpen { name: "enumerate" }),
+            stamp(10, 2, 5, FlightEvent::UnitClaimed),
+            stamp(50, 0, 0, FlightEvent::WorkerAlive),
         ];
         let tl = Timeline { stamps, dropped: 0 };
         let s = tl.summarize();
         assert_eq!(s.phases[0].total_ns, 50);
-        assert_eq!(s.workers.iter().find(|w| w.worker == 2).unwrap().busy_ns, 40);
+        assert_eq!(
+            s.workers.iter().find(|w| w.worker == 2).unwrap().busy_ns,
+            40
+        );
         let chrome = tl.to_chrome_json();
         json::validate(&chrome).expect("chrome json valid");
         assert!(chrome.contains("\"open\""), "{chrome}");
@@ -1027,23 +821,23 @@ mod tests {
 
     #[test]
     fn chrome_export_validates_and_names_tracks() {
-        let _serial = serial();
-        let _on = scoped();
+        let _on = profiling();
         let scope = begin_scope();
         {
             let _c = phase("compile");
         }
         {
             let _e = phase("enumerate");
-            unit_claim(0);
-            unit_finish(0, 12);
+            unit(0, 12);
             {
-                let _w = enter(scope.id(), 1);
-                unit_claim(1);
-                unit_finish(1, 34);
+                let _w = Telemetry {
+                    worker: 1,
+                    ..telemetry()
+                }
+                .enter();
+                unit(1, 34);
             }
         }
-        counter("enumerate.nodes", 46.0);
         let tl = take_scope(scope.id());
         let chrome = tl.to_chrome_json();
         json::validate(&chrome).expect("chrome json valid");
@@ -1056,7 +850,6 @@ mod tests {
             "\"unit 0\"",
             "\"unit 1\"",
             "\"ph\":\"X\"",
-            "\"ph\":\"C\"",
             "\"ph\":\"M\"",
         ] {
             assert!(chrome.contains(needle), "missing {needle} in {chrome}");
@@ -1068,23 +861,30 @@ mod tests {
 
     #[test]
     fn idle_workers_still_get_tracks_and_summary_rows() {
-        let _serial = serial();
-        let _on = scoped();
+        let _on = profiling();
         let scope = begin_scope();
         {
             let _e = phase("enumerate");
-            unit_claim(0);
-            unit_finish(0, 5);
+            unit(0, 5);
             // Workers 1 and 2 spawn but never win a claim.
             for w in [1, 2] {
-                let _w = enter(scope.id(), w);
+                let _w = Telemetry {
+                    worker: w,
+                    ..telemetry()
+                }
+                .enter();
                 worker_alive();
             }
         }
         let tl = take_scope(scope.id());
         let chrome = tl.to_chrome_json();
         json::validate(&chrome).expect("chrome json valid");
-        for needle in ["\"worker 0\"", "\"worker 1\"", "\"worker 2\"", "\"ph\":\"i\""] {
+        for needle in [
+            "\"worker 0\"",
+            "\"worker 1\"",
+            "\"worker 2\"",
+            "\"ph\":\"i\"",
+        ] {
             assert!(chrome.contains(needle), "missing {needle} in {chrome}");
         }
         let s = tl.summarize();
@@ -1094,36 +894,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_capacity_evicts_oldest_and_counts_drops() {
-        let _serial = serial();
-        let _on = scoped();
+    fn reset_discards_timed_records_of_every_scope() {
+        let _on = profiling();
+        let a = begin_scope();
+        unit(0, 1);
         reset();
-        let old = capacity();
-        set_capacity(16);
-        let scope = begin_scope();
-        for i in 0..20 {
-            counter("tick", i as f64);
-        }
-        let tl = take_scope(scope.id());
-        assert_eq!(tl.stamps.len(), 16);
-        assert_eq!(tl.dropped, 4);
-        // The survivors are the newest stamps.
-        assert!(matches!(
-            tl.stamps[0].mark,
-            Mark::Counter { value, .. } if value == 4.0
-        ));
-        set_capacity(old);
-        reset();
+        assert!(take_scope(a.id()).is_empty());
     }
 
     #[test]
     fn stamps_are_time_ordered() {
-        let _serial = serial();
-        let _on = scoped();
+        let _on = profiling();
         let scope = begin_scope();
         for i in 0..8 {
-            unit_claim(i);
-            unit_finish(i, 1);
+            unit(i, 1);
         }
         let tl = take_scope(scope.id());
         for pair in tl.stamps.windows(2) {

@@ -46,11 +46,11 @@
 //!   --chrome-out PATH  also write the solve's profile timeline as a
 //!                      Chrome Trace Event Format JSON file (open in
 //!                      Perfetto / chrome://tracing): one duration
-//!                      track per worker, one per phase, counter tracks
+//!                      track per worker, one per phase
 //!
 //! `profile` runs a `topk` solve (`--approx` for the sketch engine)
-//! with tracing, the flight recorder and the profile timeline all
-//! forced on, then prints an attribution report: wall time per phase,
+//! with tracing and the profile timeline forced on, then prints an
+//! attribution report: wall time per phase,
 //! per-worker utilization (busy time, units, steps), per-span-path
 //! share of the wall, and the plan-probe and sketch/refine counter
 //! breakdowns.
@@ -69,24 +69,22 @@
 //!   --access-log PATH     append one JSONL record per request to PATH
 //!                         (bounded + lossy: logging never blocks workers;
 //!                         drops are counted in /metrics)
-//!   --flight-dir DIR      with the flight recorder enabled
-//!                         (PKGREC_FLIGHT=1), export each request's
-//!                         recording to DIR/<request-id>.flight.jsonl
-//!   --slow-threshold-ms T requests slower than T land in the
-//!                         GET /debug/slow ring (default 250)
-//!   --profile-slow-ms T   tail-sampling profiler: every request records
-//!                         a profile timeline, kept only when the request
-//!                         took at least T ms or failed — a summary in
-//!                         the GET /debug/profile ring (last 32) and,
+//!   --flight-dir DIR      record each request's flight recording and
+//!                         export it to DIR/<request-id>.flight.jsonl
+//!   --slow-threshold-ms T requests that took at least T ms, and every
+//!                         error, land in the GET /debug/slow ring
+//!                         (last 32; default 250)
+//!   --profile             tail-sampling profiler: every request records
+//!                         a profile timeline, kept only with its
+//!                         /debug/slow entry — a summary inline and,
 //!                         with --flight-dir, a Chrome-trace
-//!                         DIR/<request-id>.profile.json. 0 keeps every
-//!                         request; off when the flag is absent
+//!                         DIR/<request-id>.profile.json
 //! ```
 //!
 //! `serve` keeps databases resident, caches compiled plans per
 //! `(db, query, parameters)` key, and answers `POST /solve`
 //! (JSON), `GET /metrics` (add `?format=prometheus` for exposition
-//! text), `GET /debug/slow`, `GET /debug/profile`, `GET|POST /explain`
+//! text), `GET /debug/slow`, `GET|POST /explain`
 //! and `GET /health` until killed. Every response carries an `x-pkgrec-request-id`
 //! header that correlates the access-log record, the `/debug/slow`
 //! entry and the flight export for the same request. Deadlines
@@ -535,13 +533,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse::<u64>()
                     .map_err(|_| "--slow-threshold-ms must be an integer")?;
             }
-            "--profile-slow-ms" => {
-                service_cfg.profile_slow_ms = Some(
-                    value("--profile-slow-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "--profile-slow-ms must be an integer")?,
-                );
-            }
+            "--profile" => service_cfg.profile = true,
             other => return Err(format!("unknown serve option `{other}`")),
         }
     }
@@ -604,8 +596,8 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// `pkgrec profile`: run one `topk` solve with tracing, the flight
-/// recorder and the profile timeline all forced on, then print the
+/// `pkgrec profile`: run one `topk` solve with tracing and the profile
+/// timeline forced on, then print the
 /// attribution report — where the wall time went by phase, worker,
 /// and span path, plus the plan-probe and sketch/refine breakdowns.
 /// `--chrome-out PATH` additionally writes the timeline as a Chrome
@@ -644,12 +636,10 @@ fn cmd_profile(db_path: &str, query_arg: &str, rest: &[String]) -> Result<(), St
     let solver_opts = SolveOptions::with_budget(budget).with_jobs(opts.jobs.unwrap_or(1));
     let solver_opts = approx_opts(&solver_opts, &opts);
 
-    // Force every observability channel on: spans/counters (trace),
-    // the event black box (flight), and the stamp timeline (profile).
+    // Force the spans/counters (trace) and the timed records (profile)
+    // on for this thread; the solve's workers inherit both.
     pkgrec_trace::reset();
     let _tracing = pkgrec_trace::scoped();
-    pkgrec_trace::flight::reset();
-    let _flight = pkgrec_trace::flight::scoped();
     let _profiling = timeline::scoped();
     let scope = timeline::begin_scope();
 

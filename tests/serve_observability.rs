@@ -5,26 +5,19 @@
 //! structured access-log line, and the flight-recorder export — one
 //! id, four places, zero ambiguity about which request did what.
 //!
-//! The flight recorder's enable flag is process-global, so tests that
-//! arm it serialize on the same lock the chaos tests use.
+//! Every request's telemetry is armed from its `ServiceConfig` and
+//! flight directory alone, on the thread that serves it, so these
+//! tests share no switch and need no lock.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use pkgrec::data::text::parse_database;
 use pkgrec::serve::server::REQUEST_ID_HEADER;
 use pkgrec::serve::{start, AccessLog, ServerConfig, ServerHandle, Service, ServiceConfig};
-use pkgrec::trace::flight;
 use pkgrec::trace::json::{self, Json};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const DB: &str = "\
 relation item(id: int, price: int)
@@ -117,7 +110,6 @@ fn header_value(head: &str, header: &str) -> Option<String> {
 
 #[test]
 fn request_id_correlates_header_body_slow_ring_access_log_and_flight() {
-    let _s = serial();
     let scratch = Scratch::new("correlate");
     let log_path = scratch.join("access.jsonl");
     let flight_dir = scratch.join("flight");
@@ -129,15 +121,14 @@ fn request_id_correlates_header_body_slow_ring_access_log_and_flight() {
     });
     service.add_db("shop", parse_database(DB).expect("fixture db parses"));
     service.set_access_log(AccessLog::open(&log_path).expect("open access log"));
+    // The flight directory alone arms per-request recording.
     service.set_flight_dir(&flight_dir);
-    flight::enable();
     let handle = start(ServerConfig::default(), service).expect("bind loopback");
 
     // A counting solve enumerates packages, so the flight recorder has
     // events to export for this request.
     let body = format!(r#"{{"db":"shop","problem":"count","query":"{QUERY}","max_size":4}}"#);
     let (status, head, text) = request(&handle, "POST", "/solve", &body);
-    flight::disable();
     assert_eq!(status, 200, "{text}");
 
     // The header id and the body id are the same id.
@@ -188,14 +179,14 @@ fn request_id_correlates_header_body_slow_ring_access_log_and_flight() {
 }
 
 #[test]
-fn tail_sampled_profile_reaches_debug_profile_and_disk_keyed_by_request_id() {
-    let _s = serial();
+fn tail_sampled_profile_reaches_debug_slow_and_disk() {
     let scratch = Scratch::new("profile");
     let flight_dir = scratch.join("flight");
     std::fs::create_dir_all(&flight_dir).unwrap();
 
     let mut service = Service::new(ServiceConfig {
-        profile_slow_ms: Some(0), // tail-sample every request
+        profile: true,
+        slow_threshold_ms: 0, // tail-sample every request
         ..ServiceConfig::default()
     });
     service.add_db("shop", parse_database(DB).expect("fixture db parses"));
@@ -207,20 +198,20 @@ fn tail_sampled_profile_reaches_debug_profile_and_disk_keyed_by_request_id() {
     assert_eq!(status, 200, "{text}");
     let id = header_value(&head, REQUEST_ID_HEADER).expect("request id header");
 
-    // The same id names the request's entry in the profile ring, and
-    // the entry carries a timeline summary with real phases.
-    let (status, _, prof_text) = request(&handle, "GET", "/debug/profile", "");
+    // The same id names the request's entry in the slow ring, and the
+    // entry carries a timeline summary with real phases.
+    let (status, _, prof_text) = request(&handle, "GET", "/debug/slow", "");
     assert_eq!(status, 200);
-    let prof = json::parse(&prof_text).expect("/debug/profile is JSON");
-    assert_eq!(prof.get("profile_slow_ms").and_then(Json::as_u64), Some(0));
+    let prof = json::parse(&prof_text).expect("/debug/slow is JSON");
+    assert_eq!(prof.get("profile").and_then(Json::as_bool), Some(true));
     let entries = prof
-        .get("profiled")
+        .get("slow")
         .and_then(Json::as_array)
-        .expect("profiled array");
+        .expect("slow array");
     let entry = entries
         .iter()
         .find(|e| e.get("request_id").and_then(Json::as_str) == Some(&*id))
-        .unwrap_or_else(|| panic!("id {id} not in profile ring: {prof_text}"));
+        .unwrap_or_else(|| panic!("id {id} not in slow ring: {prof_text}"));
     assert_eq!(entry.get("status").and_then(Json::as_u64), Some(200));
     assert_eq!(entry.get("outcome").and_then(Json::as_str), Some("exact"));
     let timeline = entry.get("timeline").expect("timeline summary");
@@ -254,7 +245,6 @@ fn tail_sampled_profile_reaches_debug_profile_and_disk_keyed_by_request_id() {
 
 #[test]
 fn error_responses_carry_the_request_id_in_header_and_body() {
-    let _s = serial();
     let mut service = Service::new(ServiceConfig::default());
     service.add_db("shop", parse_database(DB).unwrap());
     let handle = start(ServerConfig::default(), service).unwrap();
@@ -292,7 +282,6 @@ fn error_responses_carry_the_request_id_in_header_and_body() {
 
 #[test]
 fn prometheus_exposition_and_explain_answer_over_http() {
-    let _s = serial();
     let mut service = Service::new(ServiceConfig::default());
     service.add_db("shop", parse_database(DB).unwrap());
     let handle = start(ServerConfig::default(), service).unwrap();

@@ -3,9 +3,11 @@
 //! key on them), interrupted searches name the span that tripped the
 //! budget, and the CLI's JSONL records are valid JSON.
 //!
-//! Tracing state is global-enable + thread-local collection, and the
-//! test harness runs each test on its own thread, so enabling tracing
-//! here cannot contaminate other tests' collectors.
+//! The test harness runs tests concurrently, each on its own thread.
+//! Tracing is enabled *and* collected per thread, so a test that turns
+//! it on changes nothing for the others; the last test pins that.
+//! (While enablement was one process-wide switch, it did not hold: a
+//! concurrent `pkgrec_trace::scoped()` traced every other test too.)
 
 use pkgrec::core::{
     problems::frp, problems::rpp, Package, PackageFn, RecInstance, SolveOptions,
@@ -127,4 +129,30 @@ fn trace_report_serializes_to_valid_json() {
     let json = pkgrec_trace::take().to_json();
     assert!(!json.contains('\n'), "JSONL records are single-line");
     pkgrec_trace::json::validate_object(&json).expect("valid JSON object");
+}
+
+/// Regression: enablement is per thread. While another thread holds
+/// `pkgrec_trace::scoped()`, a solve on this thread still runs
+/// untraced, so its cut names no span. With one process-wide switch
+/// the cut named `enumerate.dfs`.
+#[test]
+fn another_threads_tracing_does_not_reach_this_solve() {
+    let held = std::sync::Barrier::new(2);
+    let solved = std::sync::Barrier::new(2);
+    let out = std::thread::scope(|s| {
+        s.spawn(|| {
+            let _scope = pkgrec_trace::scoped();
+            held.wait();
+            solved.wait();
+        });
+        held.wait();
+        let out = frp::top_k(&small_instance(), &SolveOptions::limited(3).with_jobs(1));
+        solved.wait();
+        out
+    });
+    let cut = out
+        .unwrap()
+        .interrupted
+        .expect("3 steps cannot finish the search");
+    assert_eq!(cut.span, None);
 }
