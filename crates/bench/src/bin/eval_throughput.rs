@@ -1,13 +1,15 @@
-//! `eval_throughput` — compiled-plan versus interpreted probe
+//! `eval_throughput` — cached compiled-plan versus one-shot probe
 //! throughput, on the workloads where the solvers actually spend their
-//! query time:
+//! query time. The one-shot side calls the per-call API, which compiles
+//! a throwaway plan on every call; the cached side compiles once and
+//! probes many times, as the solvers do:
 //!
 //! * `qc_overlay` — the hot probe of compatibility checking: is
-//!   `Qc(N, D)` empty? Interpreted, every probe materializes `R_Q`,
-//!   clones the whole database (`Database::with_relation`) and
-//!   re-plans `Qc` from the AST; compiled, the package is bound as a
-//!   zero-copy overlay against a plan built once. Example 1.1's
-//!   "≤ 2 museums" constraint over a random travel database.
+//!   `Qc(N, D)` empty? One-shot, every probe binds `R_Q` over a clone
+//!   of the whole database (`Database::with_relation`) and compiles
+//!   `Qc`; cached, the package is bound as a zero-copy overlay against
+//!   a plan built once. Example 1.1's "≤ 2 museums" constraint over a
+//!   random travel database.
 //! * `thm41_membership` — item-membership probes `t ∈ Q(D)` on the
 //!   Theorem 4.1 gadget instance, `Query::contains` vs
 //!   `CompiledPlan::contains`.
@@ -45,21 +47,21 @@ const REPS: usize = 3;
 struct WorkloadResult {
     name: &'static str,
     probes: usize,
-    interpreted: Duration,
+    one_shot: Duration,
     compiled: Duration,
 }
 
 impl WorkloadResult {
     fn speedup(&self) -> f64 {
-        self.interpreted.as_secs_f64() / self.compiled.as_secs_f64()
+        self.one_shot.as_secs_f64() / self.compiled.as_secs_f64()
     }
 
     fn to_json(&self) -> String {
-        let i = self.interpreted.as_secs_f64();
+        let i = self.one_shot.as_secs_f64();
         let c = self.compiled.as_secs_f64();
         format!(
-            "{{\"name\":\"{}\",\"probes\":{},\"interpreted_seconds\":{i:.6},\
-\"compiled_seconds\":{c:.6},\"interpreted_probes_per_sec\":{:.1},\
+            "{{\"name\":\"{}\",\"probes\":{},\"one_shot_seconds\":{i:.6},\
+\"compiled_seconds\":{c:.6},\"one_shot_probes_per_sec\":{:.1},\
 \"compiled_probes_per_sec\":{:.1},\"speedup\":{:.3}}}",
             self.name,
             self.probes,
@@ -70,8 +72,7 @@ impl WorkloadResult {
     }
 }
 
-/// The `R_Q` schema the interpreted `Constraint::satisfied` path
-/// materializes per probe (same generated names).
+/// The `R_Q` schema the one-shot side materializes per probe.
 fn answer_schema(arity: usize) -> RelationSchema {
     RelationSchema::new(
         ANSWER_RELATION,
@@ -131,7 +132,7 @@ fn qc_overlay(smoke: bool) -> WorkloadResult {
         })
         .collect();
 
-    // Expected answer sets, computed once untimed via the interpreter.
+    // Expected answer sets, computed once untimed via the one-shot API.
     let expected: Vec<BTreeSet<Tuple>> = packages
         .iter()
         .map(|pkg| {
@@ -140,11 +141,11 @@ fn qc_overlay(smoke: bool) -> WorkloadResult {
         })
         .collect();
 
-    let interpreted = time_best_of(REPS, || {
+    let one_shot = time_best_of(REPS, || {
         for (pkg, want) in packages.iter().zip(&expected) {
             let rq = Relation::from_tuples_unchecked(answer_schema(arity), pkg.iter().cloned());
             let got = qc.eval(&db.with_relation(rq)).expect("Qc evaluates");
-            assert_eq!(&got, want, "interpreted probe diverged");
+            assert_eq!(&got, want, "one-shot probe diverged");
         }
     });
     let plan = qc
@@ -161,7 +162,7 @@ fn qc_overlay(smoke: bool) -> WorkloadResult {
     WorkloadResult {
         name: "qc_overlay",
         probes: packages.len(),
-        interpreted,
+        one_shot,
         compiled,
     }
 }
@@ -179,13 +180,13 @@ fn thm41_membership(smoke: bool) -> WorkloadResult {
     let rounds = if smoke { 20 } else { 200 };
     let expected: Vec<bool> = items.iter().map(|_| true).collect();
 
-    let interpreted = time_best_of(REPS, || {
+    let one_shot = time_best_of(REPS, || {
         for _ in 0..rounds {
             for (t, want) in items.iter().zip(&expected) {
                 assert_eq!(
                     q.contains(db, t).expect("membership evaluates"),
                     *want,
-                    "interpreted membership diverged"
+                    "one-shot membership diverged"
                 );
             }
         }
@@ -205,7 +206,7 @@ fn thm41_membership(smoke: bool) -> WorkloadResult {
     WorkloadResult {
         name: "thm41_membership",
         probes: rounds * items.len(),
-        interpreted,
+        one_shot,
         compiled,
     }
 }
@@ -229,12 +230,12 @@ fn travel_eval(smoke: bool) -> WorkloadResult {
     assert!(!expected.is_empty(), "travel pool must be nonempty");
 
     let rounds = if smoke { 20 } else { 200 };
-    let interpreted = time_best_of(REPS, || {
+    let one_shot = time_best_of(REPS, || {
         for _ in 0..rounds {
             assert_eq!(
                 q.eval(&db).expect("selection query evaluates"),
                 expected,
-                "interpreted eval diverged"
+                "one-shot eval diverged"
             );
         }
     });
@@ -251,7 +252,7 @@ fn travel_eval(smoke: bool) -> WorkloadResult {
     WorkloadResult {
         name: "travel_eval",
         probes: rounds,
-        interpreted,
+        one_shot,
         compiled,
     }
 }
@@ -275,10 +276,10 @@ fn main() {
     ];
     for r in &results {
         eprintln!(
-            "{}: {} probes, interpreted {:?}, compiled {:?} ({:.2}x)",
+            "{}: {} probes, one_shot {:?}, compiled {:?} ({:.2}x)",
             r.name,
             r.probes,
-            r.interpreted,
+            r.one_shot,
             r.compiled,
             r.speedup()
         );
@@ -287,14 +288,14 @@ fn main() {
         let qc = &results[0];
         assert!(
             qc.speedup() >= 3.0,
-            "compiled Qc probes must be ≥ 3x interpreted, got {:.2}x",
+            "compiled Qc probes must be ≥ 3x one-shot, got {:.2}x",
             qc.speedup()
         );
     }
 
     let workloads: Vec<String> = results.iter().map(WorkloadResult::to_json).collect();
     let json = format!(
-        "{{\"bench\":\"compiled-plan vs interpreted probe throughput\",\
+        "{{\"bench\":\"cached compiled-plan vs one-shot probe throughput\",\
 \"reps\":{REPS},\"smoke\":{smoke},\"workloads\":[{}]}}",
         workloads.join(",")
     );

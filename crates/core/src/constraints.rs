@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pkgrec_data::{AttrType, Database, Relation, RelationSchema};
+use pkgrec_data::Database;
 use pkgrec_query::{EvalContext, MetricSet, Query};
 
 use crate::package::Package;
@@ -123,18 +123,14 @@ impl Constraint {
                         )));
                     }
                 }
-                let schema = RelationSchema::new(
-                    ANSWER_RELATION,
-                    (0..answer_arity).map(|i| (format!("c{i}"), AttrType::Int)),
-                )
-                .expect("generated names are distinct");
-                let rq = Relation::from_tuples_unchecked(schema, pkg.iter().cloned());
-                let extended = db.with_relation(rq);
-                let answers = match metrics {
-                    Some(m) => qc.eval_ctx(EvalContext::with_metrics(&extended, m))?,
-                    None => qc.eval(&extended)?,
+                // `R_Q` binds as an overlay on `D` (no database clone),
+                // through the same dynamic relation compiled `Qc` plans
+                // use.
+                let ctx = match metrics {
+                    Some(m) => EvalContext::with_metrics(db, m),
+                    None => EvalContext::new(db),
                 };
-                Ok(answers.is_empty())
+                Ok(!qc.has_answer_with(ctx, ANSWER_RELATION, answer_arity, pkg.iter())?)
             }
             Constraint::PTime { f, .. } => Ok(f(pkg, db)),
         }
@@ -156,7 +152,7 @@ impl fmt::Debug for Constraint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pkgrec_data::tuple;
+    use pkgrec_data::{tuple, AttrType, Relation, RelationSchema};
     use pkgrec_query::{Builtin, CmpOp, ConjunctiveQuery, RelAtom, Term};
 
     fn db() -> Database {

@@ -34,10 +34,9 @@
 //!   deterministic projection — time fields and time-only events
 //!   dropped — so the bit-identical recording contract is untouched.
 
-use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use pkgrec_data::Tuple;
@@ -217,10 +216,9 @@ pub struct SearchStats {
     /// exactly 1.0, and keeping the field `None` preserves bit-identical
     /// stats across sequential and parallel engines.
     pub progress_at_interrupt: Option<f64>,
-    /// Size skew of the unit partition both engines walk — the number
-    /// that justifies (or kills) a work-stealing scheduler: with
-    /// `max ≫ mean`, the take-in-order claim counter leaves workers
-    /// idle behind one giant subtree. Computed in closed form from the
+    /// Size skew of the unit partition both engines walk: with
+    /// `max ≫ mean`, the in-order claim cursor can leave workers idle
+    /// behind one giant subtree. Computed in closed form from the
     /// unit list (no wall clock involved), so it is identical across
     /// engines and job counts. `None` for searches that never built a
     /// unit partition.
@@ -391,8 +389,8 @@ pub fn for_each_package(
 /// Enumerate the *valid* packages of an instance (optionally also
 /// requiring `val(N) ≥ rating_bound`), calling `visit` with each valid
 /// package and its rating. Items are taken from `Q(D)` once, so the
-/// per-package membership test of [`RecInstance::is_valid_package`] is
-/// unnecessary here.
+/// per-package membership test of [`SearchContext::is_valid_package`]
+/// is unnecessary here.
 ///
 /// Returns the search statistics; `visit` may stop the search early via
 /// `ControlFlow::Break`, and a budget cut-off is recorded in
@@ -828,110 +826,36 @@ fn unit_walk<M: SearchMeter>(
     ControlFlow::Continue(())
 }
 
-/// How workers pick their next unit.
+/// How workers pick their next unit: one shared cursor handing out
+/// units in canonical ascending order.
 ///
-/// Budgeted searches claim in canonical ascending order: the budget can
-/// cut the run at any instant, and the merge keeps only the contiguous
-/// prefix below the lowest interrupted unit, so every step spent on a
-/// high unit while a low one is still unwalked is a step the merged
-/// partial throws away. A single shared cursor guarantees the budget is
-/// burned on the lowest-indexed units — the merged partial is then the
+/// The budget can cut a run at any instant, and the merge keeps only
+/// the contiguous prefix below the lowest interrupted unit, so every
+/// step spent on a high unit while a low one is still unwalked is a
+/// step the merged partial throws away. Claiming in order burns the
+/// budget on the lowest-indexed units — the merged partial is then the
 /// canonical prefix, the best anytime answer the walked steps can buy
 /// (and the same prefix the sequential engine would produce).
-///
-/// Unbudgeted searches have no trip source at all — nothing can strand
-/// a low unit — so claim order is free to chase throughput: per-worker
-/// deques with work stealing (see [`WorkQueues`]), which keep the claim
-/// path mostly uncontended instead of serializing every claim through
-/// one hot cache line.
-enum Scheduler {
-    InOrder { next: AtomicUsize, units: usize },
-    Stealing(WorkQueues),
+/// Unbudgeted runs claim the same way: per-worker deques with stealing
+/// measured no faster on them (DESIGN.md §16).
+struct Scheduler {
+    next: AtomicUsize,
+    units: usize,
 }
 
 impl Scheduler {
-    fn new(units: usize, jobs: usize, can_interrupt: bool) -> Scheduler {
-        if can_interrupt {
-            Scheduler::InOrder {
-                next: AtomicUsize::new(0),
-                units,
-            }
-        } else {
-            Scheduler::Stealing(WorkQueues::seed(units, jobs))
+    fn new(units: usize) -> Scheduler {
+        Scheduler {
+            next: AtomicUsize::new(0),
+            units,
         }
     }
 
-    fn claim(&self, worker: usize, floor: &AtomicUsize) -> Option<usize> {
-        match self {
-            Scheduler::InOrder { next, units } => {
-                let u = next.fetch_add(1, Ordering::Relaxed);
-                // Once the floor is below the cursor, every later unit
-                // would be abandoned on arrival — stop claiming.
-                (u < *units && floor.load(Ordering::Relaxed) >= u).then_some(u)
-            }
-            Scheduler::Stealing(queues) => queues.claim(worker),
-        }
-    }
-}
-
-/// The work-stealing half of the [`Scheduler`]: one deque per worker,
-/// seeded round-robin (unit `u` starts on deque `u % jobs`, ascending
-/// within each deque). Owners claim from the front of their own deque;
-/// a worker whose deque runs dry steals from the *back* of a
-/// neighbour's, scanning ring-order from its right (`enumerate.steals`
-/// counts the cross-deque claims). Unit subtree sizes are wildly
-/// skewed — unit 0 alone holds half the space — so a shared in-order
-/// cursor funnels every claim through one contended cache line while
-/// one unlucky early claimer grinds (ROADMAP: `max ≫ mean` starves
-/// workers); the strided deques spread both the contention and the
-/// skew.
-///
-/// Determinism is unaffected by *which* worker runs a unit: every unit
-/// is claimed by exactly one worker, walks are independent, and the
-/// coordinator merges outcomes by unit index (see [`parallel_reduce`]).
-struct WorkQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl WorkQueues {
-    fn seed(units: usize, jobs: usize) -> WorkQueues {
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-        for u in 0..units {
-            queues[u % jobs]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(u);
-        }
-        WorkQueues { queues }
-    }
-
-    /// Claim the next unit for `worker`, stealing when its own deque
-    /// is empty. `None` means every deque was empty at scan time — no
-    /// unit is ever re-queued, so the scheduler is drained for good.
-    fn claim(&self, worker: usize) -> Option<usize> {
-        if let Some(u) = self.pop(worker, true) {
-            return Some(u);
-        }
-        for d in 1..self.queues.len() {
-            let victim = (worker + d) % self.queues.len();
-            if let Some(u) = self.pop(victim, false) {
-                pkgrec_trace::counter!("enumerate.steals");
-                return Some(u);
-            }
-        }
-        None
-    }
-
-    fn pop(&self, queue: usize, front: bool) -> Option<usize> {
-        let mut q = self.queues[queue]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if front {
-            q.pop_front()
-        } else {
-            q.pop_back()
-        }
+    fn claim(&self, floor: &AtomicUsize) -> Option<usize> {
+        let u = self.next.fetch_add(1, Ordering::Relaxed);
+        // Once the floor is below the cursor, every later unit would be
+        // abandoned on arrival — stop claiming.
+        (u < self.units && floor.load(Ordering::Relaxed) >= u).then_some(u)
     }
 }
 
@@ -980,16 +904,14 @@ fn run_worker<R: ValidPackageReducer>(
         // The budget latch is global: once it trips, every worker
         // exits, leaving unclaimed units behind. Interrupted merges
         // keep the prefix below the floor (whose Budget outcome
-        // carries the cut), and the in-order scheduler used for
-        // budgeted runs guarantees the unclaimed units all sit at or
-        // above that floor.
+        // carries the cut), and the in-order scheduler guarantees the
+        // unclaimed units all sit at or above that floor.
         if shared.is_stopped() {
             break;
         }
-        let Some(u) = sched.claim(worker as usize, floor) else {
+        let Some(u) = sched.claim(floor) else {
             break;
         };
-        debug_assert!(u < units.len(), "schedulers hand out only seeded unit indexes");
         let mark = flight::mark();
         flight::begin_unit(u as u64);
         let claim_start = tl.then(std::time::Instant::now);
@@ -1078,9 +1000,8 @@ fn run_worker<R: ValidPackageReducer>(
     }
 }
 
-/// The parallel engine. Determinism argument, under either scheduler:
-/// each unit is claimed by exactly one worker and walked independently
-/// of claim order, so a unit's outcome depends only on the unit (a
+/// The parallel engine. Determinism argument: each unit is claimed by
+/// exactly one worker and walked independently of claim order, so a unit's outcome depends only on the unit (a
 /// walk either runs to completion, stops deterministically inside the
 /// unit — visitor break, error — or is cut by the budget). The final
 /// `floor` is the least index that broke, erred, or ran out of budget;
@@ -1091,12 +1012,11 @@ fn run_worker<R: ValidPackageReducer>(
 /// `< floor` plus the floor unit's prefix: the same visit sequence the
 /// sequential engine folds. Flight recordings inherit the argument:
 /// replaying the kept units' drained events in index order reproduces
-/// the sequential event stream. Budget trips only happen under the
-/// in-order scheduler (work stealing is reserved for unbudgeted runs),
-/// so when the latch trips the unclaimed units all sit above the
-/// claim cursor and the merge folds the canonical prefix below the
-/// floor plus the floor unit's cut prefix — the same partial the
-/// sequential engine's anytime contract promises.
+/// the sequential event stream. Workers claim through one in-order
+/// cursor ([`Scheduler`]), so when a budget latch trips the unclaimed
+/// units all sit above the cursor and the merge folds the canonical
+/// prefix below the floor plus the floor unit's cut prefix — the same
+/// partial the sequential engine's anytime contract promises.
 fn parallel_reduce<R: ValidPackageReducer>(
     ctx: &SearchContext<'_>,
     rating_bound: Option<Ext>,
@@ -1130,7 +1050,7 @@ fn parallel_reduce<R: ValidPackageReducer>(
     let shared = opts.budget.shared_meter();
     let floor = AtomicUsize::new(usize::MAX);
     let jobs = jobs.min(units.len());
-    let sched = Scheduler::new(units.len(), jobs, !opts.budget.is_unlimited());
+    let sched = Scheduler::new(units.len());
     let (worker_results, join_panic): (Vec<WorkerResult<R::Acc>>, Option<String>) =
         std::thread::scope(|s| {
             let units = &units;

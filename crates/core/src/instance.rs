@@ -145,17 +145,14 @@ impl RecInstance {
         self
     }
 
-    /// The evaluation context for `Q`/`Qc` over this instance's database.
-    pub fn eval_ctx(&self) -> EvalContext<'_> {
-        match &self.metrics {
+    /// The item pool `Q(D)`, in canonical order. Each call evaluates
+    /// `Q` afresh; a search computes it once in its [`SearchContext`].
+    pub fn items(&self) -> Result<Vec<Tuple>> {
+        let ctx = match &self.metrics {
             Some(m) => EvalContext::with_metrics(&self.db, m),
             None => EvalContext::new(&self.db),
-        }
-    }
-
-    /// The item pool `Q(D)`, in canonical order.
-    pub fn items(&self) -> Result<Vec<Tuple>> {
-        Ok(self.query.eval_ctx(self.eval_ctx())?.into_iter().collect())
+        };
+        Ok(self.query.eval_ctx(ctx)?.into_iter().collect())
     }
 
     /// The arity of the answer schema `R_Q`.
@@ -183,40 +180,6 @@ impl RecInstance {
     /// The concrete maximum package size `p(|D|)` (or `Bp`).
     pub fn max_package_size(&self) -> usize {
         self.size_bound.max_size(self.db.size())
-    }
-
-    /// Whether the package satisfies the compatibility constraint
-    /// `Qc(N, D) = ∅`.
-    pub fn qc_satisfied(&self, pkg: &Package) -> Result<bool> {
-        self.qc
-            .satisfied(pkg, &self.db, self.answer_arity()?, self.metrics.as_ref())
-    }
-
-    /// Full validity of a package against this instance and a rating
-    /// bound: `N ⊆ Q(D)`, `Qc(N, D) = ∅`, `cost(N) ≤ C`,
-    /// `val(N) ≥ B` (when `B` is given), and `|N| ≤ p(|D|)` — the
-    /// "valid for `(Q, D, Qc, cost(), val(), C, B)`" notion of
-    /// Section 5.
-    pub fn is_valid_package(&self, pkg: &Package, rating_bound: Option<Ext>) -> Result<bool> {
-        if pkg.len() > self.max_package_size() {
-            return Ok(false);
-        }
-        if self.cost.eval(pkg) > self.budget {
-            return Ok(false);
-        }
-        if let Some(b) = rating_bound {
-            if self.val.eval(pkg) < b {
-                return Ok(false);
-            }
-        }
-        // Membership of each item in Q(D).
-        let ctx = self.eval_ctx();
-        for t in pkg.iter() {
-            if !self.query.contains_ctx(ctx, t)? {
-                return Ok(false);
-            }
-        }
-        self.qc_satisfied(pkg)
     }
 }
 
@@ -443,8 +406,12 @@ impl<'a> SearchContext<'a> {
             .satisfied(pkg, &self.inst.db, self.answer_arity, self.inst.metrics.as_ref())
     }
 
-    /// Full package validity (same notion as
-    /// [`RecInstance::is_valid_package`]), with the cached arity.
+    /// Full validity of a package against the instance and a rating
+    /// bound: `N ⊆ Q(D)`, `Qc(N, D) = ∅`, `cost(N) ≤ C`, `val(N) ≥ B`
+    /// (when `B` is given), and `|N| ≤ p(|D|)` — the "valid for
+    /// `(Q, D, Qc, cost(), val(), C, B)`" notion of Section 5.
+    /// Membership in `Q(D)` is probed on the compiled plan, not read
+    /// off the (possibly restricted) item pool.
     pub fn is_valid_package(&self, pkg: &Package, rating_bound: Option<Ext>) -> Result<bool> {
         if pkg.len() > self.inst.max_package_size() {
             return Ok(false);
@@ -553,7 +520,8 @@ mod tests {
 
     #[test]
     fn validity() {
-        let i = inst().with_budget(2.0);
+        let inst = inst().with_budget(2.0);
+        let i = inst.search_context().unwrap();
         // {1}: cost 1 ≤ 2, all items in Q(D).
         assert!(i
             .is_valid_package(&Package::new([tuple![1]]), None)
@@ -650,7 +618,8 @@ mod tests {
 
     #[test]
     fn constant_bound_restricts_size() {
-        let i = inst().with_size_bound(SizeBound::Constant(1)).with_budget(10.0);
+        let inst = inst().with_size_bound(SizeBound::Constant(1)).with_budget(10.0);
+        let i = inst.search_context().unwrap();
         assert!(i
             .is_valid_package(&Package::new([tuple![1]]), None)
             .unwrap());

@@ -595,8 +595,9 @@ mod tests {
         assert!(out.interrupted.is_none());
         let sel = out.value.expect("a feasible instance yields a selection");
         assert_eq!(sel.len(), 3);
+        let ctx = i.search_context().unwrap();
         for pkg in &sel {
-            assert!(i.is_valid_package(pkg, None).unwrap());
+            assert!(ctx.is_valid_package(pkg, None).unwrap());
         }
     }
 
@@ -717,8 +718,9 @@ mod tests {
         assert!(matches!(cut.resource, Resource::Steps { limit: 5 }));
         // Whatever survived the cut is still genuinely valid.
         if let Some(sel) = out.value {
+            let ctx = i.search_context().unwrap();
             for pkg in &sel {
-                assert!(i.is_valid_package(pkg, None).unwrap());
+                assert!(ctx.is_valid_package(pkg, None).unwrap());
             }
         }
     }

@@ -6,8 +6,9 @@
 //!
 //! * **soundness** — every package the sketch engine returns satisfies
 //!   all constraints of the *full* instance (re-checked through
-//!   `is_valid_package`, not trusted from the engine), and the outcome
-//!   is always labeled `exact: false` with `Method::Sketch`;
+//!   `SearchContext::is_valid_package`, not trusted from the engine),
+//!   and the outcome is always labeled `exact: false` with
+//!   `Method::Sketch`;
 //! * **bounded quality** — the sketch answer can never beat the
 //!   certified optimum: the top rating is at most the exact top rating
 //!   and the MBP bound is at most the exact maximum bound.
@@ -107,9 +108,10 @@ proptest! {
         // Soundness: every returned package re-verifies on the full
         // instance, whatever the engine did internally.
         if let Some(sel) = &sketch.value {
+            let ctx = inst.search_context().expect("instance prepares");
             for pkg in sel {
                 prop_assert!(
-                    inst.is_valid_package(pkg, None).expect("validity probes run"),
+                    ctx.is_valid_package(pkg, None).expect("validity probes run"),
                     "sketch returned an invalid package {} on {:?}", pkg, si
                 );
             }

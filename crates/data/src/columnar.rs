@@ -14,9 +14,8 @@
 //!
 //! A [`ColumnarRelation`] is built lazily from the canonical
 //! (`BTreeSet`-ordered) tuple layout and cached on the owning
-//! `Relation` exactly like the row index cache: double-checked under an
-//! `RwLock`, invalidated on mutation, never cloned across relation
-//! clones. Row numbers are therefore *canonical positions*, identical
+//! `Relation`: double-checked under an `RwLock`, invalidated on
+//! mutation, never cloned across relation clones. Row numbers are therefore *canonical positions*, identical
 //! to the row numbering compiled plans derive from `Relation::iter`.
 
 use std::collections::HashMap;

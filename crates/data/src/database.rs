@@ -236,9 +236,10 @@ impl Database {
             .collect()
     }
 
-    /// A copy of this database with one extra relation bound — used to
-    /// evaluate compatibility constraints `Qc(N, D)`, where the package
-    /// `N` is exposed as the answer relation `R_Q`.
+    /// A copy of this database with one extra relation bound. This
+    /// clones every relation; to evaluate a compatibility constraint
+    /// `Qc(N, D)` with the package `N` bound as `R_Q`, bind it as an
+    /// overlay instead (`Query::has_answer_with` or a compiled plan).
     pub fn with_relation(&self, rel: Relation) -> Database {
         let mut db = self.clone();
         db.set_relation(rel);

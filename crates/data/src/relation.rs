@@ -1,4 +1,4 @@
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -8,35 +8,26 @@ use crate::{ColumnarRelation, RelationSchema, Result, Tuple, Value};
 ///
 /// Tuples are stored in a `BTreeSet` so iteration order is canonical —
 /// every solver, counter and bench in the workspace is deterministic as a
-/// consequence. Hash indexes on single columns are built lazily by query
-/// evaluation (see [`Relation::index`]) and invalidated on mutation. The
-/// index cache sits behind an `RwLock` (not a `RefCell`) so a relation
-/// can be probed concurrently by the parallel search workers; reads
-/// share the lock and only the first probe of a column takes it
-/// exclusively. Buckets are `Arc<[Tuple]>` so a probe hands out a
-/// shared reference — no per-probe allocation or tuple cloning.
+/// consequence. Query evaluation builds its own `u32` indexes in
+/// compiled plans; the relation caches only its columnar layout (see
+/// [`Relation::columnar`]), which compiled plans share.
 #[derive(Debug)]
 pub struct Relation {
     schema: RelationSchema,
     tuples: BTreeSet<Tuple>,
-    /// Lazily built per-column indexes: column position → value → tuples.
-    indexes: std::sync::RwLock<IndexCache>,
-    /// Lazily built columnar (struct-of-arrays) layout, cached with the
-    /// same discipline as `indexes`: double-checked build, cleared on
-    /// mutation, never copied by `Clone`. See [`ColumnarRelation`].
+    /// Lazily built columnar (struct-of-arrays) layout: double-checked
+    /// build, cleared on mutation, never copied by `Clone`. It sits
+    /// behind an `RwLock` (not a `RefCell`) so parallel search workers
+    /// can share one relation. See [`ColumnarRelation`].
     columnar: std::sync::RwLock<Option<Arc<ColumnarRelation>>>,
 }
-
-/// Per-column hash indexes: column position → value → shared bucket.
-type IndexCache = HashMap<usize, HashMap<Value, Arc<[Tuple]>>>;
 
 impl Clone for Relation {
     fn clone(&self) -> Self {
         Relation {
             schema: self.schema.clone(),
             tuples: self.tuples.clone(),
-            // The caches rebuild lazily; cloning them would just copy work.
-            indexes: Default::default(),
+            // The cache rebuilds lazily; cloning it would just copy work.
             columnar: Default::default(),
         }
     }
@@ -56,7 +47,6 @@ impl Relation {
         Relation {
             schema,
             tuples: BTreeSet::new(),
-            indexes: Default::default(),
             columnar: Default::default(),
         }
     }
@@ -83,7 +73,6 @@ impl Relation {
         Relation {
             schema,
             tuples: tuples.into_iter().collect(),
-            indexes: Default::default(),
             columnar: Default::default(),
         }
     }
@@ -123,12 +112,8 @@ impl Relation {
         removed
     }
 
-    /// Drop every lazily built access structure after a mutation.
+    /// Drop the lazily built columnar layout after a mutation.
     fn invalidate_caches(&mut self) {
-        self.indexes
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
         *self.columnar.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
@@ -147,54 +132,17 @@ impl Relation {
         self.tuples.iter().cloned().collect()
     }
 
-    /// Tuples whose column `col` equals `v`, via a lazily built hash
-    /// index: a shared bucket in canonical order, or `None` when no
-    /// tuple matches. Cloning the returned `Arc` is a refcount bump, so
-    /// repeated probes do no per-probe allocation.
-    ///
-    /// Poisoned locks are recovered rather than propagated: the `entry`
-    /// API only inserts a finished index (the builder closure returns
-    /// the complete map or unwinds before insertion), so the cache is
-    /// never observable half-built and a panic elsewhere in the process
-    /// must not wedge every future probe of this relation.
-    pub fn lookup(&self, col: usize, v: &Value) -> Option<Arc<[Tuple]>> {
-        if let Some(index) = self
-            .indexes
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&col)
-        {
-            return index.get(v).cloned();
-        }
-        // Double-checked build: two probes can both miss the read lock
-        // above; `entry` re-probes under the write lock so the second
-        // thread reuses the first one's index instead of rebuilding it
-        // (the `query.index_builds` counter pins at-most-once builds).
-        let mut indexes = self.indexes.write().unwrap_or_else(|e| e.into_inner());
-        let index = indexes.entry(col).or_insert_with(|| {
-            pkgrec_trace::counter!("query.index_builds");
-            let mut m: HashMap<Value, Vec<Tuple>> = HashMap::new();
-            for t in &self.tuples {
-                m.entry(t[col].clone()).or_default().push(t.clone());
-            }
-            m.into_iter().map(|(k, b)| (k, Arc::from(b))).collect()
-        });
-        index.get(v).cloned()
-    }
-
-    /// Hint used by `lookup` consumers: `index(col)` forces index
-    /// construction, which amortizes repeated probes in joins.
-    pub fn index(&self, col: usize) {
-        let _ = self.lookup(col, &Value::Int(i64::MIN));
-    }
-
     /// The columnar (struct-of-arrays + per-column bitset index) layout
     /// of this relation, built lazily on first use and cached until the
-    /// next mutation — the same double-checked, poison-recovering
-    /// discipline as [`Relation::lookup`]'s index cache. The handle is
-    /// `Arc`-shared, so compiled plans can keep the layout alive past a
-    /// mutation of the relation (they snapshot, exactly as they snapshot
-    /// tuples).
+    /// next mutation. The handle is `Arc`-shared, so compiled plans can
+    /// keep the layout alive past a mutation of the relation (they
+    /// snapshot, exactly as they snapshot tuples).
+    ///
+    /// Poisoned locks are recovered rather than propagated: the slot is
+    /// only ever filled with a finished layout (the build closure returns it
+    /// whole or unwinds before insertion), so it is never observable
+    /// half-built, and a panic elsewhere in the process must not wedge
+    /// every later probe of this relation.
     pub fn columnar(&self) -> Arc<ColumnarRelation> {
         if let Some(c) = self
             .columnar
@@ -204,6 +152,10 @@ impl Relation {
         {
             return Arc::clone(c);
         }
+        // Double-checked build: two callers can both miss the read lock
+        // above; the write-locked slot is re-probed so the second one
+        // reuses the first one's layout instead of rebuilding it (the
+        // `query.index_builds` counter pins at-most-once builds).
         let mut slot = self.columnar.write().unwrap_or_else(|e| e.into_inner());
         Arc::clone(slot.get_or_insert_with(|| {
             pkgrec_trace::counter!("query.index_builds");
@@ -276,39 +228,34 @@ mod tests {
     }
 
     #[test]
-    fn lookup_uses_index() {
+    fn columnar_layout_is_cached_and_shared() {
         let r = rel();
-        let hits = r.lookup(0, &Value::Int(1)).expect("two matches");
-        assert_eq!(hits.len(), 2);
-        assert!(r.lookup(0, &Value::Int(9)).is_none());
-    }
-
-    #[test]
-    fn lookup_buckets_are_shared_and_canonical() {
-        let r = rel();
-        let a = r.lookup(0, &Value::Int(1)).unwrap();
-        let b = r.lookup(0, &Value::Int(1)).unwrap();
-        // Same allocation handed out to every probe.
+        let a = r.columnar();
+        let b = r.columnar();
+        // Same allocation handed out to every caller.
         assert!(Arc::ptr_eq(&a, &b));
-        let mut sorted: Vec<Tuple> = a.to_vec();
-        sorted.sort();
-        assert_eq!(&*a, &sorted[..]);
+        let one = a.interner().get(&Value::Int(1)).expect("1 is interned");
+        assert_eq!(a.rows_with(0, one).expect("two matches").count_ones(), 2);
     }
 
     #[test]
-    fn mutation_invalidates_index() {
+    fn mutation_invalidates_columnar_layout() {
+        let rows_with_1 = |r: &Relation| {
+            let c = r.columnar();
+            let id = c.interner().get(&Value::Int(1)).expect("1 is interned");
+            c.rows_with(0, id).map_or(0, |rows| rows.count_ones())
+        };
         let mut r = rel();
-        assert_eq!(r.lookup(0, &Value::Int(1)).unwrap().len(), 2);
+        assert_eq!(rows_with_1(&r), 2);
         r.insert(tuple![1, "w"]).unwrap();
-        assert_eq!(r.lookup(0, &Value::Int(1)).unwrap().len(), 3);
+        assert_eq!(rows_with_1(&r), 3);
         r.remove(&tuple![1, "w"]);
-        assert_eq!(r.lookup(0, &Value::Int(1)).unwrap().len(), 2);
+        assert_eq!(rows_with_1(&r), 2);
     }
 
-    /// Satellite regression: concurrent first probes of the same column
-    /// must build its index exactly once. Tracing is per thread, so
-    /// each prober turns it on and hands its report back to the main
-    /// thread.
+    /// Regression: concurrent first calls must build the columnar
+    /// layout exactly once. Tracing is per thread, so each caller turns
+    /// it on and hands its report back to the main thread.
     #[test]
     fn concurrent_lookups_build_the_index_at_most_once() {
         let r = std::sync::Arc::new(rel());
@@ -322,41 +269,42 @@ mod tests {
                     let _scope = pkgrec_trace::scoped();
                     barrier.wait();
                     for _ in 0..100 {
-                        let _ = r.lookup(0, &Value::Int(1));
+                        let _ = r.columnar();
                     }
                     pkgrec_trace::take()
                 })
             })
             .collect();
         for h in handles {
-            total.merge(&h.join().expect("prober thread"));
+            total.merge(&h.join().expect("caller thread"));
         }
         assert_eq!(
             total.counters.get("query.index_builds").copied(),
             Some(1),
-            "double-checked rebuild must dedupe concurrent index builds"
+            "double-checked rebuild must dedupe concurrent builds"
         );
     }
 
-    /// Satellite regression: a panic while holding the index lock (as a
-    /// crashed search worker would leave it) poisons the `RwLock`, but
-    /// the cache must keep serving probes — the resident server reuses
-    /// one `Relation` across requests, and a single fault must not
-    /// wedge every later lookup.
+    /// Regression: a panic while holding the cache lock (as a crashed
+    /// search worker would leave it) poisons the `RwLock`, but the cache
+    /// must keep serving — the resident server reuses one `Relation`
+    /// across requests, and a single fault must not wedge every later
+    /// probe.
     #[test]
     fn lookup_recovers_from_poisoned_index_lock() {
         let r = std::sync::Arc::new(rel());
         let r2 = std::sync::Arc::clone(&r);
         std::thread::spawn(move || {
-            let _guard = r2.indexes.write().unwrap();
-            panic!("poison the index lock");
+            let _guard = r2.columnar.write().unwrap();
+            panic!("poison the cache lock");
         })
         .join()
         .expect_err("the poisoning thread panicked");
-        assert!(r.indexes.is_poisoned());
-        let hits = r.lookup(0, &Value::Int(1)).expect("two matches");
-        assert_eq!(hits.len(), 2);
-        assert!(r.lookup(0, &Value::Int(9)).is_none());
+        assert!(r.columnar.is_poisoned());
+        let c = r.columnar();
+        assert_eq!(c.rows(), 3);
+        assert!(c.interner().get(&Value::Int(9)).is_none());
+        assert!(Arc::ptr_eq(&c, &r.columnar()));
     }
 
     #[test]

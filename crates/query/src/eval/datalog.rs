@@ -10,209 +10,127 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use pkgrec_data::{AttrType, Relation, RelationSchema, Tuple};
+use pkgrec_data::Tuple;
 
-use crate::datalog::{BodyLiteral, DatalogProgram, Rule};
-use crate::eval::cq::eval_conjunction_with;
-use crate::eval::{EvalContext, RelProvider};
-use crate::term::RelAtom;
-use crate::{QueryError, Result};
+use crate::cq::ConjunctiveQuery;
+use crate::datalog::{BodyLiteral, DatalogProgram};
+use crate::eval::EvalContext;
+use crate::plan::{EdbRels, RuleRunner};
+use crate::Result;
 
-/// An untyped schema of the given arity, for IDB relations (answers are
-/// untyped; the `Relation` type checks only go through checked inserts,
-/// which this engine never uses).
-fn idb_schema(name: &str, arity: usize) -> RelationSchema {
-    RelationSchema::new(name, (0..arity).map(|i| (format!("c{i}"), AttrType::Int)))
-        .expect("generated attribute names are distinct")
+/// The name a semi-naive firing binds `pred`'s new facts under. `#`
+/// cannot occur in an identifier of the query syntax, so no parsed
+/// relation is shadowed.
+fn delta_name(pred: &str) -> String {
+    format!("#Δ{pred}")
 }
 
-/// Materialize a tuple set as a `Relation` for the join engine.
-fn materialize(name: &str, arity: usize, tuples: &BTreeSet<Tuple>) -> Relation {
-    Relation::from_tuples_unchecked(idb_schema(name, arity), tuples.iter().cloned())
+/// One rule, as conjunctive bodies for the executor.
+struct RuleParts {
+    head: Arc<str>,
+    /// The rule body as a conjunction (head terms, atoms, builtins).
+    body: ConjunctiveQuery,
+    /// Per body atom over an IDB predicate: the predicate, and the body
+    /// with that atom reading the predicate's delta.
+    delta_bodies: Vec<(Arc<str>, ConjunctiveQuery)>,
 }
 
-struct RuleParts<'r> {
-    rule: &'r Rule,
-    atoms: Vec<&'r RelAtom>,
-    builtins: Vec<crate::term::Builtin>,
-    /// Indices (into `atoms`) of body atoms over IDB predicates.
-    idb_positions: Vec<usize>,
-}
-
-/// Evaluate a Datalog program; returns the derived relation of the
-/// output predicate as a set of tuples.
+/// Evaluate a Datalog program over `ctx.db`; returns the derived
+/// relation of the output predicate as a set of tuples.
 pub(crate) fn eval_datalog(ctx: EvalContext<'_>, prog: &DatalogProgram) -> Result<BTreeSet<Tuple>> {
-    eval_datalog_with(ctx, ctx.db, prog)
-}
-
-/// Like [`eval_datalog`] but resolving EDB relations through an explicit
-/// provider, so a compiled plan can shadow one relation (the dynamic
-/// answer relation) without cloning the database.
-pub(crate) fn eval_datalog_with(
-    ctx: EvalContext<'_>,
-    provider: &dyn RelProvider,
-    prog: &DatalogProgram,
-) -> Result<BTreeSet<Tuple>> {
     let _span = pkgrec_trace::span!("datalog.fixpoint");
     prog.check()?;
+    let edb = EdbRels::compile(prog, ctx.db, None)?;
+    fixpoint(ctx, prog, RuleRunner::new(&edb))
+}
+
+/// The semi-naive fixpoint of a checked program, firing its rules on
+/// `runner` (which holds the EDB and any dynamic binding). Callers
+/// open the `datalog.fixpoint` span.
+pub(crate) fn fixpoint(
+    ctx: EvalContext<'_>,
+    prog: &DatalogProgram,
+    mut runner: RuleRunner<'_>,
+) -> Result<BTreeSet<Tuple>> {
     let arities = prog.idb_arities()?;
     let idb: BTreeSet<Arc<str>> = prog.idb_predicates();
 
-    // Validate EDB references up front for a clean error.
-    for name in prog.edb_relations() {
-        if provider.get_relation(&name).is_none() {
-            return Err(QueryError::UnknownRelation(name.to_string()));
-        }
-    }
-
-    let parts: Vec<RuleParts<'_>> = prog
+    let parts: Vec<RuleParts> = prog
         .rules
         .iter()
         .map(|rule| {
-            let atoms: Vec<&RelAtom> = rule
-                .body
-                .iter()
-                .filter_map(|l| match l {
-                    BodyLiteral::Rel(a) => Some(a),
-                    BodyLiteral::Builtin(_) => None,
-                })
-                .collect();
-            let builtins: Vec<crate::term::Builtin> = rule
-                .body
-                .iter()
-                .filter_map(|l| match l {
-                    BodyLiteral::Builtin(b) => Some(b.clone()),
-                    BodyLiteral::Rel(_) => None,
-                })
-                .collect();
-            let idb_positions = atoms
+            let mut atoms = Vec::new();
+            let mut builtins = Vec::new();
+            for l in &rule.body {
+                match l {
+                    BodyLiteral::Rel(a) => atoms.push(a.clone()),
+                    BodyLiteral::Builtin(b) => builtins.push(b.clone()),
+                }
+            }
+            let body = ConjunctiveQuery::new(rule.head.terms.clone(), atoms, builtins);
+            let delta_bodies = body
+                .atoms
                 .iter()
                 .enumerate()
                 .filter(|(_, a)| idb.contains(&a.relation))
-                .map(|(i, _)| i)
+                .map(|(pos, a)| {
+                    let mut renamed = body.clone();
+                    renamed.atoms[pos].relation = Arc::from(delta_name(&a.relation));
+                    (Arc::clone(&a.relation), renamed)
+                })
                 .collect();
             RuleParts {
-                rule,
-                atoms,
-                builtins,
-                idb_positions,
+                head: Arc::clone(&rule.head.relation),
+                body,
+                delta_bodies,
             }
         })
         .collect();
 
-    let mut full: BTreeMap<Arc<str>, BTreeSet<Tuple>> = arities
-        .keys()
-        .map(|p| (Arc::clone(p), BTreeSet::new()))
-        .collect();
-
-    // Fire one rule with a designated "delta" body atom (or none, for the
-    // initial round / EDB-only rules).
-    let fire = |p: &RuleParts<'_>,
-                full: &BTreeMap<Arc<str>, BTreeSet<Tuple>>,
-                delta_pred: Option<(&Arc<str>, &Relation)>,
-                delta_pos: Option<usize>,
-                full_rels: &BTreeMap<Arc<str>, Relation>|
-     -> Result<BTreeSet<Tuple>> {
-        let _ = full;
-        let rels: Vec<&Relation> = p
-            .atoms
-            .iter()
-            .enumerate()
-            .map(|(i, a)| -> Result<&Relation> {
-                if let (Some(pos), Some((dname, drel))) = (delta_pos, delta_pred) {
-                    if i == pos {
-                        debug_assert_eq!(&a.relation, dname);
-                        return Ok(drel);
-                    }
-                }
-                if let Some(r) = full_rels.get(&a.relation) {
-                    Ok(r)
-                } else {
-                    provider
-                        .get_relation(&a.relation)
-                        .ok_or_else(|| QueryError::UnknownRelation(a.relation.to_string()))
-                }
-            })
-            .collect::<Result<_>>()?;
-        let atoms_owned: Vec<RelAtom> = p.atoms.iter().map(|a| (*a).clone()).collect();
-        eval_conjunction_with(
-            ctx,
-            &p.rule.head.terms,
-            &atoms_owned,
-            &rels,
-            &p.builtins,
-            None,
-        )
+    let empty = || -> BTreeMap<Arc<str>, BTreeSet<Tuple>> {
+        arities.keys().map(|p| (Arc::clone(p), BTreeSet::new())).collect()
     };
+    let mut full = empty();
 
-    // Round 0: naive firing with all-empty IDB.
-    let mut delta: BTreeMap<Arc<str>, BTreeSet<Tuple>> = arities
-        .keys()
-        .map(|p| (Arc::clone(p), BTreeSet::new()))
-        .collect();
-    {
-        let full_rels: BTreeMap<Arc<str>, Relation> = arities
-            .iter()
-            .map(|(p, &a)| (Arc::clone(p), materialize(p, a, &full[p])))
-            .collect();
-        for p in &parts {
-            // Rules with IDB atoms cannot fire yet (IDB is empty).
-            if !p.idb_positions.is_empty() {
-                continue;
-            }
-            let derived = fire(p, &full, None, None, &full_rels)?;
-            delta
-                .get_mut(&p.rule.head.relation)
-                .expect("head is IDB")
-                .extend(derived);
-        }
+    // Round 0: naive firing of the rules without IDB atoms, the only
+    // ones that can derive anything from an empty IDB.
+    let mut delta = empty();
+    for p in parts.iter().filter(|p| p.delta_bodies.is_empty()) {
+        let derived = runner.fire(ctx, &p.body)?;
+        delta.get_mut(&p.head).expect("head is IDB").extend(derived);
     }
     for (pred, d) in &delta {
         full.get_mut(pred).expect("same keys").extend(d.iter().cloned());
     }
 
-    // Semi-naive rounds.
+    // Semi-naive rounds: each rule fires once per IDB body atom, with
+    // that atom reading only the previous round's new facts.
     loop {
         if delta.values().all(BTreeSet::is_empty) {
             break;
         }
-        // Each round re-materializes every IDB relation for the join
-        // engine; charge that copying work (plus one step for the round
-        // itself) so a long fixpoint chain is interruptible even when
+        // Each round re-binds every IDB relation for the join executor;
+        // charge that copying work (plus one step for the round itself)
+        // so a long fixpoint chain is interruptible even when
         // individual rule firings are small.
         ctx.tick()?;
         ctx.tick_n(full.values().map(|s| s.len() as u64).sum())?;
         pkgrec_trace::counter!("datalog.fixpoint_rounds");
-        let full_rels: BTreeMap<Arc<str>, Relation> = arities
-            .iter()
-            .map(|(p, &a)| (Arc::clone(p), materialize(p, a, &full[p])))
-            .collect();
-        let delta_rels: BTreeMap<Arc<str>, Relation> = arities
-            .iter()
-            .map(|(p, &a)| (Arc::clone(p), materialize(p, a, &delta[p])))
-            .collect();
+        for (pred, &arity) in &arities {
+            runner.bind(pred, arity, &full[pred]);
+            runner.bind(&delta_name(pred), arity, &delta[pred]);
+        }
 
-        let mut new_delta: BTreeMap<Arc<str>, BTreeSet<Tuple>> = arities
-            .keys()
-            .map(|p| (Arc::clone(p), BTreeSet::new()))
-            .collect();
-
+        let mut new_delta = empty();
         for p in &parts {
-            for &pos in &p.idb_positions {
-                let pred = &p.atoms[pos].relation;
+            for (pred, body) in &p.delta_bodies {
                 if delta[pred].is_empty() {
                     continue;
                 }
-                let derived = fire(
-                    p,
-                    &full,
-                    Some((pred, &delta_rels[pred])),
-                    Some(pos),
-                    &full_rels,
-                )?;
-                let head_full = &full[&p.rule.head.relation];
+                let derived = runner.fire(ctx, body)?;
+                let head_full = &full[&p.head];
                 new_delta
-                    .get_mut(&p.rule.head.relation)
+                    .get_mut(&p.head)
                     .expect("head is IDB")
                     .extend(derived.into_iter().filter(|t| !head_full.contains(t)));
             }
@@ -234,8 +152,11 @@ pub(crate) fn eval_datalog_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::{CmpOp, Term};
-    use pkgrec_data::{tuple, Database};
+    use crate::datalog::Rule;
+    use crate::term::{CmpOp, RelAtom, Term};
+    use crate::QueryError;
+    use pkgrec_data::{tuple, AttrType, Database, Relation, RelationSchema};
+    use pkgrec_guard::Budget;
 
     fn edge_db(edges: &[(i64, i64)]) -> Database {
         let mut db = Database::new();
@@ -409,5 +330,26 @@ mod tests {
         let db = edge_db(&[]);
         let ans = eval_datalog(EvalContext::new(&db), &tc_program()).unwrap();
         assert!(ans.is_empty());
+    }
+
+    /// Rule firings run inside the fixpoint's span and open none of
+    /// their own, so a budget cut mid-fixpoint is attributed to
+    /// `datalog.fixpoint`.
+    #[test]
+    fn rule_firings_stay_under_the_fixpoint_span() {
+        let _scope = pkgrec_trace::scoped();
+        pkgrec_trace::reset();
+        let db = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 5)]);
+        eval_datalog(EvalContext::new(&db), &tc_program()).unwrap();
+        let report = pkgrec_trace::take();
+        let spans: Vec<&str> = report.spans.keys().map(String::as_str).collect();
+        assert_eq!(spans, ["datalog.fixpoint"]);
+
+        let meter = Budget::with_steps(5).meter();
+        let err = eval_datalog(EvalContext::new(&db).with_meter(&meter), &tc_program());
+        match err {
+            Err(QueryError::Interrupted(cut)) => assert_eq!(cut.span, Some("datalog.fixpoint")),
+            other => panic!("expected an interrupt, got {other:?}"),
+        }
     }
 }

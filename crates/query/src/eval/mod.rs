@@ -1,15 +1,18 @@
-//! Query evaluation.
+//! Query evaluation engines other than the conjunctive join.
 //!
-//! Three engines, matching the paper's language groups:
+//! Conjunctive bodies — CQ/UCQ answers and membership, Datalog rule
+//! bodies, conjunctive `Qc` checks — all run on the one executor
+//! behind [`crate::CompiledPlan`]. This module holds the rest:
 //!
-//! * `cq` — backtracking-join evaluation of conjunctive bodies, used
-//!   for CQ/UCQ and (via body reuse) for Datalog rules;
 //! * `fo` — active-domain evaluation of first-order formulas (and
-//!   their positive-existential fragment);
+//!   their positive-existential fragment). It shares no join code with
+//!   the plans, which makes the FO embedding of a CQ/UCQ
+//!   (`rewrite::cq_to_fo`/`ucq_to_fo`) the reference the conjunctive
+//!   executor is tested against;
 //! * `datalog` — semi-naive bottom-up fixpoint for Datalog, with a
-//!   single stratified pass for DATALOGnr programs.
+//!   single stratified pass for DATALOGnr programs; each rule firing
+//!   runs its body on the conjunctive executor.
 
-pub(crate) mod cq;
 pub(crate) mod datalog;
 pub(crate) mod fo;
 

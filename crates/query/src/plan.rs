@@ -1,31 +1,39 @@
-//! Compiled query plans: compile once, probe many times.
+//! Compiled query plans and the one conjunctive executor.
 //!
-//! The interpreted engines in [`crate::eval`] re-do a lot of per-call
-//! work that depends only on the (query, database) pair: interning
-//! variables, choosing a greedy join order, scheduling builtins,
-//! building column indexes, and — for compatibility constraints — even
-//! cloning the whole database to bind the answer relation `R_Q`.
-//! Package search makes *millions* of such calls against one fixed
-//! database, so [`Query::compile`] hoists all of it to solve-time:
+//! Every conjunctive body in the system runs on [`ConjSet`]: CQ/UCQ
+//! answers and membership tests (the "guess a tableau" step behind the
+//! paper's upper bounds), Datalog rule firings, and conjunctive `Qc`
+//! checks. Compilation does the work that depends only on the
+//! (query, database) pair:
 //!
 //! * relation tuples are flattened into row-major `u32` cell arrays
 //!   over a shared [`ValueInterner`], so the join inner loop compares
 //!   4-byte ids instead of cloning [`Value`]s;
 //! * the greedy atom order, builtin schedule and probe columns are
-//!   computed once per disjunct and mode (evaluation vs membership),
-//!   using the *same* helpers the interpreter uses, so a compiled run
-//!   makes tick-for-tick the same budget charges as an interpreted one;
-//! * every column index the static access paths need is built at
-//!   compile time (`query.index_builds` counts them);
-//! * [`CompiledPlan::eval_dynamic`] binds the dynamic answer relation
-//!   as a zero-copy overlay instead of `Database::with_relation`'s full
-//!   clone — the dominant cost of interpreted `Qc` probes.
+//!   computed per disjunct and mode (evaluation vs membership);
+//! * every column index the static access paths probe is built up
+//!   front (`query.index_builds` counts them);
+//! * a dynamic answer relation binds as a zero-copy overlay instead of
+//!   `Database::with_relation`'s full clone.
 //!
-//! A plan holds a shared handle (`Arc`) to the database it was
-//! compiled against and snapshots its contents, so plans have no
-//! borrow lifetime and can be cached across solves (the `pkgrec serve`
-//! plan cache keys them by `(query, database)`); replace the database
-//! and you must recompile.
+//! How much is compiled is the caller's choice ([`Usage`]).
+//! [`Query::compile`] builds a reusable [`CompiledPlan`] — both modes,
+//! plus the columnar bitsets behind fully-bound existence steps —
+//! because package search probes one database millions of times. The
+//! per-call API (`Query::eval`, `Query::contains`, `Query::has_answer_with`)
+//! compiles once per call: only the mode the call runs, its indexes,
+//! and no bitsets, which pay off only across many probes. A Datalog
+//! fixpoint compiles the EDB it reads once ([`EdbRels`]; a cached
+//! plan keeps it across probes) and plans each rule firing against it
+//! and the round's IDB facts ([`RuleRunner`]). Either way the join
+//! charges one budget tick per candidate row, so the same query makes
+//! the same charges on every path.
+//!
+//! A [`CompiledPlan`] pairs its [`Executor`] with a shared handle
+//! (`Arc`) to the database it was compiled against and snapshots its
+//! contents, so plans have no borrow lifetime and can be cached across
+//! solves (the `pkgrec serve` plan cache keys them by
+//! `(query, database)`); replace the database and you must recompile.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -37,13 +45,12 @@ use pkgrec_data::{
 use pkgrec_guard::Meter;
 
 use crate::cq::ConjunctiveQuery;
-use crate::datalog::DatalogProgram;
-use crate::eval::cq::{greedy_order, probe_columns, schedule_builtins, AtomShape};
-use crate::eval::{datalog as dl_eval, fo as fo_eval, EvalContext, OverlayProvider};
+use crate::datalog::{BodyLiteral, DatalogProgram};
+use crate::eval::{datalog as dl_eval, fo as fo_eval, EvalContext, OverlayProvider, RelProvider};
 use crate::fo::FoQuery;
 use crate::metric::MetricSet;
 use crate::query::Query;
-use crate::term::{Builtin, Term};
+use crate::term::{Builtin, RelAtom, Term};
 use crate::{QueryError, Result};
 
 impl Query {
@@ -52,8 +59,7 @@ impl Query {
     /// The plan snapshots the database contents: answers are those of
     /// `Q(D)` as of compile time, and mutating `D` afterwards requires
     /// recompiling. Compilation performs the query's safety and arity
-    /// checks up front, so errors the interpreter would raise on every
-    /// call surface once here.
+    /// checks up front, so they surface once here rather than per probe.
     pub fn compile(&self, db: &Arc<Database>) -> Result<CompiledPlan> {
         CompiledPlan::build(self, db, None)
     }
@@ -71,11 +77,78 @@ impl Query {
     ) -> Result<CompiledPlan> {
         CompiledPlan::build(self, db, Some((name, arity)))
     }
+
+    /// Whether the query has an answer over `ctx.db` once the relation
+    /// `name` (arity `arity`) is bound to `items` — the one-shot form
+    /// of [`CompiledPlan::has_answer_dynamic`], and the zero-copy
+    /// equivalent of evaluating over `Database::with_relation`. This is
+    /// the compatibility check `Qc(N, D) ≠ ∅` for a single package;
+    /// callers probing many packages should compile once instead.
+    /// Items must have arity `arity`.
+    pub fn has_answer_with<'t>(
+        &self,
+        ctx: EvalContext<'_>,
+        name: &str,
+        arity: usize,
+        items: impl IntoIterator<Item = &'t Tuple>,
+    ) -> Result<bool> {
+        let exec = Executor::build(self, ctx.db, Some((name, arity)), Usage::Once(Mode::Eval))?;
+        Ok(!exec.run_dynamic(ctx, items, true)?.is_empty())
+    }
+}
+
+/// Run conjunctive bodies once against `provider`, compiling only the
+/// mode this call runs (membership when `pre_bound` is given): the
+/// per-call CQ/UCQ API.
+pub(crate) fn eval_conj_once(
+    ctx: EvalContext<'_>,
+    provider: &dyn RelProvider,
+    disjuncts: &[ConjunctiveQuery],
+    pre_bound: Option<&Tuple>,
+    stop_on_first: bool,
+) -> Result<BTreeSet<Tuple>> {
+    let mode = if pre_bound.is_some() {
+        Mode::Membership
+    } else {
+        Mode::Eval
+    };
+    let set = ConjSet::compile(disjuncts, provider, None, Usage::Once(mode))?;
+    let mut syms = ProbeSyms::new(&set.syms);
+    set.eval_impl(ctx, pre_bound, None, &mut syms, stop_on_first)
+}
+
+/// The two static modes of a conjunctive plan.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Plain evaluation: nothing pre-bound.
+    Eval = 0,
+    /// Membership: the head pre-bound to a candidate tuple.
+    Membership = 1,
+}
+
+/// How much a compile prepares.
+#[derive(Clone, Copy)]
+enum Usage {
+    /// A reusable plan: both modes, and the columnar bitsets behind
+    /// every fully-bound existence step.
+    Cached,
+    /// A single run in one mode: only that mode's plan and indexes. No
+    /// bitsets — they are cached on the `Relation` and pay off only
+    /// across many probes.
+    Once(Mode),
 }
 
 /// A query compiled against one database. See the module docs.
 pub struct CompiledPlan {
     db: Arc<Database>,
+    exec: Executor,
+}
+
+/// What compilation derived from a query and a database, without the
+/// database itself: [`CompiledPlan`] pairs one with the `Arc` snapshot
+/// it caches, while one-shot calls build one against a borrowed
+/// database and run it once.
+struct Executor {
     dynamic: Option<DynSpec>,
     arity: usize,
     kind: PlanKind,
@@ -96,42 +169,44 @@ enum PlanKind {
 impl fmt::Debug for CompiledPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledPlan")
-            .field("arity", &self.arity)
+            .field("arity", &self.exec.arity)
             .field(
                 "kind",
-                &match self.kind {
+                &match self.exec.kind {
                     PlanKind::Conj(_) => "conj",
                     PlanKind::Fo(_) => "fo",
                     PlanKind::Dl(_) => "datalog",
                 },
             )
-            .field("dynamic", &self.dynamic.as_ref().map(|d| &d.name))
+            .field("dynamic", &self.exec.dynamic.as_ref().map(|d| &d.name))
             .finish()
     }
 }
 
 /// The untyped schema used to materialize the dynamic relation for the
-/// FO and Datalog engines — identical to the one interpreted `Qc`
-/// probes build.
+/// FO and Datalog engines (the same one `Constraint` checks bind).
 fn answer_schema(name: &str, arity: usize) -> RelationSchema {
     RelationSchema::new(name, (0..arity).map(|i| (format!("c{i}"), AttrType::Int)))
         .expect("generated attribute names are distinct")
 }
 
-impl CompiledPlan {
-    fn build(q: &Query, db: &Arc<Database>, dynamic: Option<(&str, usize)>) -> Result<Self> {
-        pkgrec_trace::counter!("query.plan_compiles");
+impl Executor {
+    fn build(
+        q: &Query,
+        db: &Database,
+        dynamic: Option<(&str, usize)>,
+        usage: Usage,
+    ) -> Result<Executor> {
         let arity = q.arity()?;
         let kind = match q {
             Query::Cq(c) => {
-                PlanKind::Conj(ConjSet::compile(std::slice::from_ref(c), db, dynamic)?)
+                PlanKind::Conj(ConjSet::compile(std::slice::from_ref(c), db, dynamic, usage)?)
             }
-            Query::Ucq(u) => PlanKind::Conj(ConjSet::compile(&u.disjuncts, db, dynamic)?),
+            Query::Ucq(u) => PlanKind::Conj(ConjSet::compile(&u.disjuncts, db, dynamic, usage)?),
             Query::Fo(f) => PlanKind::Fo(FoPlan::compile(f, db, dynamic.map(|(n, _)| n))?),
             Query::Datalog(p) => PlanKind::Dl(DlPlan::compile(p, db, dynamic.map(|(n, _)| n))?),
         };
-        Ok(CompiledPlan {
-            db: Arc::clone(db),
+        Ok(Executor {
             dynamic: dynamic.map(|(n, a)| DynSpec {
                 name: n.to_string(),
                 arity: a,
@@ -142,9 +217,83 @@ impl CompiledPlan {
         })
     }
 
+    /// Answers over the base database `ctx.db`, restricted to
+    /// `pre_bound` when given; conjunctive plans with `stop_on_first`
+    /// return at the first witness.
+    fn run(
+        &self,
+        ctx: EvalContext<'_>,
+        pre_bound: Option<&Tuple>,
+        stop_on_first: bool,
+    ) -> Result<BTreeSet<Tuple>> {
+        match &self.kind {
+            PlanKind::Conj(set) => {
+                let mut syms = ProbeSyms::new(&set.syms);
+                set.eval_impl(ctx, pre_bound, None, &mut syms, stop_on_first)
+            }
+            PlanKind::Fo(fp) => fp.eval(ctx, pre_bound),
+            PlanKind::Dl(dp) => {
+                // A dynamic plan run without items binds nothing, like a
+                // conjunctive plan's empty dynamic scan.
+                let no_items = self.dynamic.as_ref().map(|spec| (spec, std::iter::empty()));
+                let mut ans = dp.eval(ctx, no_items)?;
+                if let Some(t) = pre_bound {
+                    ans.retain(|a| a == t);
+                }
+                Ok(ans)
+            }
+        }
+    }
+
+    /// Answers with the dynamic relation bound to `items`.
+    fn run_dynamic<'t>(
+        &self,
+        ctx: EvalContext<'_>,
+        items: impl IntoIterator<Item = &'t Tuple>,
+        stop_on_first: bool,
+    ) -> Result<BTreeSet<Tuple>> {
+        let spec = self
+            .dynamic
+            .as_ref()
+            .ok_or_else(|| QueryError::Internal("plan compiled without a dynamic relation".into()))?;
+        match &self.kind {
+            PlanKind::Conj(set) => {
+                let mut syms = ProbeSyms::new(&set.syms);
+                let table = CompiledRel::intern_tuples(&spec.name, spec.arity, items, &mut syms);
+                set.eval_impl(ctx, None, Some(&table), &mut syms, stop_on_first)
+            }
+            PlanKind::Fo(fp) => {
+                let rel = spec.materialize(items);
+                let mut dom = fp.base_dom.clone();
+                for t in rel.iter() {
+                    dom.extend(t.values().iter().cloned());
+                }
+                let domain: Vec<Value> = dom.into_iter().collect();
+                let provider = OverlayProvider {
+                    base: ctx.db,
+                    name: &spec.name,
+                    rel: &rel,
+                };
+                let _span = pkgrec_trace::span!("fo.eval");
+                fo_eval::eval_fo_with(ctx, &provider, &fp.query, &domain, None)
+            }
+            PlanKind::Dl(dp) => dp.eval(ctx, Some((spec, items))),
+        }
+    }
+}
+
+impl CompiledPlan {
+    fn build(q: &Query, db: &Arc<Database>, dynamic: Option<(&str, usize)>) -> Result<Self> {
+        pkgrec_trace::counter!("query.plan_compiles");
+        Ok(CompiledPlan {
+            exec: Executor::build(q, db, dynamic, Usage::Cached)?,
+            db: Arc::clone(db),
+        })
+    }
+
     /// Answer arity.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.exec.arity
     }
 
     /// Enable or disable the columnar bitset fast path for fully-bound
@@ -153,7 +302,7 @@ impl CompiledPlan {
     /// the row path, which is what benchmarks and equivalence tests
     /// compare against.
     pub fn with_bitsets(mut self, enabled: bool) -> Self {
-        if let PlanKind::Conj(set) = &mut self.kind {
+        if let PlanKind::Conj(set) = &mut self.exec.kind {
             set.use_bitsets = enabled;
         }
         self
@@ -167,28 +316,19 @@ impl CompiledPlan {
         }
     }
 
-    /// Evaluate `Q(D)` — the compiled equivalent of [`Query::eval_ctx`],
-    /// with identical answers, trace spans and budget charges.
+    /// Evaluate `Q(D)`: the answers, trace spans and budget charges of
+    /// [`Query::eval_ctx`], without recompiling.
     pub fn eval(
         &self,
         metrics: Option<&MetricSet>,
         meter: Option<&Meter>,
     ) -> Result<BTreeSet<Tuple>> {
         pkgrec_trace::counter!("query.plan_probes");
-        let ctx = self.ctx(metrics, meter);
-        match &self.kind {
-            PlanKind::Conj(set) => {
-                let mut syms = ProbeSyms::new(&set.syms);
-                set.eval_impl(ctx, None, None, &mut syms, false)
-            }
-            PlanKind::Fo(fp) => fp.eval(ctx, None),
-            PlanKind::Dl(dp) => dl_eval::eval_datalog_with(ctx, self.db.as_ref(), &dp.prog),
-        }
+        self.exec.run(self.ctx(metrics, meter), None, false)
     }
 
     /// Evaluate with the head pre-bound to `t`: the answers restricted
-    /// to `{t}`. Enumerates exactly like the interpreter's pre-bound
-    /// mode (no early exit), so budget charges match tick for tick.
+    /// to `{t}`. Enumerates every consistent tableau (no early exit).
     pub fn eval_pre_bound(
         &self,
         t: &Tuple,
@@ -196,24 +336,11 @@ impl CompiledPlan {
         meter: Option<&Meter>,
     ) -> Result<BTreeSet<Tuple>> {
         pkgrec_trace::counter!("query.plan_probes");
-        let ctx = self.ctx(metrics, meter);
-        match &self.kind {
-            PlanKind::Conj(set) => {
-                let mut syms = ProbeSyms::new(&set.syms);
-                set.eval_impl(ctx, Some(t), None, &mut syms, false)
-            }
-            PlanKind::Fo(fp) => fp.eval(ctx, Some(t)),
-            PlanKind::Dl(dp) => {
-                let mut ans = dl_eval::eval_datalog_with(ctx, self.db.as_ref(), &dp.prog)?;
-                ans.retain(|a| a == t);
-                Ok(ans)
-            }
-        }
+        self.exec.run(self.ctx(metrics, meter), Some(t), false)
     }
 
-    /// The membership test `t ∈ Q(D)` — compiled [`Query::contains_ctx`].
-    /// Conjunctive plans stop at the first witness, so this may charge
-    /// *fewer* budget ticks than the interpreter (never more).
+    /// The membership test `t ∈ Q(D)` — [`Query::contains_ctx`] without
+    /// recompiling. Conjunctive plans stop at the first witness.
     pub fn contains(
         &self,
         t: &Tuple,
@@ -221,22 +348,12 @@ impl CompiledPlan {
         meter: Option<&Meter>,
     ) -> Result<bool> {
         pkgrec_trace::counter!("query.plan_probes");
-        let ctx = self.ctx(metrics, meter);
-        match &self.kind {
-            PlanKind::Conj(set) => {
-                let mut syms = ProbeSyms::new(&set.syms);
-                Ok(!set.eval_impl(ctx, Some(t), None, &mut syms, true)?.is_empty())
-            }
-            PlanKind::Fo(fp) => Ok(!fp.eval(ctx, Some(t))?.is_empty()),
-            PlanKind::Dl(dp) => {
-                Ok(dl_eval::eval_datalog_with(ctx, self.db.as_ref(), &dp.prog)?.contains(t))
-            }
-        }
+        Ok(!self.exec.run(self.ctx(metrics, meter), Some(t), true)?.is_empty())
     }
 
     /// Evaluate with the dynamic relation bound to `items` — the
-    /// compiled, zero-copy equivalent of
-    /// `Query::eval_ctx` over `db.with_relation(R_Q)`.
+    /// zero-copy equivalent of `Query::eval_ctx` over
+    /// `db.with_relation(R_Q)`.
     pub fn eval_dynamic<'t>(
         &self,
         items: impl IntoIterator<Item = &'t Tuple>,
@@ -244,7 +361,7 @@ impl CompiledPlan {
         meter: Option<&Meter>,
     ) -> Result<BTreeSet<Tuple>> {
         pkgrec_trace::counter!("query.plan_probes");
-        self.dynamic_impl(items, metrics, meter, false)
+        self.exec.run_dynamic(self.ctx(metrics, meter), items, false)
     }
 
     /// Whether the dynamic-bound query has any answer; conjunctive
@@ -257,52 +374,10 @@ impl CompiledPlan {
         meter: Option<&Meter>,
     ) -> Result<bool> {
         pkgrec_trace::counter!("query.plan_probes");
-        Ok(!self.dynamic_impl(items, metrics, meter, true)?.is_empty())
-    }
-
-    fn dynamic_impl<'t>(
-        &self,
-        items: impl IntoIterator<Item = &'t Tuple>,
-        metrics: Option<&MetricSet>,
-        meter: Option<&Meter>,
-        stop_on_first: bool,
-    ) -> Result<BTreeSet<Tuple>> {
-        let spec = self
-            .dynamic
-            .as_ref()
-            .ok_or_else(|| QueryError::Internal("plan compiled without a dynamic relation".into()))?;
-        let ctx = self.ctx(metrics, meter);
-        match &self.kind {
-            PlanKind::Conj(set) => {
-                let mut syms = ProbeSyms::new(&set.syms);
-                let table = DynTable::build(spec.arity, items, &mut syms);
-                set.eval_impl(ctx, None, Some(&table), &mut syms, stop_on_first)
-            }
-            PlanKind::Fo(fp) => {
-                let rel = spec.materialize(items);
-                let mut dom = fp.base_dom.clone();
-                for t in rel.iter() {
-                    dom.extend(t.values().iter().cloned());
-                }
-                let domain: Vec<Value> = dom.into_iter().collect();
-                let provider = OverlayProvider {
-                    base: self.db.as_ref(),
-                    name: &spec.name,
-                    rel: &rel,
-                };
-                let _span = pkgrec_trace::span!("fo.eval");
-                fo_eval::eval_fo_with(ctx, &provider, &fp.query, &domain, None)
-            }
-            PlanKind::Dl(dp) => {
-                let rel = spec.materialize(items);
-                let provider = OverlayProvider {
-                    base: self.db.as_ref(),
-                    name: &spec.name,
-                    rel: &rel,
-                };
-                dl_eval::eval_datalog_with(ctx, &provider, &dp.prog)
-            }
-        }
+        Ok(!self
+            .exec
+            .run_dynamic(self.ctx(metrics, meter), items, true)?
+            .is_empty())
     }
 }
 
@@ -313,7 +388,7 @@ impl DynSpec {
 }
 
 // ---------------------------------------------------------------------
-// Conjunctive plans (CQ / UCQ): the fully compiled u32 path.
+// Conjunctive plans (CQ / UCQ / rule bodies): the u32 executor.
 // ---------------------------------------------------------------------
 
 /// A compiled union of conjunctions. All disjuncts share one value
@@ -323,15 +398,17 @@ struct ConjSet {
     rels: Vec<CompiledRel>,
     plans: Vec<ConjPlan>,
     /// Whether fully-bound existence steps may use the columnar bitset
-    /// fast path (on unmetered probes). On by default; benchmarks and
-    /// equivalence tests disable it to exercise the row path.
+    /// fast path (on unmetered probes). Set for cached plans, whose
+    /// compile adopts the bitsets; benchmarks and equivalence tests
+    /// clear it to exercise the row path.
     use_bitsets: bool,
 }
 
 /// A base relation flattened to row-major interned cells, with the
 /// column indexes the static access paths need prebuilt.
 struct CompiledRel {
-    /// The relation's name, kept for [`CompiledPlan::explain`].
+    /// The name atoms resolve the relation by, kept for
+    /// [`CompiledPlan::explain`] and bitset adoption.
     name: String,
     arity: usize,
     rows: usize,
@@ -340,12 +417,12 @@ struct CompiledRel {
     indexes: HashMap<usize, HashMap<u32, Vec<u32>>>,
     /// Per-column value→row bitsets shared with the relation's cached
     /// [`ColumnarRelation`], re-keyed to this plan's interner. Empty
-    /// until some mode needs a fully-bound existence probe.
+    /// unless a cached plan has a fully-bound existence probe.
     bitsets: Vec<HashMap<u32, Arc<ItemBitset>>>,
 }
 
 impl CompiledRel {
-    fn compile(rel: &Relation, syms: &mut ValueInterner) -> CompiledRel {
+    fn compile(name: &str, rel: &Relation, syms: &mut ValueInterner) -> CompiledRel {
         let arity = rel.schema().arity();
         let mut cells = Vec::with_capacity(rel.len() * arity);
         for t in rel.iter() {
@@ -354,9 +431,36 @@ impl CompiledRel {
             }
         }
         CompiledRel {
-            name: rel.schema().name().to_string(),
+            name: name.to_string(),
             arity,
             rows: rel.len(),
+            cells,
+            indexes: HashMap::new(),
+            bitsets: Vec::new(),
+        }
+    }
+
+    /// Intern tuples bound for one run — package items, IDB facts —
+    /// through the run's interner extension. No index is built.
+    fn intern_tuples<'t>(
+        name: &str,
+        arity: usize,
+        tuples: impl IntoIterator<Item = &'t Tuple>,
+        syms: &mut ProbeSyms<'_>,
+    ) -> CompiledRel {
+        let mut cells = Vec::new();
+        let mut rows = 0;
+        for t in tuples {
+            debug_assert_eq!(t.arity(), arity, "caller checks tuple arity");
+            for v in t.values() {
+                cells.push(syms.intern(v));
+            }
+            rows += 1;
+        }
+        CompiledRel {
+            name: name.to_string(),
+            arity,
+            rows,
             cells,
             indexes: HashMap::new(),
             bitsets: Vec::new(),
@@ -408,8 +512,7 @@ impl CompiledRel {
     }
 }
 
-/// A term with constants interned and variables densified — the
-/// compiled mirror of the interpreter's `ITerm`.
+/// A term with constants interned and variables densified.
 #[derive(Clone, Copy)]
 enum PTerm {
     Var(usize),
@@ -423,10 +526,26 @@ impl PTerm {
             PTerm::Var(v) => bindings[v],
         }
     }
+
+    /// The static-planning view: the variable, or `None` for a
+    /// constant (always determined).
+    fn shape(self) -> Option<usize> {
+        match self {
+            PTerm::Var(v) => Some(v),
+            PTerm::Sym(_) => None,
+        }
+    }
 }
 
+#[derive(Clone, Copy)]
 enum Source {
+    /// A relation compiled with the plan (or, for a rule firing, a
+    /// shared EDB relation).
     Base(usize),
+    /// A relation a rule firing's run bound: IDB facts, a delta, or
+    /// the dynamic relation.
+    Local(usize),
+    /// The dynamic relation of a probe.
     Dyn,
 }
 
@@ -439,6 +558,93 @@ struct PBuiltin {
     original: Builtin,
     left: PTerm,
     right: PTerm,
+}
+
+/// The shape of an atom for static planning: one entry per position,
+/// `Some(var)` for a variable, `None` for a constant.
+type AtomShape = Vec<Option<usize>>;
+
+fn shape_determined(s: &Option<usize>, bound: &[bool]) -> bool {
+    match s {
+        None => true,
+        Some(v) => bound[*v],
+    }
+}
+
+/// Greedy static atom order: repeatedly pick the atom with the most
+/// already-determined positions (constants or bound variables),
+/// breaking ties toward smaller relations (and, among equals, toward
+/// the last such atom — `max_by_key` keeps the last maximum).
+fn greedy_order(shapes: &[AtomShape], sizes: &[usize], initially_bound: &[bool]) -> Vec<usize> {
+    let mut bound = initially_bound.to_vec();
+    let mut remaining: Vec<usize> = (0..shapes.len()).collect();
+    let mut order = Vec::with_capacity(shapes.len());
+    while !remaining.is_empty() {
+        let (pos, &best) = remaining
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &i)| {
+                let det = shapes[i]
+                    .iter()
+                    .filter(|s| shape_determined(s, &bound))
+                    .count();
+                (det, std::cmp::Reverse(sizes[i]))
+            })
+            .expect("remaining non-empty");
+        order.push(best);
+        remaining.remove(pos);
+        for &v in shapes[best].iter().flatten() {
+            bound[v] = true;
+        }
+    }
+    order
+}
+
+/// Schedule each builtin at the earliest depth where both sides are
+/// determined; depth = number of atoms already joined. `Err(i)` names
+/// the first builtin that can never be scheduled (unsafe query).
+fn schedule_builtins(
+    shapes: &[AtomShape],
+    order: &[usize],
+    builtin_shapes: &[(Option<usize>, Option<usize>)],
+    initially_bound: &[bool],
+) -> std::result::Result<Vec<Vec<usize>>, usize> {
+    let mut bound = initially_bound.to_vec();
+    let mut builtin_at: Vec<Vec<usize>> = vec![Vec::new(); order.len() + 1];
+    let mut scheduled = vec![false; builtin_shapes.len()];
+    for (depth, at) in builtin_at.iter_mut().enumerate() {
+        if depth > 0 {
+            for &v in shapes[order[depth - 1]].iter().flatten() {
+                bound[v] = true;
+            }
+        }
+        for (bi, (l, r)) in builtin_shapes.iter().enumerate() {
+            if !scheduled[bi] && shape_determined(l, &bound) && shape_determined(r, &bound) {
+                scheduled[bi] = true;
+                at.push(bi);
+            }
+        }
+    }
+    match scheduled.iter().position(|s| !s) {
+        Some(i) => Err(i),
+        None => Ok(builtin_at),
+    }
+}
+
+/// The access path at each join depth: the probe column is the first
+/// atom position holding a constant or a variable bound by the atoms
+/// ordered before it (`None` = full scan), so the compiler knows which
+/// column indexes to build.
+fn probe_columns(shapes: &[AtomShape], order: &[usize], initially_bound: &[bool]) -> Vec<Option<usize>> {
+    let mut bound = initially_bound.to_vec();
+    let mut probes = Vec::with_capacity(order.len());
+    for &ai in order {
+        probes.push(shapes[ai].iter().position(|s| shape_determined(s, &bound)));
+        for &v in shapes[ai].iter().flatten() {
+            bound[v] = true;
+        }
+    }
+    probes
 }
 
 /// Static planning for one evaluation mode: the greedy atom order, the
@@ -462,195 +668,229 @@ struct ConjPlan {
     atoms: Vec<PAtom>,
     builtins: Vec<PBuiltin>,
     nvars: usize,
-    /// Plan for plain evaluation (nothing pre-bound).
-    eval_mode: ModePlan,
-    /// Plan for membership tests (head variables pre-bound).
-    bound_mode: ModePlan,
+    /// The static plan per [`Mode`] (indexed by `Mode as usize`); a
+    /// one-shot compile builds only the mode it runs.
+    modes: [Option<ModePlan>; 2],
+}
+
+/// What planning a disjunct needs from its surroundings: value
+/// interning, and the source and row count of each atom's relation.
+trait PlanEnv {
+    fn intern(&mut self, v: &Value) -> u32;
+    /// Resolve `atom` to its source and row count, checking its arity.
+    fn resolve(&mut self, atom: &RelAtom) -> Result<(Source, usize)>;
+}
+
+fn check_arity(atom: &RelAtom, expected: usize) -> Result<()> {
+    if atom.terms.len() == expected {
+        Ok(())
+    } else {
+        Err(QueryError::AtomArityMismatch {
+            relation: atom.relation.to_string(),
+            expected,
+            found: atom.terms.len(),
+        })
+    }
+}
+
+/// Plan one disjunct: intern its terms, resolve its atoms, and fix the
+/// static plan of each mode in `modes`. Builds no index; the caller
+/// owns the relations and builds the ones the plan probes.
+fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) -> Result<ConjPlan> {
+    d.check_safe()?;
+
+    // Dense variable interning in traversal order (head, atoms,
+    // builtins).
+    let mut var_ids: HashMap<crate::term::Var, usize> = HashMap::new();
+    let mut pterm = |t: &Term, env: &mut dyn PlanEnv| match t {
+        Term::Var(v) => {
+            let next = var_ids.len();
+            PTerm::Var(*var_ids.entry(v.clone()).or_insert(next))
+        }
+        Term::Const(c) => PTerm::Sym(env.intern(c)),
+    };
+    let head: Vec<PTerm> = d.head.iter().map(|t| pterm(t, env)).collect();
+    // Sizes drive the greedy tie-break: a relation's row count, or 0
+    // for the dynamic relation (a handful of package items per probe).
+    let mut sizes = Vec::with_capacity(d.atoms.len());
+    let mut atoms = Vec::with_capacity(d.atoms.len());
+    for a in &d.atoms {
+        let terms: Vec<PTerm> = a.terms.iter().map(|t| pterm(t, env)).collect();
+        let (src, rows) = env.resolve(a)?;
+        sizes.push(rows);
+        atoms.push(PAtom { src, terms });
+    }
+    let builtins: Vec<PBuiltin> = d
+        .builtins
+        .iter()
+        .map(|b| {
+            let (l, r) = match b {
+                Builtin::Cmp(c) => (&c.left, &c.right),
+                Builtin::DistLe { left, right, .. } => (left, right),
+            };
+            PBuiltin {
+                original: b.clone(),
+                left: pterm(l, env),
+                right: pterm(r, env),
+            }
+        })
+        .collect();
+    let nvars = var_ids.len();
+
+    let shapes: Vec<AtomShape> = atoms
+        .iter()
+        .map(|a| a.terms.iter().map(|t| t.shape()).collect())
+        .collect();
+    let builtin_shapes: Vec<(Option<usize>, Option<usize>)> = builtins
+        .iter()
+        .map(|b| (b.left.shape(), b.right.shape()))
+        .collect();
+
+    let plan_mode = |mode: Mode| -> Result<ModePlan> {
+        let mut initially_bound = vec![false; nvars];
+        if mode == Mode::Membership {
+            for v in head.iter().filter_map(|t| t.shape()) {
+                initially_bound[v] = true;
+            }
+        }
+        let order = greedy_order(&shapes, &sizes, &initially_bound);
+        let builtin_at = schedule_builtins(&shapes, &order, &builtin_shapes, &initially_bound)
+            .map_err(|unscheduled| {
+                let v = d.builtins[unscheduled]
+                    .variables()
+                    .into_iter()
+                    .next()
+                    .map(|v| v.to_string())
+                    .unwrap_or_default();
+                QueryError::UnsafeVariable(v)
+            })?;
+        let probe = probe_columns(&shapes, &order, &initially_bound);
+        // Classify fully-bound existence steps by replaying the
+        // binding order the join will follow.
+        let mut bound = initially_bound;
+        let mut exist = Vec::with_capacity(order.len());
+        for (depth, &ai) in order.iter().enumerate() {
+            let all_bound = shapes[ai].iter().all(|s| s.is_none_or(|v| bound[v]));
+            exist.push(
+                matches!(atoms[ai].src, Source::Base(_))
+                    && all_bound
+                    && builtin_at[depth + 1].is_empty(),
+            );
+            for &v in shapes[ai].iter().flatten() {
+                bound[v] = true;
+            }
+        }
+        Ok(ModePlan {
+            order,
+            builtin_at,
+            probe,
+            exist,
+        })
+    };
+    let mut planned = [None, None];
+    for &mode in modes {
+        planned[mode as usize] = Some(plan_mode(mode)?);
+    }
+    Ok(ConjPlan {
+        head,
+        atoms,
+        builtins,
+        nvars,
+        modes: planned,
+    })
+}
+
+/// The planning environment of [`ConjSet::compile`]: base relations
+/// are compiled on first reference into the set's own interner.
+struct CompileEnv<'a> {
+    provider: &'a dyn RelProvider,
+    dynamic: Option<(&'a str, usize)>,
+    syms: ValueInterner,
+    rels: Vec<CompiledRel>,
+    rel_ids: HashMap<String, usize>,
+}
+
+impl PlanEnv for CompileEnv<'_> {
+    fn intern(&mut self, v: &Value) -> u32 {
+        self.syms.intern(v)
+    }
+
+    fn resolve(&mut self, a: &RelAtom) -> Result<(Source, usize)> {
+        match self.dynamic {
+            // The dynamic relation shadows any same-named base
+            // relation, matching `Database::set_relation`.
+            Some((name, arity)) if *a.relation == *name => {
+                check_arity(a, arity)?;
+                Ok((Source::Dyn, 0))
+            }
+            _ => {
+                let rel = self
+                    .provider
+                    .get_relation(&a.relation)
+                    .ok_or_else(|| QueryError::UnknownRelation(a.relation.to_string()))?;
+                check_arity(a, rel.schema().arity())?;
+                let ri = match self.rel_ids.get(&*a.relation) {
+                    Some(&ri) => ri,
+                    None => {
+                        self.rels.push(CompiledRel::compile(&a.relation, rel, &mut self.syms));
+                        self.rel_ids.insert(a.relation.to_string(), self.rels.len() - 1);
+                        self.rels.len() - 1
+                    }
+                };
+                Ok((Source::Base(ri), self.rels[ri].rows))
+            }
+        }
+    }
 }
 
 impl ConjSet {
     fn compile(
         disjuncts: &[ConjunctiveQuery],
-        db: &Database,
+        provider: &dyn RelProvider,
         dynamic: Option<(&str, usize)>,
+        usage: Usage,
     ) -> Result<ConjSet> {
-        let mut syms = ValueInterner::new();
-        let mut rels: Vec<CompiledRel> = Vec::new();
-        let mut rel_ids: HashMap<String, usize> = HashMap::new();
+        let use_bitsets = matches!(usage, Usage::Cached);
+        let modes: &[Mode] = match usage {
+            Usage::Cached => &[Mode::Eval, Mode::Membership],
+            Usage::Once(Mode::Eval) => &[Mode::Eval],
+            Usage::Once(Mode::Membership) => &[Mode::Membership],
+        };
+        let mut env = CompileEnv {
+            provider,
+            dynamic,
+            syms: ValueInterner::new(),
+            rels: Vec::new(),
+            rel_ids: HashMap::new(),
+        };
         let mut plans = Vec::with_capacity(disjuncts.len());
-
         for d in disjuncts {
-            d.check_safe()?;
-
-            // Dense variable interning, in the interpreter's traversal
-            // order (head, atoms, builtins) so both sides derive the
-            // same shapes and therefore the same static plans.
-            let mut var_ids: HashMap<crate::term::Var, usize> = HashMap::new();
-            let mut pterm = |t: &Term, syms: &mut ValueInterner| match t {
-                Term::Var(v) => {
-                    let next = var_ids.len();
-                    PTerm::Var(*var_ids.entry(v.clone()).or_insert(next))
-                }
-                Term::Const(c) => PTerm::Sym(syms.intern(c)),
-            };
-            let head: Vec<PTerm> = d.head.iter().map(|t| pterm(t, &mut syms)).collect();
-            let mut atoms = Vec::with_capacity(d.atoms.len());
-            for a in &d.atoms {
-                let terms: Vec<PTerm> = a.terms.iter().map(|t| pterm(t, &mut syms)).collect();
-                let src = match dynamic {
-                    // The dynamic relation shadows any same-named base
-                    // relation, matching `Database::set_relation`.
-                    Some((name, arity)) if *a.relation == *name => {
-                        if a.terms.len() != arity {
-                            return Err(QueryError::AtomArityMismatch {
-                                relation: a.relation.to_string(),
-                                expected: arity,
-                                found: a.terms.len(),
-                            });
-                        }
-                        Source::Dyn
-                    }
-                    _ => {
-                        let rel = db
-                            .relation(&a.relation)
-                            .ok_or_else(|| QueryError::UnknownRelation(a.relation.to_string()))?;
-                        if a.terms.len() != rel.schema().arity() {
-                            return Err(QueryError::AtomArityMismatch {
-                                relation: a.relation.to_string(),
-                                expected: rel.schema().arity(),
-                                found: a.terms.len(),
-                            });
-                        }
-                        let ri = *rel_ids.entry(a.relation.to_string()).or_insert_with(|| {
-                            rels.push(CompiledRel::compile(rel, &mut syms));
-                            rels.len() - 1
-                        });
-                        Source::Base(ri)
-                    }
-                };
-                atoms.push(PAtom { src, terms });
-            }
-            let builtins: Vec<PBuiltin> = d
-                .builtins
-                .iter()
-                .map(|b| {
-                    let (l, r) = match b {
-                        Builtin::Cmp(c) => (&c.left, &c.right),
-                        Builtin::DistLe { left, right, .. } => (left, right),
-                    };
-                    PBuiltin {
-                        original: b.clone(),
-                        left: pterm(l, &mut syms),
-                        right: pterm(r, &mut syms),
-                    }
-                })
-                .collect();
-            let nvars = var_ids.len();
-
-            let term_shape = |t: &PTerm| match t {
-                PTerm::Var(v) => Some(*v),
-                PTerm::Sym(_) => None,
-            };
-            let shapes: Vec<AtomShape> = atoms
-                .iter()
-                .map(|a| a.terms.iter().map(term_shape).collect())
-                .collect();
-            // Sizes drive the greedy tie-break. Base relations use
-            // their snapshot size; the dynamic relation counts as 0
-            // (it holds a handful of package items per probe, and no
-            // tick-parity is required on the dynamic path).
-            let sizes: Vec<usize> = atoms
-                .iter()
-                .map(|a| match a.src {
-                    Source::Base(ri) => rels[ri].rows,
-                    Source::Dyn => 0,
-                })
-                .collect();
-            let builtin_shapes: Vec<(Option<usize>, Option<usize>)> = builtins
-                .iter()
-                .map(|b| (term_shape(&b.left), term_shape(&b.right)))
-                .collect();
-
-            let mode = |initially_bound: &[bool]| -> Result<ModePlan> {
-                let order = greedy_order(&shapes, &sizes, initially_bound);
-                let builtin_at = schedule_builtins(&shapes, &order, &builtin_shapes, initially_bound)
-                    .map_err(|unscheduled| {
-                        let v = d.builtins[unscheduled]
-                            .variables()
-                            .into_iter()
-                            .next()
-                            .map(|v| v.to_string())
-                            .unwrap_or_default();
-                        QueryError::UnsafeVariable(v)
-                    })?;
-                let probe = probe_columns(&shapes, &order, initially_bound);
-                // Classify fully-bound existence steps by replaying
-                // the binding order the join will follow.
-                let mut bound = initially_bound.to_vec();
-                let mut exist = Vec::with_capacity(order.len());
-                for (depth, &ai) in order.iter().enumerate() {
-                    let all_bound = shapes[ai].iter().all(|s| s.is_none_or(|v| bound[v]));
-                    exist.push(
-                        matches!(atoms[ai].src, Source::Base(_))
-                            && all_bound
-                            && builtin_at[depth + 1].is_empty(),
-                    );
-                    for s in &shapes[ai] {
-                        if let Some(v) = *s {
-                            bound[v] = true;
-                        }
-                    }
-                }
-                Ok(ModePlan {
-                    order,
-                    builtin_at,
-                    probe,
-                    exist,
-                })
-            };
-            let eval_mode = mode(&vec![false; nvars])?;
-            let mut head_bound = vec![false; nvars];
-            for t in &head {
-                if let PTerm::Var(v) = t {
-                    head_bound[*v] = true;
-                }
-            }
-            let bound_mode = mode(&head_bound)?;
-
-            // Force every column index the static access paths probe,
-            // and adopt the columnar bitsets behind every fully-bound
-            // existence step (the row indexes stay, for metered runs).
-            for m in [&eval_mode, &bound_mode] {
+            let plan = plan_disjunct(d, &mut env, modes)?;
+            // Build every column index the access paths probe; cached
+            // plans also adopt the columnar bitsets behind fully-bound
+            // existence steps (the row indexes stay, for metered runs).
+            for m in plan.modes.iter().flatten() {
                 for (depth, &ai) in m.order.iter().enumerate() {
-                    if let Source::Base(ri) = atoms[ai].src {
+                    if let Source::Base(ri) = plan.atoms[ai].src {
                         if let Some(col) = m.probe[depth] {
-                            rels[ri].ensure_index(col);
+                            env.rels[ri].ensure_index(col);
                         }
-                        if m.exist[depth] {
-                            let rel = db
-                                .relation(&rels[ri].name)
-                                .expect("resolved when the atom was compiled");
-                            rels[ri].ensure_bitsets(rel, &syms);
+                        if use_bitsets && m.exist[depth] {
+                            let rel = provider
+                                .get_relation(&env.rels[ri].name)
+                                .expect("resolved when the atom was planned");
+                            env.rels[ri].ensure_bitsets(rel, &env.syms);
                         }
                     }
                 }
             }
-
-            plans.push(ConjPlan {
-                head,
-                atoms,
-                builtins,
-                nvars,
-                eval_mode,
-                bound_mode,
-            });
+            plans.push(plan);
         }
-
         Ok(ConjSet {
-            syms,
-            rels,
+            syms: env.syms,
+            rels: env.rels,
             plans,
-            use_bitsets: true,
+            use_bitsets,
         })
     }
 
@@ -660,65 +900,188 @@ impl ConjSet {
         &self,
         ctx: EvalContext<'_>,
         pre_bound: Option<&Tuple>,
-        dyn_table: Option<&DynTable>,
+        dyn_table: Option<&CompiledRel>,
         syms: &mut ProbeSyms<'_>,
         stop_on_first: bool,
     ) -> Result<BTreeSet<Tuple>> {
+        let mode = if pre_bound.is_some() {
+            Mode::Membership
+        } else {
+            Mode::Eval
+        };
         let mut out = BTreeSet::new();
-        'disjuncts: for plan in &self.plans {
+        for plan in &self.plans {
             let _span = pkgrec_trace::span!("cq.eval");
-            let mode = if pre_bound.is_some() {
-                &plan.bound_mode
-            } else {
-                &plan.eval_mode
-            };
-            let mut bindings: Vec<Option<u32>> = vec![None; plan.nvars];
-            if let Some(t) = pre_bound {
-                if t.arity() != plan.head.len() {
-                    continue; // wrong arity can never match
-                }
-                for (term, val) in plan.head.iter().zip(t.values()) {
-                    let vid = syms.intern(val);
-                    match term {
-                        PTerm::Sym(id) => {
-                            if *id != vid {
-                                continue 'disjuncts;
-                            }
-                        }
-                        PTerm::Var(v) => match bindings[*v] {
-                            Some(existing) if existing != vid => continue 'disjuncts,
-                            Some(_) => {}
-                            None => bindings[*v] = Some(vid),
-                        },
-                    }
-                }
-            }
-            // Builtins determined before any join.
-            let mut ok = true;
-            for &bi in &mode.builtin_at[0] {
-                let b = &plan.builtins[bi];
-                let (l, r) = resolved_ids(b, &bindings)?;
-                if !ctx.eval_builtin(&b.original, syms.resolve(l), syms.resolve(r))? {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                continue;
-            }
             let run = ConjRun {
                 ctx,
-                set: self,
+                rels: &self.rels,
+                local: &[],
+                use_bitsets: self.use_bitsets,
                 plan,
-                mode,
+                mode: plan.modes[mode as usize]
+                    .as_ref()
+                    .ok_or_else(|| QueryError::Internal("plan mode was not compiled".into()))?,
                 dyn_table,
                 stop_on_first,
             };
-            if run.search(0, &mut bindings, syms, &mut out)? && stop_on_first {
+            if run.start(pre_bound, syms, &mut out)? && stop_on_first {
                 return Ok(out);
             }
         }
         Ok(out)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Datalog rule firing: the same executor over relations compiled once
+// per fixpoint.
+// ---------------------------------------------------------------------
+
+/// The relations a Datalog program reads from its database, compiled
+/// once into one interner, with an index on every column a rule firing
+/// can probe. Every firing of a fixpoint shares them — and, in a cached
+/// [`DlPlan`], every probe's fixpoint does.
+pub(crate) struct EdbRels {
+    syms: ValueInterner,
+    rels: Vec<CompiledRel>,
+    ids: HashMap<String, usize>,
+}
+
+impl EdbRels {
+    /// Compile the EDB relations of `prog`'s rule bodies from
+    /// `provider`, except `dynamic`, which each run binds itself.
+    pub(crate) fn compile(
+        prog: &DatalogProgram,
+        provider: &dyn RelProvider,
+        dynamic: Option<&str>,
+    ) -> Result<EdbRels> {
+        let idb = prog.idb_predicates();
+        let mut edb = EdbRels {
+            syms: ValueInterner::new(),
+            rels: Vec::new(),
+            ids: HashMap::new(),
+        };
+        let atoms = prog.rules.iter().flat_map(|r| &r.body).filter_map(|l| match l {
+            BodyLiteral::Rel(a) => Some(a),
+            BodyLiteral::Builtin(_) => None,
+        });
+        for a in atoms {
+            if idb.contains(&a.relation) || dynamic == Some(&*a.relation) {
+                continue;
+            }
+            let ri = match edb.ids.get(&*a.relation) {
+                Some(&ri) => ri,
+                None => {
+                    let rel = provider
+                        .get_relation(&a.relation)
+                        .ok_or_else(|| QueryError::UnknownRelation(a.relation.to_string()))?;
+                    edb.rels.push(CompiledRel::compile(&a.relation, rel, &mut edb.syms));
+                    edb.ids.insert(a.relation.to_string(), edb.rels.len() - 1);
+                    edb.rels.len() - 1
+                }
+            };
+            // A firing probes the atom's first determined position, so
+            // no position past its first constant is ever probed.
+            let upto = a
+                .terms
+                .iter()
+                .position(|t| matches!(t, Term::Const(_)))
+                .map_or(a.terms.len(), |p| p + 1);
+            let rel = &mut edb.rels[ri];
+            for col in 0..upto.min(rel.arity) {
+                rel.ensure_index(col);
+            }
+        }
+        Ok(edb)
+    }
+}
+
+/// One fixpoint's rule executor: the shared [`EdbRels`], plus the
+/// relations each run binds — IDB facts and deltas per round, the
+/// dynamic relation once — interned as a per-run extension.
+pub(crate) struct RuleRunner<'e> {
+    edb: &'e EdbRels,
+    syms: ProbeSyms<'e>,
+    local: Vec<CompiledRel>,
+    local_ids: HashMap<String, usize>,
+}
+
+impl<'e> RuleRunner<'e> {
+    pub(crate) fn new(edb: &'e EdbRels) -> Self {
+        RuleRunner {
+            edb,
+            syms: ProbeSyms::new(&edb.syms),
+            local: Vec::new(),
+            local_ids: HashMap::new(),
+        }
+    }
+
+    /// Bind `name` to `tuples` (each of arity `arity`), replacing any
+    /// earlier binding. Bound names shadow the EDB.
+    pub(crate) fn bind<'t>(
+        &mut self,
+        name: &str,
+        arity: usize,
+        tuples: impl IntoIterator<Item = &'t Tuple>,
+    ) {
+        let rel = CompiledRel::intern_tuples(name, arity, tuples, &mut self.syms);
+        match self.local_ids.get(name) {
+            Some(&li) => self.local[li] = rel,
+            None => {
+                self.local_ids.insert(name.to_string(), self.local.len());
+                self.local.push(rel);
+            }
+        }
+    }
+
+    /// Run one rule body (a conjunction, planned against the current
+    /// bindings' sizes) and return its head tuples.
+    pub(crate) fn fire(
+        &mut self,
+        ctx: EvalContext<'_>,
+        body: &ConjunctiveQuery,
+    ) -> Result<BTreeSet<Tuple>> {
+        let plan = plan_disjunct(body, self, &[Mode::Eval])?;
+        let mode = plan.modes[Mode::Eval as usize]
+            .as_ref()
+            .expect("planned above");
+        for (depth, &ai) in mode.order.iter().enumerate() {
+            // EDB indexes were built by `EdbRels::compile`.
+            if let (Source::Local(li), Some(col)) = (plan.atoms[ai].src, mode.probe[depth]) {
+                self.local[li].ensure_index(col);
+            }
+        }
+        let run = ConjRun {
+            ctx,
+            rels: &self.edb.rels,
+            local: &self.local,
+            use_bitsets: false,
+            plan: &plan,
+            mode,
+            dyn_table: None,
+            stop_on_first: false,
+        };
+        let mut out = BTreeSet::new();
+        run.start(None, &mut self.syms, &mut out)?;
+        Ok(out)
+    }
+}
+
+impl PlanEnv for RuleRunner<'_> {
+    fn intern(&mut self, v: &Value) -> u32 {
+        self.syms.intern(v)
+    }
+
+    fn resolve(&mut self, a: &RelAtom) -> Result<(Source, usize)> {
+        let (src, rel) = if let Some(&li) = self.local_ids.get(&*a.relation) {
+            (Source::Local(li), &self.local[li])
+        } else if let Some(&ri) = self.edb.ids.get(&*a.relation) {
+            (Source::Base(ri), &self.edb.rels[ri])
+        } else {
+            return Err(QueryError::UnknownRelation(a.relation.to_string()));
+        };
+        check_arity(a, rel.arity)?;
+        Ok((src, rel.rows))
     }
 }
 
@@ -775,47 +1138,62 @@ impl<'a> ProbeSyms<'a> {
     }
 }
 
-/// The dynamic relation's tuples, interned for one probe.
-struct DynTable {
-    arity: usize,
-    rows: usize,
-    cells: Vec<u32>,
-}
-
-impl DynTable {
-    fn build<'t>(
-        arity: usize,
-        items: impl IntoIterator<Item = &'t Tuple>,
-        syms: &mut ProbeSyms<'_>,
-    ) -> DynTable {
-        let mut cells = Vec::new();
-        let mut rows = 0;
-        for t in items {
-            debug_assert_eq!(t.arity(), arity, "caller checks item arity");
-            for v in t.values() {
-                cells.push(syms.intern(v));
-            }
-            rows += 1;
-        }
-        DynTable { arity, rows, cells }
-    }
-
-    fn row(&self, row: usize) -> &[u32] {
-        &self.cells[row * self.arity..(row + 1) * self.arity]
-    }
-}
-
 /// One depth-first join over a compiled disjunct.
 struct ConjRun<'r> {
     ctx: EvalContext<'r>,
-    set: &'r ConjSet,
+    /// The relations [`Source::Base`] atoms read.
+    rels: &'r [CompiledRel],
+    /// The relations [`Source::Local`] atoms read.
+    local: &'r [CompiledRel],
+    use_bitsets: bool,
     plan: &'r ConjPlan,
     mode: &'r ModePlan,
-    dyn_table: Option<&'r DynTable>,
+    dyn_table: Option<&'r CompiledRel>,
     stop_on_first: bool,
 }
 
 impl ConjRun<'_> {
+    /// Bind the head to `pre_bound` (when given), check the builtins
+    /// determined before any join, and run the join. Returns `true`
+    /// when an answer was found and the caller asked to stop at the
+    /// first one.
+    fn start(
+        &self,
+        pre_bound: Option<&Tuple>,
+        syms: &mut ProbeSyms<'_>,
+        out: &mut BTreeSet<Tuple>,
+    ) -> Result<bool> {
+        let mut bindings: Vec<Option<u32>> = vec![None; self.plan.nvars];
+        if let Some(t) = pre_bound {
+            if t.arity() != self.plan.head.len() {
+                return Ok(false); // wrong arity can never match
+            }
+            for (term, val) in self.plan.head.iter().zip(t.values()) {
+                let vid = syms.intern(val);
+                match term {
+                    PTerm::Sym(id) => {
+                        if *id != vid {
+                            return Ok(false);
+                        }
+                    }
+                    PTerm::Var(v) => match bindings[*v] {
+                        Some(existing) if existing != vid => return Ok(false),
+                        Some(_) => {}
+                        None => bindings[*v] = Some(vid),
+                    },
+                }
+            }
+        }
+        for &bi in &self.mode.builtin_at[0] {
+            let b = &self.plan.builtins[bi];
+            let (l, r) = resolved_ids(b, &bindings)?;
+            if !self.ctx.eval_builtin(&b.original, syms.resolve(l), syms.resolve(r))? {
+                return Ok(false);
+            }
+        }
+        self.search(0, &mut bindings, syms, out)
+    }
+
     /// Returns `true` when an answer was found and the caller asked to
     /// stop at the first one.
     fn search(
@@ -839,57 +1217,56 @@ impl ConjRun<'_> {
 
         let ai = self.mode.order[depth];
         let atom = &self.plan.atoms[ai];
-        match atom.src {
-            Source::Base(ri) => {
-                let rel = &self.set.rels[ri];
-                // Fully-bound existence steps collapse to a word-wise
-                // bitset intersection: no bindings change, so a single
-                // recursion replaces the whole candidate loop. Only on
-                // unmetered probes — the row path charges one budget
-                // tick per candidate, and metered runs must stay
-                // tick-for-tick identical to the interpreter.
-                if self.mode.exist[depth] && self.set.use_bitsets && self.ctx.meter.is_none() {
-                    pkgrec_trace::counter!("query.bitset_probes");
-                    return if self.exist_probe(rel, atom, bindings) {
-                        self.search(depth + 1, bindings, syms, out)
-                    } else {
-                        Ok(false)
-                    };
-                }
-                match self.mode.probe[depth] {
-                    Some(col) => {
-                        let pid = atom.terms[col]
-                            .id(bindings)
-                            .expect("probe column statically determined");
-                        let index = rel
-                            .indexes
-                            .get(&col)
-                            .expect("probe index forced at compile time");
-                        if let Some(rows) = index.get(&pid) {
-                            for &row in rows {
-                                if self.candidate(depth, rel.row(row), bindings, syms, out)? {
-                                    return Ok(true);
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        for row in 0..rel.rows as u32 {
-                            if self.candidate(depth, rel.row(row), bindings, syms, out)? {
-                                return Ok(true);
-                            }
-                        }
-                    }
-                }
-            }
+        let rel = match atom.src {
+            Source::Base(ri) => &self.rels[ri],
+            Source::Local(li) => &self.local[li],
             Source::Dyn => {
                 // Per-probe tuples: a handful of package items, scanned
                 // linearly (no per-probe index construction).
                 if let Some(table) = self.dyn_table {
-                    for row in 0..table.rows {
+                    for row in 0..table.rows as u32 {
                         if self.candidate(depth, table.row(row), bindings, syms, out)? {
                             return Ok(true);
                         }
+                    }
+                }
+                return Ok(false);
+            }
+        };
+        // Fully-bound existence steps collapse to a word-wise bitset
+        // intersection: no bindings change, so a single recursion
+        // replaces the whole candidate loop. Only on unmetered probes —
+        // the row path charges one budget tick per candidate, and a
+        // metered run must charge the same ticks whichever plan runs it.
+        if self.mode.exist[depth] && self.use_bitsets && self.ctx.meter.is_none() {
+            pkgrec_trace::counter!("query.bitset_probes");
+            return if self.exist_probe(rel, atom, bindings) {
+                self.search(depth + 1, bindings, syms, out)
+            } else {
+                Ok(false)
+            };
+        }
+        match self.mode.probe[depth] {
+            Some(col) => {
+                let pid = atom.terms[col]
+                    .id(bindings)
+                    .expect("probe column statically determined");
+                let index = rel
+                    .indexes
+                    .get(&col)
+                    .expect("probe index built before the run");
+                if let Some(rows) = index.get(&pid) {
+                    for &row in rows {
+                        if self.candidate(depth, rel.row(row), bindings, syms, out)? {
+                            return Ok(true);
+                        }
+                    }
+                }
+            }
+            None => {
+                for row in 0..rel.rows as u32 {
+                    if self.candidate(depth, rel.row(row), bindings, syms, out)? {
+                        return Ok(true);
                     }
                 }
             }
@@ -921,8 +1298,7 @@ impl ConjRun<'_> {
     }
 
     /// Try one candidate row at `depth`: bind, check builtins, recurse,
-    /// unbind — the compiled mirror of the interpreter's candidate step,
-    /// charging exactly one tick per candidate.
+    /// unbind, charging exactly one tick per candidate.
     fn candidate(
         &self,
         depth: usize,
@@ -997,7 +1373,8 @@ impl ConjRun<'_> {
 struct FoPlan {
     query: FoQuery,
     /// Static evaluation domain: `adom(D)` ∪ the query's constants,
-    /// cached at compile time (the interpreter recomputes it per call).
+    /// cached at compile time (one-shot FO evaluation recomputes it
+    /// per call).
     domain: Vec<Value>,
     /// The domain contribution of everything *except* the dynamic
     /// relation (which `set_relation` semantics would replace), plus
@@ -1036,6 +1413,8 @@ impl FoPlan {
 
 struct DlPlan {
     prog: DatalogProgram,
+    /// The EDB, compiled once for every probe's fixpoint.
+    edb: EdbRels,
 }
 
 // ---------------------------------------------------------------------
@@ -1048,7 +1427,7 @@ struct DlPlan {
 /// expose the full static story — interned symbol count, the greedy
 /// join order per mode with each atom's relation cardinality and the
 /// index column it probes, and the builtin schedule; FO and Datalog
-/// plans report what their (interpreted-core) plans cache.
+/// plans report what their plans cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanReport {
     /// Plan family: `cq`, `ucq`, `fo` or `datalog`.
@@ -1119,22 +1498,22 @@ pub struct JoinStepReport {
 impl CompiledPlan {
     /// Describe this plan's static decisions. See [`PlanReport`].
     pub fn explain(&self) -> PlanReport {
-        let dynamic = self.dynamic.as_ref().map(|d| d.name.clone());
+        let dynamic = self.exec.dynamic.as_ref().map(|d| d.name.clone());
         let mut report = PlanReport {
-            kind: match &self.kind {
+            kind: match &self.exec.kind {
                 PlanKind::Conj(set) if set.plans.len() > 1 => "ucq",
                 PlanKind::Conj(_) => "cq",
                 PlanKind::Fo(_) => "fo",
                 PlanKind::Dl(_) => "datalog",
             },
-            arity: self.arity,
+            arity: self.exec.arity,
             interned_symbols: 0,
             dynamic: dynamic.clone(),
             disjuncts: Vec::new(),
             fo_domain: None,
             datalog_rules: None,
         };
-        match &self.kind {
+        match &self.exec.kind {
             PlanKind::Conj(set) => {
                 report.interned_symbols = set.syms.len();
                 for plan in &set.plans {
@@ -1157,6 +1536,9 @@ impl CompiledPlan {
                                         bitset: mode.exist[depth],
                                         builtins_after: mode.builtin_at[depth + 1].len(),
                                     },
+                                    Source::Local(_) => {
+                                        unreachable!("only rule firings bind per-run relations")
+                                    }
                                     Source::Dyn => JoinStepReport {
                                         relation: dynamic.clone().unwrap_or_default(),
                                         rows: None,
@@ -1173,10 +1555,12 @@ impl CompiledPlan {
                         atoms: plan.atoms.len(),
                         builtins: plan.builtins.len(),
                         variables: plan.nvars,
-                        modes: vec![
-                            mode_report("eval", &plan.eval_mode),
-                            mode_report("membership", &plan.bound_mode),
-                        ],
+                        modes: [(Mode::Eval, "eval"), (Mode::Membership, "membership")]
+                            .into_iter()
+                            .filter_map(|(m, name)| {
+                                plan.modes[m as usize].as_ref().map(|mp| mode_report(name, mp))
+                            })
+                            .collect(),
                     });
                 }
             }
@@ -1341,14 +1725,25 @@ impl PlanReport {
 impl DlPlan {
     fn compile(p: &DatalogProgram, db: &Database, dynamic: Option<&str>) -> Result<DlPlan> {
         p.check()?;
-        // Validate EDB references once; the dynamic relation is bound
-        // per probe and therefore always resolvable.
-        for name in p.edb_relations() {
-            if dynamic != Some(&*name) && db.relation(&name).is_none() {
-                return Err(QueryError::UnknownRelation(name.to_string()));
-            }
+        Ok(DlPlan {
+            prog: p.clone(),
+            edb: EdbRels::compile(p, db, dynamic)?,
+        })
+    }
+
+    /// Run the fixpoint, with the dynamic relation bound to the given
+    /// items when the plan has one.
+    fn eval<'t>(
+        &self,
+        ctx: EvalContext<'_>,
+        dynamic: Option<(&DynSpec, impl IntoIterator<Item = &'t Tuple>)>,
+    ) -> Result<BTreeSet<Tuple>> {
+        let _span = pkgrec_trace::span!("datalog.fixpoint");
+        let mut runner = RuleRunner::new(&self.edb);
+        if let Some((spec, items)) = dynamic {
+            runner.bind(&spec.name, spec.arity, items);
         }
-        Ok(DlPlan { prog: p.clone() })
+        dl_eval::fixpoint(ctx, &self.prog, runner)
     }
 }
 
@@ -1388,30 +1783,36 @@ mod tests {
         ))
     }
 
+    /// The FO embedding, evaluated by the active-domain engine: the
+    /// reference conjunctive plans are checked against.
+    fn fo_reference(q: &Query) -> Query {
+        match q {
+            Query::Cq(c) => Query::Fo(crate::rewrite::cq_to_fo(c)),
+            Query::Ucq(u) => Query::Fo(crate::rewrite::ucq_to_fo(u)),
+            other => other.clone(),
+        }
+    }
+
     #[test]
-    fn cq_plan_matches_interpreter() {
+    fn cq_plan_matches_fo_embedding() {
         let db = db();
         let q = path2();
+        let reference = fo_reference(&q);
         let plan = q.compile(&db).unwrap();
         assert_eq!(plan.arity(), 2);
-        assert_eq!(plan.eval(None, None).unwrap(), q.eval(&db).unwrap());
+        assert_eq!(plan.eval(None, None).unwrap(), reference.eval(&db).unwrap());
         for t in [tuple![1, 3], tuple![4, 1], tuple![1, 4]] {
-            assert_eq!(
-                plan.contains(&t, None, None).unwrap(),
-                q.contains(&db, &t).unwrap(),
-                "membership of {t}"
-            );
-            assert_eq!(
-                !plan.eval_pre_bound(&t, None, None).unwrap().is_empty(),
-                q.contains(&db, &t).unwrap()
-            );
+            let member = reference.contains(&db, &t).unwrap();
+            assert_eq!(plan.contains(&t, None, None).unwrap(), member, "membership of {t}");
+            assert_eq!(!plan.eval_pre_bound(&t, None, None).unwrap().is_empty(), member);
+            assert_eq!(q.contains(&db, &t).unwrap(), member, "one-shot membership of {t}");
         }
-        // Wrong arity never matches, same as the interpreter.
+        // Wrong arity never matches.
         assert!(!plan.contains(&tuple![1], None, None).unwrap());
     }
 
     #[test]
-    fn ucq_plan_matches_interpreter() {
+    fn ucq_plan_matches_fo_embedding() {
         let db = db();
         let q1 = ConjunctiveQuery::new(
             vec![Term::v("y")],
@@ -1425,11 +1826,13 @@ mod tests {
         );
         let q = Query::Ucq(UnionQuery::new(vec![q1, q2]).unwrap());
         let plan = q.compile(&db).unwrap();
-        assert_eq!(plan.eval(None, None).unwrap(), q.eval(&db).unwrap());
+        let want = fo_reference(&q).eval(&db).unwrap();
+        assert_eq!(plan.eval(None, None).unwrap(), want);
+        assert_eq!(q.eval(&db).unwrap(), want);
     }
 
     #[test]
-    fn fo_plan_matches_interpreter() {
+    fn fo_plan_matches_one_shot_eval() {
         let db = db();
         let q = Query::Fo(FoQuery::new(
             vec![Term::v("x"), Term::v("y")],
@@ -1447,7 +1850,7 @@ mod tests {
     }
 
     #[test]
-    fn datalog_plan_matches_interpreter() {
+    fn datalog_plan_matches_one_shot_eval() {
         let db = db();
         let q = Query::Datalog(DatalogProgram::new(
             vec![
@@ -1472,10 +1875,22 @@ mod tests {
         assert_eq!(plan.eval(None, None).unwrap(), q.eval(&db).unwrap());
         assert!(plan.contains(&tuple![1, 4], None, None).unwrap());
         assert!(!plan.contains(&tuple![4, 1], None, None).unwrap());
+
+        // The EDB is compiled and indexed with the plan, so a probe
+        // indexes only what its fixpoint binds: round 1 (a size tie,
+        // so e is scanned) indexes its delta; round 2 scans its
+        // smaller delta and probes e's prebuilt index.
+        let _scope = pkgrec_trace::scoped();
+        pkgrec_trace::reset();
+        assert!(plan.contains(&tuple![1, 4], None, None).unwrap());
+        let report = pkgrec_trace::take();
+        assert_eq!(report.counters["datalog.fixpoint_rounds"], 2);
+        assert_eq!(report.counters["query.index_builds"], 1);
     }
 
-    /// The dynamic overlay must agree with the interpreted
-    /// `db.with_relation(R_Q)` route — for every language family.
+    /// The dynamic overlay must agree with materializing the relation
+    /// via `db.with_relation(R_Q)` — for every language family, cached
+    /// and one-shot.
     #[test]
     fn dynamic_overlay_matches_with_relation() {
         let db = db();
@@ -1523,20 +1938,25 @@ mod tests {
         for q in queries {
             let plan = q.compile_with_dynamic(&db, "RQ", 2).unwrap();
             let compiled = plan.eval_dynamic(items.iter(), None, None).unwrap();
-            let interpreted = q.eval(&overlaid).unwrap();
-            assert_eq!(compiled, interpreted, "query {q}");
+            let materialized = q.eval(&overlaid).unwrap();
+            assert_eq!(compiled, materialized, "query {q}");
             assert_eq!(
                 plan.has_answer_dynamic(items.iter(), None, None).unwrap(),
-                !interpreted.is_empty()
+                !materialized.is_empty()
+            );
+            assert_eq!(
+                q.has_answer_with(EvalContext::new(&db), "RQ", 2, items.iter())
+                    .unwrap(),
+                !materialized.is_empty()
             );
             // The empty package binds an empty dynamic relation.
             assert!(!plan.has_answer_dynamic([], None, None).unwrap());
         }
     }
 
-    /// Satellite regression: a relaxed query's `DistLe` constants must
-    /// enter the cached FO evaluation domain, exactly as they enter the
-    /// interpreter's per-call domain.
+    /// Regression: a relaxed query's `DistLe` constants must enter the
+    /// cached FO evaluation domain, exactly as they enter the one-shot
+    /// engine's per-call domain.
     #[test]
     fn relaxed_query_constants_enter_cached_domain() {
         let db = db();
@@ -1559,8 +1979,9 @@ mod tests {
         assert_eq!(compiled, q.eval_with_metrics(&db, &metrics).unwrap());
     }
 
+    /// A cached plan and a per-call compile charge the same ticks.
     #[test]
-    fn budget_interruption_matches_interpreter() {
+    fn budget_interruption_matches_one_shot() {
         let db = db();
         let q = path2();
         let plan = q.compile(&db).unwrap();
@@ -1571,9 +1992,10 @@ mod tests {
         for budget in [used.saturating_sub(1), used] {
             let m1 = Budget::with_steps(budget).meter();
             let m2 = Budget::with_steps(budget).meter();
-            let compiled = plan.eval(None, Some(&m1));
-            let interpreted = q.eval_budgeted(&db, &m2);
-            match (compiled, interpreted) {
+            let cached = plan.eval(None, Some(&m1));
+            let one_shot = q.eval_budgeted(&db, &m2);
+            assert_eq!(m1.spent(), m2.spent());
+            match (cached, one_shot) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b),
                 (Err(QueryError::Interrupted(_)), Err(QueryError::Interrupted(_))) => {}
                 (a, b) => panic!("divergent budget outcomes: {a:?} vs {b:?}"),

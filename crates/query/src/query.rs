@@ -1,15 +1,15 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-
 use pkgrec_data::{Database, Tuple, Value};
 
 use crate::cq::{ConjunctiveQuery, UnionQuery};
 use crate::datalog::{BodyLiteral, DatalogProgram};
-use crate::eval::{cq as cq_eval, datalog as dl_eval, fo as fo_eval, EvalContext};
+use crate::eval::{datalog as dl_eval, fo as fo_eval, EvalContext};
 use crate::fo::{Formula, FoQuery};
 use crate::language::QueryLanguage;
 use crate::metric::MetricSet;
+use crate::plan::eval_conj_once;
 use crate::term::{Builtin, RelAtom, Term};
 use crate::Result;
 
@@ -87,11 +87,13 @@ impl Query {
     }
 
     /// Evaluate `Q(D)` with an explicit context (metrics for relaxed
-    /// queries).
+    /// queries). CQ/UCQ queries compile a one-shot plan against
+    /// `ctx.db` and run it once; to evaluate repeatedly, keep a
+    /// [`Query::compile`]d plan instead.
     pub fn eval_ctx(&self, ctx: EvalContext<'_>) -> Result<BTreeSet<Tuple>> {
         match self {
-            Query::Cq(q) => cq_eval::eval_cq(ctx, q, None),
-            Query::Ucq(q) => cq_eval::eval_ucq(ctx, q, None),
+            Query::Cq(q) => eval_conj_once(ctx, ctx.db, std::slice::from_ref(q), None, false),
+            Query::Ucq(q) => eval_conj_once(ctx, ctx.db, &q.disjuncts, None, false),
             Query::Fo(q) => fo_eval::eval_fo(ctx, q, None),
             Query::Datalog(p) => dl_eval::eval_datalog(ctx, p),
         }
@@ -124,11 +126,14 @@ impl Query {
     /// The membership test `t ∈ Q(D)` — the paper's "membership problem"
     /// whose complexity drives the upper bounds for DATALOGnr, FO and
     /// DATALOG (Theorem 4.1). For CQ/UCQ/FO the head is pre-bound so
-    /// evaluation only explores consistent tableaux.
+    /// evaluation only explores consistent tableaux; CQ/UCQ stop at the
+    /// first one.
     pub fn contains_ctx(&self, ctx: EvalContext<'_>, t: &Tuple) -> Result<bool> {
         match self {
-            Query::Cq(q) => Ok(!cq_eval::eval_cq(ctx, q, Some(t))?.is_empty()),
-            Query::Ucq(q) => Ok(!cq_eval::eval_ucq(ctx, q, Some(t))?.is_empty()),
+            Query::Cq(q) => {
+                Ok(!eval_conj_once(ctx, ctx.db, std::slice::from_ref(q), Some(t), true)?.is_empty())
+            }
+            Query::Ucq(q) => Ok(!eval_conj_once(ctx, ctx.db, &q.disjuncts, Some(t), true)?.is_empty()),
             Query::Fo(q) => Ok(!fo_eval::eval_fo(ctx, q, Some(t))?.is_empty()),
             Query::Datalog(p) => Ok(dl_eval::eval_datalog(ctx, p)?.contains(t)),
         }
@@ -340,6 +345,7 @@ mod tests {
     use super::*;
     use crate::datalog::Rule;
     use crate::term::{var, CmpOp};
+    use crate::QueryError;
     use pkgrec_data::{tuple, AttrType, Relation, RelationSchema};
 
     fn db() -> Database {
@@ -350,6 +356,231 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    /// e = {1→2, 2→3, 3→4, 1→3}; lbl = {2 mid, 3 mid, 4 end}.
+    fn join_db() -> Database {
+        let mut db = Database::new();
+        let e = RelationSchema::new("e", [("src", AttrType::Int), ("dst", AttrType::Int)])
+            .unwrap();
+        db.add_relation(
+            Relation::from_tuples(
+                e,
+                [tuple![1, 2], tuple![2, 3], tuple![3, 4], tuple![1, 3]],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let lbl = RelationSchema::new("lbl", [("n", AttrType::Int), ("tag", AttrType::Str)])
+            .unwrap();
+        db.add_relation(
+            Relation::from_tuples(lbl, [tuple![2, "mid"], tuple![3, "mid"], tuple![4, "end"]])
+                .unwrap(),
+        )
+        .unwrap();
+        db
+    }
+
+    fn path2() -> Query {
+        Query::Cq(ConjunctiveQuery::new(
+            vec![Term::v("x"), Term::v("z")],
+            vec![
+                RelAtom::new("e", vec![Term::v("x"), Term::v("y")]),
+                RelAtom::new("e", vec![Term::v("y"), Term::v("z")]),
+            ],
+            vec![],
+        ))
+    }
+
+    fn answers(q: &Query) -> BTreeSet<Tuple> {
+        q.eval(&join_db()).unwrap()
+    }
+
+    #[test]
+    fn single_atom_scan() {
+        assert_eq!(answers(&Query::Cq(ConjunctiveQuery::identity("e", 2))).len(), 4);
+    }
+
+    #[test]
+    fn join_two_atoms() {
+        // Q(x, z) :- e(x, y), e(y, z): paths of length 2.
+        assert_eq!(
+            answers(&path2()),
+            [tuple![1, 3], tuple![1, 4], tuple![2, 4]].into_iter().collect()
+        );
+    }
+
+    #[test]
+    fn constants_select() {
+        // Q(y) :- e(1, y).
+        let q = Query::Cq(ConjunctiveQuery::new(
+            vec![Term::v("y")],
+            vec![RelAtom::new("e", vec![Term::c(1), Term::v("y")])],
+            vec![],
+        ));
+        assert_eq!(answers(&q), [tuple![2], tuple![3]].into_iter().collect());
+    }
+
+    #[test]
+    fn builtins_filter() {
+        // Q(x, y) :- e(x, y), x != 1, y >= 4.
+        let q = Query::Cq(ConjunctiveQuery::new(
+            vec![Term::v("x"), Term::v("y")],
+            vec![RelAtom::new("e", vec![Term::v("x"), Term::v("y")])],
+            vec![
+                Builtin::cmp(Term::v("x"), CmpOp::Neq, Term::c(1)),
+                Builtin::cmp(Term::v("y"), CmpOp::Geq, Term::c(4)),
+            ],
+        ));
+        assert_eq!(answers(&q), [tuple![3, 4]].into_iter().collect());
+    }
+
+    #[test]
+    fn cross_relation_join_with_string() {
+        // Q(x, t) :- e(x, y), lbl(y, t), t = "mid".
+        let q = Query::Cq(ConjunctiveQuery::new(
+            vec![Term::v("x"), Term::v("t")],
+            vec![
+                RelAtom::new("e", vec![Term::v("x"), Term::v("y")]),
+                RelAtom::new("lbl", vec![Term::v("y"), Term::v("t")]),
+            ],
+            vec![Builtin::eq(Term::v("t"), Term::c("mid"))],
+        ));
+        assert_eq!(
+            answers(&q),
+            [tuple![1, "mid"], tuple![2, "mid"]].into_iter().collect()
+        );
+    }
+
+    #[test]
+    fn membership_prebinding() {
+        let db = join_db();
+        let q = path2();
+        assert!(q.contains(&db, &tuple![1, 4]).unwrap());
+        assert!(!q.contains(&db, &tuple![4, 1]).unwrap());
+        // Wrong arity can never match.
+        assert!(!q.contains(&db, &tuple![1]).unwrap());
+    }
+
+    #[test]
+    fn repeated_variable_in_atom() {
+        // Q(x) :- e(x, x): no self-loops in db.
+        let q = Query::Cq(ConjunctiveQuery::new(
+            vec![Term::v("x")],
+            vec![RelAtom::new("e", vec![Term::v("x"), Term::v("x")])],
+            vec![],
+        ));
+        assert!(answers(&q).is_empty());
+    }
+
+    #[test]
+    fn cartesian_product() {
+        let q = Query::Cq(ConjunctiveQuery::new(
+            vec![Term::v("x"), Term::v("n")],
+            vec![
+                RelAtom::new("e", vec![Term::v("x"), Term::v("y")]),
+                RelAtom::new("lbl", vec![Term::v("n"), Term::v("t")]),
+            ],
+            vec![],
+        ));
+        // 3 distinct x values × 3 distinct n values.
+        assert_eq!(answers(&q).len(), 9);
+    }
+
+    #[test]
+    fn unknown_relation_errors() {
+        let q = Query::Cq(ConjunctiveQuery::identity("nope", 2));
+        assert!(matches!(
+            q.eval(&join_db()),
+            Err(QueryError::UnknownRelation(_))
+        ));
+    }
+
+    #[test]
+    fn atom_arity_mismatch_errors() {
+        let q = Query::Cq(ConjunctiveQuery::identity("e", 3));
+        assert!(matches!(
+            q.eval(&join_db()),
+            Err(QueryError::AtomArityMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn ucq_unions() {
+        let select = |c: i64| {
+            ConjunctiveQuery::new(
+                vec![Term::v("y")],
+                vec![RelAtom::new("e", vec![Term::c(c), Term::v("y")])],
+                vec![],
+            )
+        };
+        let q = Query::Ucq(UnionQuery::new(vec![select(1), select(3)]).unwrap());
+        assert_eq!(
+            answers(&q),
+            [tuple![2], tuple![3], tuple![4]].into_iter().collect()
+        );
+    }
+
+    #[test]
+    fn head_constants_pass_through() {
+        let q = Query::Cq(ConjunctiveQuery::new(
+            vec![Term::c("seen"), Term::v("y")],
+            vec![RelAtom::new("e", vec![Term::c(1), Term::v("y")])],
+            vec![],
+        ));
+        assert!(answers(&q).contains(&tuple!["seen", 2]));
+    }
+
+    #[test]
+    fn boolean_query_emits_empty_tuple() {
+        // Q() :- e(1, 2): true, answer is {()}.
+        let q = Query::Cq(ConjunctiveQuery::new(
+            Vec::<Term>::new(),
+            vec![RelAtom::new("e", vec![Term::c(1), Term::c(2)])],
+            vec![],
+        ));
+        let ans = answers(&q);
+        assert_eq!(ans.len(), 1);
+        assert_eq!(ans.iter().next().unwrap().arity(), 0);
+
+        let qf = Query::Cq(ConjunctiveQuery::new(
+            Vec::<Term>::new(),
+            vec![RelAtom::new("e", vec![Term::c(4), Term::c(1)])],
+            vec![],
+        ));
+        assert!(answers(&qf).is_empty());
+    }
+
+    /// One-shot calls build only the row indexes they probe: no
+    /// columnar layout, which is cached on the `Relation` and pays off
+    /// only across the many probes of a compiled plan.
+    #[test]
+    fn one_shot_calls_build_no_columnar_relation() {
+        let _scope = pkgrec_trace::scoped();
+        let builds = |run: &dyn Fn(&Database)| {
+            pkgrec_trace::reset();
+            run(&join_db());
+            pkgrec_trace::take()
+                .counters
+                .get("query.index_builds")
+                .copied()
+                .unwrap_or(0)
+        };
+        let q = Query::Cq(ConjunctiveQuery::identity("e", 2));
+        // Membership of the identity query is one fully-bound existence
+        // step: a compiled plan adopts the bitsets behind it, so its
+        // compile builds the row index *and* the columnar layout.
+        let compiled = builds(&|db| {
+            let plan = q.compile(&std::sync::Arc::new(db.clone())).unwrap();
+            assert!(plan.contains(&tuple![1, 2], None, None).unwrap());
+        });
+        assert_eq!(compiled, 2);
+        // The one-shot membership test builds the row index alone.
+        assert_eq!(builds(&|db| assert!(q.contains(db, &tuple![1, 2]).unwrap())), 1);
+        // One-shot evaluation scans: nothing to build.
+        assert_eq!(builds(&|db| assert_eq!(q.eval(db).unwrap().len(), 4)), 0);
+        // Same for a join whose second step is an existence probe.
+        assert_eq!(builds(&|db| assert!(path2().contains(db, &tuple![1, 4]).unwrap())), 2);
     }
 
     #[test]

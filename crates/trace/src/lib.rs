@@ -64,7 +64,6 @@
 //! | `enumerate.pruned.compat` | core | subtrees skipped: anti-monotone `Qc` already violated |
 //! | `enumerate.pruned.budget` | core | walks cut short by the resource budget |
 //! | `enumerate.pruned.floor` | core | parallel units discarded above the merge floor |
-//! | `enumerate.steals` | core | search units claimed from another worker's deque |
 //! | `enumerate.valid` | core | packages passing all validity checks |
 //! | `enumerate.worker_panics` | core | search-unit panics caught and converted to typed errors |
 //! | `core.arity_derivations` | core | query answer-arity derivations (O(1) per search) |
@@ -144,7 +143,6 @@ pub const COUNTER_REGISTRY: &[CounterInfo] = &[
     CounterInfo { name: "enumerate.pruned.compat", layer: "core", help: "subtrees skipped: anti-monotone `Qc` already violated" },
     CounterInfo { name: "enumerate.pruned.budget", layer: "core", help: "walks cut short by the resource budget" },
     CounterInfo { name: "enumerate.pruned.floor", layer: "core", help: "parallel units discarded above the merge floor" },
-    CounterInfo { name: "enumerate.steals", layer: "core", help: "search units claimed from another worker's deque" },
     CounterInfo { name: "enumerate.valid", layer: "core", help: "packages passing all validity checks" },
     CounterInfo { name: "enumerate.worker_panics", layer: "core", help: "search-unit panics caught and converted to typed errors" },
     CounterInfo { name: "core.arity_derivations", layer: "core", help: "query answer-arity derivations (O(1) per search)" },

@@ -8,8 +8,8 @@
 //!   probes, across CQ and UCQ workloads;
 //! * metered runs — a budget meter forces the fast plan onto the row
 //!   path, so tick accounting stays bit-identical to the row plan
-//!   (the parity `tests/plan_equivalence.rs` pins against the
-//!   interpreter).
+//!   (and hence to per-call evaluation, which `tests/plan_equivalence.rs`
+//!   pins).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -178,7 +178,7 @@ proptest! {
         for budget in [base, base * 2, base * 4, base * 8] {
             // jobs=1 explicitly: a PKGREC_JOBS override must not turn
             // the sequential-monotonicity half into a parallel run
-            // (work stealing makes parallel cuts anytime-only).
+            // (worker timing makes parallel cuts anytime-only).
             let out =
                 cpp::count_valid(&inst, Ext::NegInf, &SolveOptions::limited(budget).with_jobs(1))
                     .unwrap();
