@@ -11,19 +11,21 @@
 //! cancellation) so callers can bound the (inherently exponential)
 //! search.
 //!
-//! Both engines walk the same *prefix partition* of the space (see
-//! [`Unit`]): the sequential engine visits the units in index order on
-//! one thread, the parallel engine deals them to workers and merges in
-//! index order. That shared structure is what the observability layer
-//! hangs off:
+//! There is one engine, [`reduce_valid_packages_in`], for every jobs
+//! level. It cuts the space into a *prefix partition* (see [`Unit`]);
+//! `jobs` workers claim the units in index order and the coordinator
+//! merges their folds in index order. Worker 0 runs inline on the
+//! calling thread and only workers `1..jobs` are spawned, so `jobs = 1`
+//! is one worker walking every unit on the caller's thread. The unit
+//! structure is what the observability layer hangs off:
 //!
 //! * every prune bumps an attributed `enumerate.pruned.*` counter
 //!   (cost / compat / budget / floor) instead of a lump sum;
 //! * with the flight recorder on (`pkgrec_trace::flight`), each node,
 //!   prune, valid package and interruption is appended to a bounded
-//!   per-thread event ring, and parallel workers' rings are replayed in
-//!   unit order so sequential and parallel runs produce bit-identical
-//!   merged recordings on uninterrupted searches;
+//!   per-thread event ring, and the workers' records are replayed in
+//!   unit order so every jobs level produces the same merged recording
+//!   on uninterrupted searches;
 //! * a shared [`Progress`] estimate is credited per node and per pruned
 //!   subtree — the subtree sizes are known in closed form, so the
 //!   fraction is exact, monotone, and reaches 1.0 on completion;
@@ -35,12 +37,13 @@
 //!   dropped — so the bit-identical recording contract is untouched.
 
 use std::ops::ControlFlow;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use pkgrec_data::Tuple;
-use pkgrec_guard::{Budget, Interrupted, Meter, SharedMeter, WorkerMeter};
+use pkgrec_guard::{Budget, Interrupted, SharedMeter, WorkerMeter};
 use pkgrec_trace::flight::{self, FlightEvent, PruneReason};
 use pkgrec_trace::{timeline, Telemetry};
 
@@ -58,11 +61,12 @@ pub struct SolveOptions {
     /// enumerated package; the deadline and cancellation flag are
     /// checked on the same cadence. Unlimited by default.
     pub budget: Budget,
-    /// Worker threads for the package-space walk. `0` (the default)
-    /// resolves to the `PKGREC_JOBS` environment variable, or `1` when
-    /// it is unset; `1` runs the sequential engine. Any value returns
+    /// Workers for the package-space walk. `0` (the default) resolves
+    /// to the `PKGREC_JOBS` environment variable, or `1` when it is
+    /// unset. Worker 0 runs on the calling thread and the others on
+    /// spawned threads, so `1` spawns none. Any value returns
     /// bit-identical results on uninterrupted runs (see
-    /// [`reduce_valid_packages`]).
+    /// [`reduce_valid_packages_in`]).
     pub jobs: usize,
     /// Shared live-progress estimate. When set, the search resets it at
     /// start and credits it as the walk advances, so another thread
@@ -166,40 +170,13 @@ impl From<Budget> for SolveOptions {
     }
 }
 
-/// How a search run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Completion {
-    /// The whole space was enumerated: negative answers are certified.
-    Exhausted,
-    /// The visitor stopped the search early via `ControlFlow::Break`.
-    Stopped,
-    /// The resource budget ran out; the visitor saw only a prefix of
-    /// the space.
-    Interrupted(Interrupted),
-}
-
-impl Completion {
-    /// Whether the whole space was enumerated.
-    pub fn is_exhausted(self) -> bool {
-        matches!(self, Completion::Exhausted)
-    }
-
-    /// The budget violation, when the search was cut off by one.
-    pub fn interrupted(self) -> Option<Interrupted> {
-        match self {
-            Completion::Interrupted(cut) => Some(cut),
-            _ => None,
-        }
-    }
-}
-
 /// Statistics reported by a completed search.
 ///
 /// Equality deliberately ignores [`workers`](SearchStats::workers):
 /// per-worker busy time and claim counts are wall-clock and scheduling
 /// dependent, while everything else — including the deterministic
 /// [`unit_skew`](SearchStats::unit_skew) summary — must stay
-/// bit-identical between the sequential and parallel engines.
+/// bit-identical across job counts.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Packages enumerated (including invalid ones). This is also the
@@ -214,19 +191,19 @@ pub struct SearchStats {
     /// visited or pruned, in `[0.0, 1.0)`) at the moment the budget cut
     /// the search off. `None` on uninterrupted runs — they end at
     /// exactly 1.0, and keeping the field `None` preserves bit-identical
-    /// stats across sequential and parallel engines.
+    /// stats across job counts.
     pub progress_at_interrupt: Option<f64>,
-    /// Size skew of the unit partition both engines walk: with
+    /// Size skew of the unit partition the workers walk: with
     /// `max ≫ mean`, the in-order claim cursor can leave workers idle
     /// behind one giant subtree. Computed in closed form from the
     /// unit list (no wall clock involved), so it is identical across
-    /// engines and job counts. `None` for searches that never built a
-    /// unit partition.
+    /// job counts. `None` for searches that never built a unit
+    /// partition.
     pub unit_skew: Option<UnitSkew>,
-    /// Per-worker attribution: busy wall time, units claimed, steps
-    /// ticked. Populated only while the profiler
-    /// (`pkgrec_trace::timeline`) is enabled — the disabled path takes
-    /// no timestamps — and excluded from equality.
+    /// Per-worker attribution, one entry per worker in index order:
+    /// busy wall time, units claimed, steps ticked. Populated only
+    /// while the profiler (`pkgrec_trace::timeline`) is enabled — the
+    /// disabled path takes no timestamps — and excluded from equality.
     pub workers: Vec<WorkerStat>,
 }
 
@@ -258,7 +235,7 @@ pub struct UnitSkew {
 /// What one worker did during a search (profiler-enabled runs only).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerStat {
-    /// Worker index (sequential engine: 0).
+    /// Worker index (0 = the inline worker on the calling thread).
     pub worker: u32,
     /// Wall time spent inside claimed units, nanoseconds.
     pub busy_ns: u64,
@@ -266,12 +243,6 @@ pub struct WorkerStat {
     pub units_claimed: u64,
     /// Budget steps (enumerated packages) this worker ticked.
     pub steps: u64,
-}
-
-/// What stopped a depth-first walk before exhaustion.
-enum Stop {
-    Visitor,
-    Budget(Interrupted),
 }
 
 /// Extract a human-readable message from a caught panic payload.
@@ -285,248 +256,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Run one unit's walk with a panic fence at the unit boundary: a
-/// panicking visitor, classifier, or injected `PKGREC_CHAOS` fault
-/// becomes a typed [`CoreError::WorkerPanic`] instead of unwinding
-/// through the engine (which, on a scoped worker thread, would abort
-/// the whole process). Bumps `enumerate.worker_panics` on catch.
-#[allow(clippy::too_many_arguments)]
-fn unit_walk_caught<M: SearchMeter>(
-    ctx: &SearchContext<'_>,
-    rating_bound: Option<Ext>,
-    meter: &M,
-    unit_idx: usize,
-    floor: &AtomicUsize,
-    max_size: usize,
-    pkg: &mut Package,
-    start: usize,
-    visit: &mut impl FnMut(&Package, Ext) -> ControlFlow<()>,
-    stats: &mut SearchStats,
-    sink: &mut ProgressSink<'_>,
-    fl: bool,
-) -> ControlFlow<UnitStop> {
-    let walk = std::panic::AssertUnwindSafe(|| {
-        unit_walk(
-            ctx, rating_bound, meter, unit_idx, floor, max_size, pkg, start, visit, stats,
-            sink, fl,
-        )
-    });
-    match std::panic::catch_unwind(walk) {
-        Ok(flow) => flow,
-        Err(payload) => {
-            pkgrec_trace::counter!("enumerate.worker_panics");
-            ControlFlow::Break(UnitStop::Error(CoreError::WorkerPanic {
-                unit: Some(unit_idx),
-                message: panic_message(payload.as_ref()),
-            }))
-        }
-    }
-}
-
-/// Enumerate every package `N ⊆ items` with `|N| ≤ max_size` (including
-/// the empty package), calling `visit` on each. `prune` is consulted
-/// after visiting a nonempty package; returning `true` skips all its
-/// supersets (the caller must guarantee soundness, e.g. via a monotone
-/// cost bound — hence the `enumerate.pruned.cost` attribution).
-///
-/// Returns how the walk ended; budget exhaustion is reported as
-/// [`Completion::Interrupted`] rather than an error so anytime callers
-/// can keep their best-so-far answer.
-pub fn for_each_package(
-    items: &[Tuple],
-    max_size: usize,
-    opts: &SolveOptions,
-    mut prune: impl FnMut(&Package) -> bool,
-    mut visit: impl FnMut(&Package) -> Result<ControlFlow<()>>,
-) -> Result<Completion> {
-    let _span = pkgrec_trace::span!("enumerate.dfs");
-    let mut pkg = Package::empty();
-    let meter = opts.budget.meter();
-
-    fn dfs(
-        items: &[Tuple],
-        start: usize,
-        max_size: usize,
-        meter: &Meter,
-        pkg: &mut Package,
-        prune: &mut impl FnMut(&Package) -> bool,
-        visit: &mut impl FnMut(&Package) -> Result<ControlFlow<()>>,
-    ) -> Result<ControlFlow<Stop>> {
-        if let Err(cut) = meter.tick() {
-            pkgrec_trace::counter!("enumerate.pruned.budget");
-            return Ok(ControlFlow::Break(Stop::Budget(cut)));
-        }
-        pkgrec_trace::counter!("enumerate.nodes");
-        if visit(pkg)?.is_break() {
-            return Ok(ControlFlow::Break(Stop::Visitor));
-        }
-        if !pkg.is_empty() && prune(pkg) {
-            pkgrec_trace::counter!("enumerate.pruned.cost");
-            return Ok(ControlFlow::Continue(()));
-        }
-        if pkg.len() == max_size {
-            return Ok(ControlFlow::Continue(()));
-        }
-        for i in start..items.len() {
-            pkg.insert(items[i].clone());
-            let flow = dfs(items, i + 1, max_size, meter, pkg, prune, visit);
-            pkg.remove(&items[i]);
-            if let ControlFlow::Break(stop) = flow? {
-                return Ok(ControlFlow::Break(stop));
-            }
-        }
-        Ok(ControlFlow::Continue(()))
-    }
-
-    let flow = dfs(items, 0, max_size, &meter, &mut pkg, &mut prune, &mut visit)?;
-    Ok(match flow {
-        ControlFlow::Continue(()) => Completion::Exhausted,
-        ControlFlow::Break(Stop::Visitor) => Completion::Stopped,
-        ControlFlow::Break(Stop::Budget(cut)) => Completion::Interrupted(cut),
-    })
-}
-
-/// Enumerate the *valid* packages of an instance (optionally also
-/// requiring `val(N) ≥ rating_bound`), calling `visit` with each valid
-/// package and its rating. Items are taken from `Q(D)` once, so the
-/// per-package membership test of [`SearchContext::is_valid_package`]
-/// is unnecessary here.
-///
-/// Returns the search statistics; `visit` may stop the search early via
-/// `ControlFlow::Break`, and a budget cut-off is recorded in
-/// [`SearchStats::interrupted`] rather than raised as an error.
-pub fn for_each_valid_package(
-    inst: &RecInstance,
-    rating_bound: Option<Ext>,
-    opts: &SolveOptions,
-    mut visit: impl FnMut(&Package, Ext) -> ControlFlow<()>,
-) -> Result<SearchStats> {
-    let ctx = inst.search_context()?;
-    sequential_walk(&ctx, rating_bound, opts, &mut visit)
-}
-
-/// The sequential engine: walk the units in index order on the calling
-/// thread. The `FnMut` visitor makes this inherently single-threaded;
-/// parallel searches go through [`reduce_valid_packages`]. Walking the
-/// same unit partition as the parallel engine (instead of one monolithic
-/// DFS) is what makes flight recordings and progress estimates
-/// bit-comparable across engines.
-fn sequential_walk(
-    ctx: &SearchContext<'_>,
-    rating_bound: Option<Ext>,
-    opts: &SolveOptions,
-    visit: &mut impl FnMut(&Package, Ext) -> ControlFlow<()>,
-) -> Result<SearchStats> {
-    let _span = pkgrec_trace::span!("enumerate.dfs");
-    let items = ctx.items();
-    let max_size = ctx.max_package_size();
-    let (units, preskipped) = build_units(ctx, rating_bound, max_size)?;
-    let total_nodes = count_nodes(items.len(), max_size);
-
-    let local_progress = Progress::new();
-    let progress = opts.progress.as_deref().unwrap_or(&local_progress);
-    progress.begin(units.len());
-    let mut sink = ProgressSink::new(progress, total_nodes);
-    sink.skip(preskipped);
-
-    let telemetry = pkgrec_trace::telemetry();
-    let (fl, tl) = (telemetry.flight, telemetry.profile);
-    flight::begin_search(units.len() as u64);
-    let _phase = timeline::phase("enumerate");
-
-    let meter = opts.budget.meter();
-    // The sequential engine never abandons a unit.
-    let floor = AtomicUsize::new(usize::MAX);
-    let mut stats = SearchStats {
-        unit_skew: Some(unit_skew(&units, items.len(), max_size)),
-        ..SearchStats::default()
-    };
-    let mut wstat = WorkerStat::default();
-    let mut interrupted = None;
-    for (idx, unit) in units.iter().enumerate() {
-        flight::begin_unit(idx as u64);
-        let claim_start = tl.then(std::time::Instant::now);
-        let steps_before = stats.packages_enumerated;
-        let (mut pkg, start) = unit_seed(items, *unit);
-        let flow = unit_walk_caught(
-            ctx,
-            rating_bound,
-            &meter,
-            idx,
-            &floor,
-            max_size,
-            &mut pkg,
-            start,
-            visit,
-            &mut stats,
-            &mut sink,
-            fl,
-        );
-        let steps = stats.packages_enumerated - steps_before;
-        flight::end_unit(steps, flow.is_continue());
-        if let Some(claimed) = claim_start {
-            wstat.busy_ns = wstat.busy_ns.saturating_add(
-                u64::try_from(claimed.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-            wstat.units_claimed += 1;
-            wstat.steps += steps;
-        }
-        match flow {
-            ControlFlow::Continue(()) => sink.unit_done(),
-            ControlFlow::Break(UnitStop::Visitor) => {
-                sink.flush();
-                // The rest of the space is decided (the visitor chose
-                // to stop), so the search is done.
-                progress.finish();
-                if tl {
-                    stats.workers.push(wstat);
-                }
-                return Ok(stats);
-            }
-            ControlFlow::Break(UnitStop::Error(e)) => {
-                sink.flush();
-                return Err(e);
-            }
-            ControlFlow::Break(UnitStop::Budget(cut)) => {
-                interrupted = Some(cut);
-                break;
-            }
-            ControlFlow::Break(UnitStop::Abandoned) => {
-                unreachable!("sequential walks never abandon a unit")
-            }
-        }
-    }
-    sink.flush();
-    match interrupted {
-        None => progress.finish(),
-        Some(cut) => {
-            stats.interrupted = Some(cut);
-            stats.progress_at_interrupt = Some(progress.fraction());
-        }
-    }
-    if tl {
-        stats.workers.push(wstat);
-    }
-    Ok(stats)
-}
-
 /// A fold over the valid packages of a search that can be split across
-/// worker threads: each worker folds its partition into a fresh
-/// accumulator with [`visit`](ValidPackageReducer::visit), and the
-/// coordinator combines the per-partition accumulators *in canonical
+/// workers: each worker folds every run of consecutive units it claims
+/// into a fresh accumulator with [`visit`](ValidPackageReducer::visit),
+/// and the coordinator combines the runs' accumulators *in canonical
 /// order* with [`merge`](ValidPackageReducer::merge).
 ///
-/// For results to be bit-identical to the sequential engine, `merge`
-/// must be the fold homomorphism of `visit`: folding a visit sequence
-/// split at any point and merging the halves must equal folding the
-/// whole sequence. All reducers in [`crate::problems`] satisfy this.
+/// For results to be identical at every job count, `merge` must be the
+/// fold homomorphism of `visit`: folding a visit sequence split at any
+/// point and merging the halves must equal folding the whole sequence.
+/// All reducers in [`crate::problems`] satisfy this.
 ///
 /// `visit` may return `ControlFlow::Break` to stop the search early
 /// (e.g. a counting reducer that has seen enough); packages after the
 /// breaking one — in canonical order — are then discarded, exactly as
-/// the sequential engine never visits them.
+/// if the walk had never reached them.
 pub trait ValidPackageReducer: Sync {
-    /// Per-partition accumulator.
+    /// Per-run accumulator.
     type Acc: Send;
 
     /// A fresh (identity) accumulator.
@@ -535,20 +281,14 @@ pub trait ValidPackageReducer: Sync {
     /// Fold one valid package into the accumulator.
     fn visit(&self, acc: &mut Self::Acc, pkg: &Package, val: Ext) -> ControlFlow<()>;
 
-    /// Combine a later partition's accumulator into an earlier one.
+    /// Combine a later run's accumulator into an earlier one.
     fn merge(&self, into: &mut Self::Acc, later: Self::Acc);
 }
 
-/// Fold the valid packages of `inst` with `reducer`, on
-/// [`SolveOptions::effective_jobs`] worker threads.
-///
-/// With `jobs = 1` this is exactly [`for_each_valid_package`]; with
-/// more, the canonical-order DFS is partitioned by first-item prefix
-/// and the per-worker folds are merged deterministically, so
-/// uninterrupted runs return **bit-identical** `(Acc, SearchStats)` for
-/// any job count. Budget-interrupted runs cover a canonical-order
-/// prefix of the space (possibly smaller than the sequential prefix for
-/// the same step limit), so anytime lower-bound guarantees carry over.
+/// Fold the valid packages of `inst` (optionally also requiring
+/// `val(N) ≥ rating_bound`) with `reducer`, on
+/// [`SolveOptions::effective_jobs`] workers; see
+/// [`reduce_valid_packages_in`].
 pub fn reduce_valid_packages<R: ValidPackageReducer>(
     inst: &RecInstance,
     rating_bound: Option<Ext>,
@@ -561,21 +301,173 @@ pub fn reduce_valid_packages<R: ValidPackageReducer>(
 
 /// [`reduce_valid_packages`] on a prebuilt [`SearchContext`] (solvers
 /// that need the context for other checks build it once and share it).
+/// This is the search engine: the item pool is taken from `Q(D)` once,
+/// so no package needs the membership test of
+/// [`SearchContext::is_valid_package`].
+///
+/// The canonical-order DFS is partitioned into units (see the module
+/// docs), and `jobs` workers claim them in index order off one cursor.
+/// Worker 0 runs inline on the calling thread; only workers `1..jobs`
+/// are spawned, so `jobs = 1` spawns nothing. A worker folds each run
+/// of consecutive units it claims (`u == last + 1`) into one
+/// accumulator; a run closes when the next claim is not the successor
+/// or when a unit breaks (visitor break, error, budget cut, or
+/// abandonment). With one worker the whole search is one run. A budget
+/// cut is recorded in [`SearchStats::interrupted`], not raised as an
+/// error.
+///
+/// **Determinism.** Each unit is claimed by exactly one worker and
+/// walked independently of claim order, so a unit's outcome depends
+/// only on the unit: it runs to completion, stops deterministically
+/// inside the unit (visitor break, error), or is cut by the budget.
+/// The final `floor` is the least unit index that broke. Abandonment
+/// triggers only *above* the live floor, which never drops below the
+/// final floor, so every unit `< floor` was claimed, ran to completion
+/// and sits in a kept run. Runs are sound because a worker's claims
+/// inside a run are contiguous: the floor unit, claimed by another
+/// worker, lies entirely below or above the run, unless the run ends at
+/// its own break. So an abandoned unit only occurs in a run that starts
+/// above the floor, and the merge discards that run whole. The merge
+/// folds, in canonical order, the runs starting at or below the floor:
+/// exactly the full units `< floor` plus the floor unit's prefix, the
+/// same visit sequence for any job count. Flight recordings inherit the
+/// argument: replaying the kept runs' drained events in index order
+/// yields the same event stream at every `jobs`. When a budget latch
+/// trips, the in-order cursor leaves every unclaimed unit above the
+/// claimed ones, so an interrupted merge is a canonical-order prefix of
+/// the space, and anytime lower-bound guarantees carry over (the prefix
+/// may be shorter at higher `jobs` for the same step limit).
 pub fn reduce_valid_packages_in<R: ValidPackageReducer>(
     ctx: &SearchContext<'_>,
     rating_bound: Option<Ext>,
     opts: &SolveOptions,
     reducer: &R,
 ) -> Result<(R::Acc, SearchStats)> {
-    let jobs = opts.effective_jobs();
-    if jobs <= 1 {
-        let mut acc = reducer.new_acc();
-        let stats = sequential_walk(ctx, rating_bound, opts, &mut |pkg, val| {
-            reducer.visit(&mut acc, pkg, val)
-        })?;
-        return Ok((acc, stats));
+    let items = ctx.items();
+    let max_size = ctx.max_package_size();
+    let (units, preskipped) = build_units(ctx, rating_bound, max_size)?;
+    let total_nodes = count_nodes(items.len(), max_size);
+
+    let local_progress = Progress::new();
+    let progress = opts.progress.as_deref().unwrap_or(&local_progress);
+    progress.begin(units.len());
+    {
+        let mut sink = ProgressSink::new(progress, total_nodes);
+        sink.skip(preskipped);
+        sink.flush();
     }
-    parallel_reduce(ctx, rating_bound, opts, reducer, jobs)
+
+    // The calling thread's ring holds the merged recording; every
+    // worker hands its runs' records back for replay in unit order.
+    flight::begin_search(units.len() as u64);
+    // Spawned workers run under the caller's telemetry — channels and
+    // profiling scope — so a serve request's records stay its own.
+    let telemetry = pkgrec_trace::telemetry();
+    let _phase = timeline::phase("enumerate");
+
+    let search = Search {
+        ctx,
+        reducer,
+        rating_bound,
+        units: &units,
+        max_size,
+        sched: Scheduler::new(units.len()),
+        floor: AtomicUsize::new(usize::MAX),
+        shared: opts.budget.shared_meter(),
+        progress,
+        total_nodes,
+        flight: telemetry.flight,
+        profile: telemetry.profile,
+    };
+    let jobs = opts.effective_jobs().clamp(1, units.len());
+    let results: Vec<std::thread::Result<WorkerDone<R::Acc>>> = std::thread::scope(|s| {
+        let search = &search;
+        let handles: Vec<_> = (1..jobs)
+            .map(|w| {
+                s.spawn(move || {
+                    let _telemetry = Telemetry {
+                        worker: w as u32,
+                        ..telemetry
+                    }
+                    .enter();
+                    let done = search.worker(w as u32);
+                    // Hand this thread's trace and leftover timed
+                    // records (its start, its discarded runs) back.
+                    (done, pkgrec_trace::take(), flight::drain_all().into_timed())
+                })
+            })
+            .collect();
+        // Worker 0 shares the caller's collector and ring, so it hands
+        // back nothing but its runs. Per-unit panics are fenced inside
+        // the walk; this fence catches one *outside* any unit, as a
+        // join error does for a spawned worker — propagating would
+        // abort the process.
+        let inline = std::panic::catch_unwind(AssertUnwindSafe(|| search.worker(0)));
+        std::iter::once(inline)
+            .chain(handles.into_iter().map(|h| {
+                h.join().map(|(done, trace, leftover)| {
+                    pkgrec_trace::absorb(&trace);
+                    flight::replay(&leftover);
+                    done
+                })
+            }))
+            .collect()
+    });
+
+    let mut runs = Vec::new();
+    let mut workers = Vec::new();
+    for result in results {
+        let done = result.map_err(|payload| {
+            pkgrec_trace::counter!("enumerate.worker_panics");
+            CoreError::WorkerPanic {
+                unit: None,
+                message: panic_message(payload.as_ref()),
+            }
+        })?;
+        runs.extend(done.runs);
+        workers.extend(done.stat);
+    }
+    runs.sort_by_key(|r| r.first);
+
+    let floor = search.floor.load(Ordering::Relaxed);
+    let mut acc: Option<R::Acc> = None;
+    let mut stats = SearchStats {
+        unit_skew: Some(unit_skew(&units, items.len(), max_size)),
+        workers,
+        ..SearchStats::default()
+    };
+    for run in runs {
+        if run.first > floor {
+            // Above the floor a run leaves the recording but stays on
+            // the timeline.
+            if let Some(events) = run.events {
+                flight::replay(&events.into_timed());
+            }
+            continue;
+        }
+        if let Some(events) = &run.events {
+            flight::replay(events);
+        }
+        stats.packages_enumerated += run.stats.packages_enumerated;
+        stats.valid_packages += run.stats.valid_packages;
+        if let Some(e) = run.error {
+            return Err(e);
+        }
+        // Only the run ending at the floor can carry the cut.
+        stats.interrupted = stats.interrupted.or(run.stats.interrupted);
+        acc = Some(match acc {
+            None => run.acc,
+            Some(mut into) => {
+                reducer.merge(&mut into, run.acc);
+                into
+            }
+        });
+    }
+    match stats.interrupted {
+        None => progress.finish(),
+        Some(_) => stats.progress_at_interrupt = Some(progress.fraction()),
+    }
+    Ok((acc.unwrap_or_else(|| reducer.new_acc()), stats))
 }
 
 /// One partition of the canonical-order package space. The canonical
@@ -584,7 +476,8 @@ pub fn reduce_valid_packages_in<R: ValidPackageReducer>(
 /// `j > i`, the subtree rooted at `{i, j}`. Splitting at this depth
 /// yields `O(n²)` units (fine-grained enough to balance `n` ≫ jobs),
 /// and concatenating the units in index order reproduces the exact
-/// monolithic visitation order. Both engines walk this partition.
+/// monolithic visitation order. Workers claim these units in index
+/// order; a lone worker therefore walks the monolithic DFS.
 #[derive(Clone, Copy)]
 enum Unit {
     /// The empty package.
@@ -600,20 +493,17 @@ fn unit_seed(items: &[Tuple], unit: Unit) -> (Package, usize) {
     match unit {
         Unit::Root => (Package::empty(), items.len()),
         Unit::Single(i) => (Package::singleton(items[i].clone()), items.len()),
-        Unit::Subtree(i, j) => (
-            Package::new([items[i].clone(), items[j].clone()]),
-            j + 1,
-        ),
+        Unit::Subtree(i, j) => (Package::new([items[i].clone(), items[j].clone()]), j + 1),
     }
 }
 
-/// Build the unit list in canonical order, shared by both engines. A
-/// pruned singleton cuts off all its subtrees in the canonical walk —
-/// whether by the monotone cost bound or by an anti-monotone `Qc`
-/// violation — so those subtree units must not exist (the singleton
-/// unit itself re-checks the prune and bumps the attributed counter).
-/// Also returns the number of search-tree nodes skipped this way, so
-/// the progress estimate can credit them upfront.
+/// Build the unit list in canonical order. A pruned singleton cuts off
+/// all its subtrees in the canonical walk — whether by the monotone
+/// cost bound or by an anti-monotone `Qc` violation — so those subtree
+/// units must not exist (the singleton unit itself re-checks the prune
+/// and bumps the attributed counter). Also returns the number of
+/// search-tree nodes skipped this way, so the progress estimate can
+/// credit them upfront.
 fn build_units(
     ctx: &SearchContext<'_>,
     rating_bound: Option<Ext>,
@@ -661,15 +551,12 @@ fn unit_nodes(unit: Unit, n: usize, max_size: usize) -> f64 {
 }
 
 /// Summarize how skewed the unit subtree sizes are. Pure arithmetic on
-/// the unit list — identical for both engines and any job count.
+/// the unit list — identical for any job count.
 fn unit_skew(units: &[Unit], n: usize, max_size: usize) -> UnitSkew {
     if units.is_empty() {
         return UnitSkew::default();
     }
-    let mut sizes: Vec<f64> = units
-        .iter()
-        .map(|&u| unit_nodes(u, n, max_size))
-        .collect();
+    let mut sizes: Vec<f64> = units.iter().map(|&u| unit_nodes(u, n, max_size)).collect();
     sizes.sort_by(|a, b| a.partial_cmp(b).expect("sizes are finite"));
     let total: f64 = sizes.iter().sum();
     let rank = ((sizes.len() as f64) * 0.99).ceil() as usize;
@@ -681,7 +568,8 @@ fn unit_skew(units: &[Unit], n: usize, max_size: usize) -> UnitSkew {
     }
 }
 
-/// Why a unit's walk stopped before exhausting its partition.
+/// Why a unit's walk stopped before exhausting its partition. Every
+/// stop closes the worker's run and ends the worker.
 enum UnitStop {
     /// The visitor broke; later units are discarded.
     Visitor,
@@ -689,155 +577,49 @@ enum UnitStop {
     Budget(Interrupted),
     /// Classification failed; later units are discarded.
     Error(CoreError),
-    /// A unit before this one already stopped the search — this unit's
-    /// partial work is discarded entirely (parallel engine only).
+    /// A unit before this one already stopped the search, so this
+    /// unit's run is discarded entirely.
     Abandoned,
 }
 
-/// A completed (or budget-cut) unit, as reported by a worker.
-struct UnitOutcome<A> {
-    idx: usize,
+/// A maximal stretch of consecutive units one worker claimed, folded
+/// into one accumulator.
+struct Run<A> {
+    /// Index of the run's first unit.
+    first: usize,
+    /// Index one past the run's last unit: the claim that extends it.
+    next: usize,
     acc: A,
+    /// Counts over the run's units; `interrupted` is set when the run
+    /// ends at a budget cut.
     stats: SearchStats,
     error: Option<CoreError>,
-    /// The unit's ring records, drained from the worker's ring so the
-    /// coordinator can replay them in unit order. `None` while both
-    /// the flight and the profile channel are off.
+    /// Where the run's ring records start on the worker's thread.
+    mark: flight::Mark,
+    /// The run's ring records, drained so the coordinator can replay
+    /// them in unit order. `None` while both the flight and the
+    /// profile channel are off.
     events: Option<flight::UnitEvents>,
 }
 
-/// Per-node budget polling, abstracting over the sequential [`Meter`]
-/// and the pooled [`WorkerMeter`] so both engines share one walk.
-trait SearchMeter {
-    /// Charge one step; `Err` when the budget ran out.
-    fn tick(&self) -> std::result::Result<(), Interrupted>;
-}
-
-impl SearchMeter for Meter {
-    fn tick(&self) -> std::result::Result<(), Interrupted> {
-        Meter::tick(self)
-    }
-}
-
-impl SearchMeter for WorkerMeter<'_> {
-    fn tick(&self) -> std::result::Result<(), Interrupted> {
-        WorkerMeter::tick(self)
-    }
-}
-
-/// Depth-first walk of one unit's partition — the single node loop both
-/// engines run: floor check, budget tick, counters, flight events,
-/// classification, attributed pruning, progress credit, descend.
-#[allow(clippy::too_many_arguments)]
-fn unit_walk<M: SearchMeter>(
-    ctx: &SearchContext<'_>,
-    rating_bound: Option<Ext>,
-    meter: &M,
-    unit_idx: usize,
-    floor: &AtomicUsize,
-    max_size: usize,
-    pkg: &mut Package,
-    start: usize,
-    visit: &mut impl FnMut(&Package, Ext) -> ControlFlow<()>,
-    stats: &mut SearchStats,
-    sink: &mut ProgressSink<'_>,
-    fl: bool,
-) -> ControlFlow<UnitStop> {
-    // A monotonically decreasing floor: stale reads only delay the
-    // abandon, never cause a unit ≤ the final floor to abandon.
-    if floor.load(Ordering::Relaxed) < unit_idx {
-        return ControlFlow::Break(UnitStop::Abandoned);
-    }
-    if let Err(cut) = meter.tick() {
-        pkgrec_trace::counter!("enumerate.pruned.budget");
-        return ControlFlow::Break(UnitStop::Budget(cut));
-    }
-    pkgrec_trace::counter!("enumerate.nodes");
-    stats.packages_enumerated += 1;
-    sink.node();
-    if fl {
-        flight::record(FlightEvent::BranchEnter {
-            depth: pkg.len() as u32,
-        });
-    }
-    let mut rejected = None;
-    match ctx.classify(pkg, rating_bound) {
-        Err(e) => return ControlFlow::Break(UnitStop::Error(e)),
-        Ok(Classified::Valid(val)) => {
-            pkgrec_trace::counter!("enumerate.valid");
-            stats.valid_packages += 1;
-            if fl {
-                flight::record(FlightEvent::Valid {
-                    size: pkg.len() as u32,
-                });
-            }
-            if visit(pkg, val).is_break() {
-                return ControlFlow::Break(UnitStop::Visitor);
-            }
-        }
-        Ok(Classified::Rejected(r)) => rejected = Some(r),
-    }
-    if !pkg.is_empty() {
-        let reason = if ctx.prune(pkg) {
-            Some(PruneReason::CostBound)
-        } else if rejected == Some(Reject::Compat) && ctx.qc_antimonotone() {
-            Some(PruneReason::Compat)
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
-            pkgrec_trace::add_counter(reason.counter_name(), 1);
-            if fl {
-                flight::record(FlightEvent::Prune {
-                    reason,
-                    depth: pkg.len() as u32,
-                });
-            }
-            // The whole subtree below this node is decided.
-            sink.skip(count_nodes(ctx.items().len() - start, max_size - pkg.len()) - 1.0);
-            return ControlFlow::Continue(());
-        }
-    }
-    if pkg.len() == max_size {
-        return ControlFlow::Continue(());
-    }
-    let items = ctx.items();
-    for (i, item) in items.iter().enumerate().skip(start) {
-        pkg.insert(item.clone());
-        let flow = unit_walk(
-            ctx,
-            rating_bound,
-            meter,
-            unit_idx,
-            floor,
-            max_size,
-            pkg,
-            i + 1,
-            visit,
-            stats,
-            sink,
-            fl,
-        );
-        pkg.remove(item);
-        if flow.is_break() {
-            return flow;
-        }
-    }
-    ControlFlow::Continue(())
+/// What one worker hands back to the coordinator.
+struct WorkerDone<A> {
+    runs: Vec<Run<A>>,
+    /// Utilization attribution, when the profiler is on.
+    stat: Option<WorkerStat>,
 }
 
 /// How workers pick their next unit: one shared cursor handing out
 /// units in canonical ascending order.
 ///
-/// The budget can cut a run at any instant, and the merge keeps only
+/// The budget can cut a search at any instant, and the merge keeps only
 /// the contiguous prefix below the lowest interrupted unit, so every
 /// step spent on a high unit while a low one is still unwalked is a
 /// step the merged partial throws away. Claiming in order burns the
 /// budget on the lowest-indexed units — the merged partial is then the
-/// canonical prefix, the best anytime answer the walked steps can buy
-/// (and the same prefix the sequential engine would produce).
-/// Unbudgeted runs claim the same way: per-worker deques with stealing
-/// measured no faster on them (DESIGN.md §16).
+/// canonical prefix, the best anytime answer the walked steps can buy.
+/// Unbudgeted searches claim the same way: per-worker deques with
+/// stealing measured no faster on them (DESIGN.md §16).
 struct Scheduler {
     next: AtomicUsize,
     units: usize,
@@ -859,294 +641,215 @@ impl Scheduler {
     }
 }
 
-/// What one worker hands back to the coordinator.
-struct WorkerResult<A> {
-    outcomes: Vec<UnitOutcome<A>>,
-    trace: pkgrec_trace::TraceReport,
-    /// Utilization attribution, when the profiler is on.
-    stat: Option<WorkerStat>,
-    /// Timed records left in the worker's ring: its start and the
-    /// units it abandoned.
-    leftover: flight::UnitEvents,
+/// Everything the workers of one search share.
+struct Search<'s, 'c, R> {
+    ctx: &'s SearchContext<'c>,
+    reducer: &'s R,
+    rating_bound: Option<Ext>,
+    units: &'s [Unit],
+    max_size: usize,
+    sched: Scheduler,
+    /// The least unit index that broke so far (`usize::MAX`: none).
+    floor: AtomicUsize,
+    shared: SharedMeter,
+    progress: &'s Progress,
+    total_nodes: f64,
+    /// The caller's flight and profile channels, which every worker
+    /// runs under.
+    flight: bool,
+    profile: bool,
 }
 
-/// One worker: run under the coordinator's telemetry (with this
-/// worker's index), claim units off the scheduler, walk each, and
-/// report the outcomes with their drained ring records.
-#[allow(clippy::too_many_arguments)]
-fn run_worker<R: ValidPackageReducer>(
-    ctx: &SearchContext<'_>,
-    reducer: &R,
-    rating_bound: Option<Ext>,
-    units: &[Unit],
-    max_size: usize,
-    sched: &Scheduler,
-    floor: &AtomicUsize,
-    shared: &SharedMeter,
-    progress: &Progress,
-    total_nodes: f64,
-    telemetry: Telemetry,
-) -> WorkerResult<R::Acc> {
-    let _telemetry = telemetry.enter();
-    let (fl, tl, worker) = (telemetry.flight, telemetry.profile, telemetry.worker);
-    let keep_events = fl || tl;
-    let span = pkgrec_trace::span!("enumerate.worker");
-    timeline::worker_alive();
-    let meter = shared.worker();
-    let items = ctx.items();
-    let mut sink = ProgressSink::new(progress, total_nodes);
-    let mut outcomes = Vec::new();
-    let mut wstat = WorkerStat {
-        worker,
-        ..WorkerStat::default()
-    };
-    loop {
+impl<R: ValidPackageReducer> Search<'_, '_, R> {
+    /// One worker: claim units off the scheduler, fold consecutive
+    /// claims into runs, and return the runs with their drained ring
+    /// records.
+    fn worker(&self, worker: u32) -> WorkerDone<R::Acc> {
+        let _span = pkgrec_trace::span!("enumerate.dfs");
+        timeline::worker_alive();
+        let meter = self.shared.worker();
+        let mut sink = ProgressSink::new(self.progress, self.total_nodes);
+        let mut runs = Vec::new();
+        let mut open: Option<Run<R::Acc>> = None;
+        let mut stat = WorkerStat {
+            worker,
+            ..WorkerStat::default()
+        };
         // The budget latch is global: once it trips, every worker
         // exits, leaving unclaimed units behind. Interrupted merges
-        // keep the prefix below the floor (whose Budget outcome
-        // carries the cut), and the in-order scheduler guarantees the
-        // unclaimed units all sit at or above that floor.
-        if shared.is_stopped() {
-            break;
-        }
-        let Some(u) = sched.claim(floor) else {
-            break;
-        };
-        let mark = flight::mark();
-        flight::begin_unit(u as u64);
-        let claim_start = tl.then(std::time::Instant::now);
-        let (mut pkg, start) = unit_seed(items, units[u]);
-        let mut acc = reducer.new_acc();
-        let mut stats = SearchStats::default();
-        let flow = unit_walk_caught(
-            ctx,
-            rating_bound,
-            &meter,
-            u,
-            floor,
-            max_size,
-            &mut pkg,
-            start,
-            &mut |p, val| reducer.visit(&mut acc, p, val),
-            &mut stats,
-            &mut sink,
-            fl,
-        );
-        let steps = stats.packages_enumerated;
-        flight::end_unit(steps, flow.is_continue());
-        if let Some(claimed) = claim_start {
-            wstat.busy_ns = wstat.busy_ns.saturating_add(
-                u64::try_from(claimed.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-            wstat.units_claimed += 1;
-            wstat.steps += steps;
-        }
-        match flow {
-            ControlFlow::Continue(()) => {
-                sink.unit_done();
-                outcomes.push(UnitOutcome {
-                    idx: u,
-                    acc,
-                    stats,
-                    error: None,
-                    events: keep_events.then(|| flight::drain_from(mark)),
-                });
-            }
-            ControlFlow::Break(UnitStop::Abandoned) => {
-                pkgrec_trace::counter!("enumerate.pruned.floor");
-                flight::discard_from(mark);
-            }
-            ControlFlow::Break(UnitStop::Visitor) => {
-                floor.fetch_min(u, Ordering::Relaxed);
-                outcomes.push(UnitOutcome {
-                    idx: u,
-                    acc,
-                    stats,
-                    error: None,
-                    events: keep_events.then(|| flight::drain_from(mark)),
-                });
-            }
-            ControlFlow::Break(UnitStop::Error(e)) => {
-                floor.fetch_min(u, Ordering::Relaxed);
-                outcomes.push(UnitOutcome {
-                    idx: u,
-                    acc,
-                    stats,
-                    error: Some(e),
-                    events: keep_events.then(|| flight::drain_from(mark)),
-                });
-            }
-            ControlFlow::Break(UnitStop::Budget(cut)) => {
-                floor.fetch_min(u, Ordering::Relaxed);
-                stats.interrupted = Some(cut);
-                outcomes.push(UnitOutcome {
-                    idx: u,
-                    acc,
-                    stats,
-                    error: None,
-                    events: keep_events.then(|| flight::drain_from(mark)),
-                });
+        // keep the prefix below the floor (whose run carries the cut),
+        // and the in-order scheduler guarantees the unclaimed units all
+        // sit at or above that floor.
+        while !self.shared.is_stopped() {
+            let Some(u) = self.sched.claim(&self.floor) else {
                 break;
+            };
+            if let Some(run) = open.take_if(|run| run.next != u) {
+                runs.push(self.close(run));
+            }
+            let run = open.get_or_insert_with(|| Run {
+                first: u,
+                next: u,
+                acc: self.reducer.new_acc(),
+                stats: SearchStats::default(),
+                error: None,
+                mark: flight::mark(),
+                events: None,
+            });
+            run.next = u + 1;
+            flight::begin_unit(u as u64);
+            let claimed = self.profile.then(std::time::Instant::now);
+            let steps_before = run.stats.packages_enumerated;
+            let flow = self.walk_unit(&meter, run, &mut sink, u);
+            let steps = run.stats.packages_enumerated - steps_before;
+            flight::end_unit(steps, flow.is_continue());
+            if let Some(claimed) = claimed {
+                stat.busy_ns = stat.busy_ns.saturating_add(
+                    u64::try_from(claimed.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                );
+                stat.units_claimed += 1;
+                stat.steps += steps;
+            }
+            let ControlFlow::Break(stop) = flow else {
+                sink.unit_done();
+                continue;
+            };
+            match stop {
+                UnitStop::Abandoned => pkgrec_trace::counter!("enumerate.pruned.floor"),
+                UnitStop::Visitor => {}
+                UnitStop::Error(e) => run.error = Some(e),
+                UnitStop::Budget(cut) => run.stats.interrupted = Some(cut),
+            }
+            // An abandoned unit already sits above the floor, so this
+            // lowers it only for the other stops.
+            self.floor.fetch_min(u, Ordering::Relaxed);
+            break;
+        }
+        runs.extend(open.map(|run| self.close(run)));
+        sink.flush();
+        WorkerDone {
+            runs,
+            stat: self.profile.then_some(stat),
+        }
+    }
+
+    /// Close a run: drain its ring records for the coordinator.
+    fn close(&self, mut run: Run<R::Acc>) -> Run<R::Acc> {
+        if self.flight || self.profile {
+            run.events = Some(flight::drain_from(run.mark));
+        }
+        run
+    }
+
+    /// Walk unit `u` into `run` with a panic fence at the unit
+    /// boundary: a panicking reducer, classifier, or injected
+    /// `PKGREC_CHAOS` fault becomes a typed [`CoreError::WorkerPanic`]
+    /// instead of unwinding through the engine (which, on a spawned
+    /// worker thread, would abort the whole process). Bumps
+    /// `enumerate.worker_panics` on catch.
+    fn walk_unit(
+        &self,
+        meter: &WorkerMeter<'_>,
+        run: &mut Run<R::Acc>,
+        sink: &mut ProgressSink<'_>,
+        u: usize,
+    ) -> ControlFlow<UnitStop> {
+        let (mut pkg, start) = unit_seed(self.ctx.items(), self.units[u]);
+        let walk = AssertUnwindSafe(|| self.walk(meter, run, sink, u, &mut pkg, start));
+        match std::panic::catch_unwind(walk) {
+            Ok(flow) => flow,
+            Err(payload) => {
+                pkgrec_trace::counter!("enumerate.worker_panics");
+                ControlFlow::Break(UnitStop::Error(CoreError::WorkerPanic {
+                    unit: Some(u),
+                    message: panic_message(payload.as_ref()),
+                }))
             }
         }
     }
-    sink.flush();
-    drop(span);
-    WorkerResult {
-        outcomes,
-        trace: pkgrec_trace::take(),
-        stat: tl.then_some(wstat),
-        leftover: flight::drain_all().into_timed(),
-    }
-}
 
-/// The parallel engine. Determinism argument: each unit is claimed by
-/// exactly one worker and walked independently of claim order, so a unit's outcome depends only on the unit (a
-/// walk either runs to completion, stops deterministically inside the
-/// unit — visitor break, error — or is cut by the budget). The final
-/// `floor` is the least index that broke, erred, or ran out of budget;
-/// abandonment only triggers *above* the live floor, which never goes
-/// below the final floor, so on runs without a budget trip every unit
-/// `< floor` was claimed by some worker and ran to completion. The
-/// merge therefore folds, in canonical order, exactly the full units
-/// `< floor` plus the floor unit's prefix: the same visit sequence the
-/// sequential engine folds. Flight recordings inherit the argument:
-/// replaying the kept units' drained events in index order reproduces
-/// the sequential event stream. Workers claim through one in-order
-/// cursor ([`Scheduler`]), so when a budget latch trips the unclaimed
-/// units all sit above the cursor and the merge folds the canonical
-/// prefix below the floor plus the floor unit's cut prefix — the same
-/// partial the sequential engine's anytime contract promises.
-fn parallel_reduce<R: ValidPackageReducer>(
-    ctx: &SearchContext<'_>,
-    rating_bound: Option<Ext>,
-    opts: &SolveOptions,
-    reducer: &R,
-    jobs: usize,
-) -> Result<(R::Acc, SearchStats)> {
-    let _span = pkgrec_trace::span!("enumerate.par");
-    let items = ctx.items();
-    let max_size = ctx.max_package_size();
-    let (units, preskipped) = build_units(ctx, rating_bound, max_size)?;
-    let total_nodes = count_nodes(items.len(), max_size);
-
-    let local_progress = Progress::new();
-    let progress = opts.progress.as_deref().unwrap_or(&local_progress);
-    progress.begin(units.len());
-    {
-        let mut sink = ProgressSink::new(progress, total_nodes);
-        sink.skip(preskipped);
-        sink.flush();
-    }
-
-    // The coordinator's ring holds the merged recording; workers
-    // record into their own rings and hand records back per unit.
-    flight::begin_search(units.len() as u64);
-    // Workers run under the coordinator's telemetry — channels and
-    // profiling scope — so a serve request's records stay its own.
-    let telemetry = pkgrec_trace::telemetry();
-    let _phase = timeline::phase("enumerate");
-
-    let shared = opts.budget.shared_meter();
-    let floor = AtomicUsize::new(usize::MAX);
-    let jobs = jobs.min(units.len());
-    let sched = Scheduler::new(units.len());
-    let (worker_results, join_panic): (Vec<WorkerResult<R::Acc>>, Option<String>) =
-        std::thread::scope(|s| {
-            let units = &units;
-            let sched = &sched;
-            let floor = &floor;
-            let shared = &shared;
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| {
-                    s.spawn(move || {
-                        run_worker(
-                            ctx,
-                            reducer,
-                            rating_bound,
-                            units,
-                            max_size,
-                            sched,
-                            floor,
-                            shared,
-                            progress,
-                            total_nodes,
-                            Telemetry {
-                                worker: w as u32,
-                                ..telemetry
-                            },
-                        )
-                    })
-                })
-                .collect();
-            // Per-unit panics are already fenced inside `run_worker`; a
-            // join error means a worker panicked *outside* any unit.
-            // Consume it here — propagating would abort the process.
-            let mut results = Vec::with_capacity(jobs);
-            let mut join_panic = None;
-            for h in handles {
-                match h.join() {
-                    Ok(r) => results.push(r),
-                    Err(payload) => {
-                        join_panic = Some(panic_message(payload.as_ref()));
-                    }
+    /// Depth-first walk below `pkg` within unit `u` — the one node
+    /// loop: floor check, budget tick, counters, flight events,
+    /// classification, attributed pruning, progress credit, descend.
+    fn walk(
+        &self,
+        meter: &WorkerMeter<'_>,
+        run: &mut Run<R::Acc>,
+        sink: &mut ProgressSink<'_>,
+        u: usize,
+        pkg: &mut Package,
+        start: usize,
+    ) -> ControlFlow<UnitStop> {
+        // A monotonically decreasing floor: stale reads only delay the
+        // abandon, never cause a unit ≤ the final floor to abandon.
+        if self.floor.load(Ordering::Relaxed) < u {
+            return ControlFlow::Break(UnitStop::Abandoned);
+        }
+        if let Err(cut) = meter.tick() {
+            pkgrec_trace::counter!("enumerate.pruned.budget");
+            return ControlFlow::Break(UnitStop::Budget(cut));
+        }
+        pkgrec_trace::counter!("enumerate.nodes");
+        run.stats.packages_enumerated += 1;
+        sink.node();
+        if self.flight {
+            flight::record(FlightEvent::BranchEnter {
+                depth: pkg.len() as u32,
+            });
+        }
+        let ctx = self.ctx;
+        let mut rejected = None;
+        match ctx.classify(pkg, self.rating_bound) {
+            Err(e) => return ControlFlow::Break(UnitStop::Error(e)),
+            Ok(Classified::Valid(val)) => {
+                pkgrec_trace::counter!("enumerate.valid");
+                run.stats.valid_packages += 1;
+                if self.flight {
+                    flight::record(FlightEvent::Valid {
+                        size: pkg.len() as u32,
+                    });
+                }
+                if self.reducer.visit(&mut run.acc, pkg, val).is_break() {
+                    return ControlFlow::Break(UnitStop::Visitor);
                 }
             }
-            (results, join_panic)
-        });
-    if let Some(message) = join_panic {
-        pkgrec_trace::counter!("enumerate.worker_panics");
-        return Err(CoreError::WorkerPanic {
-            unit: None,
-            message,
-        });
-    }
-
-    let mut outcomes: Vec<UnitOutcome<R::Acc>> = Vec::new();
-    let mut worker_stats: Vec<WorkerStat> = Vec::new();
-    for result in worker_results {
-        pkgrec_trace::absorb(&result.trace);
-        flight::replay(&result.leftover);
-        outcomes.extend(result.outcomes);
-        worker_stats.extend(result.stat);
-    }
-    outcomes.sort_by_key(|o| o.idx);
-    worker_stats.sort_by_key(|w| w.worker);
-
-    let floor = floor.load(Ordering::Relaxed);
-    let mut acc = reducer.new_acc();
-    let mut stats = SearchStats {
-        unit_skew: Some(unit_skew(&units, items.len(), max_size)),
-        workers: worker_stats,
-        ..SearchStats::default()
-    };
-    for outcome in outcomes {
-        if outcome.idx > floor {
-            // Above the floor a unit leaves the recording but stays on
-            // the timeline.
-            if let Some(events) = outcome.events {
-                flight::replay(&events.into_timed());
+            Ok(Classified::Rejected(r)) => rejected = Some(r),
+        }
+        if !pkg.is_empty() {
+            let reason = if ctx.prune(pkg) {
+                Some(PruneReason::CostBound)
+            } else if rejected == Some(Reject::Compat) && ctx.qc_antimonotone() {
+                Some(PruneReason::Compat)
+            } else {
+                None
+            };
+            if let Some(reason) = reason {
+                pkgrec_trace::add_counter(reason.counter_name(), 1);
+                if self.flight {
+                    flight::record(FlightEvent::Prune {
+                        reason,
+                        depth: pkg.len() as u32,
+                    });
+                }
+                // The whole subtree below this node is decided.
+                sink.skip(count_nodes(ctx.items().len() - start, self.max_size - pkg.len()) - 1.0);
+                return ControlFlow::Continue(());
             }
-            continue;
         }
-        if let Some(events) = &outcome.events {
-            flight::replay(events);
+        if pkg.len() == self.max_size {
+            return ControlFlow::Continue(());
         }
-        stats.packages_enumerated += outcome.stats.packages_enumerated;
-        stats.valid_packages += outcome.stats.valid_packages;
-        if let Some(e) = outcome.error {
-            return Err(e);
+        let items = ctx.items();
+        for (i, item) in items.iter().enumerate().skip(start) {
+            pkg.insert(item.clone());
+            let flow = self.walk(meter, run, sink, u, pkg, i + 1);
+            pkg.remove(item);
+            if flow.is_break() {
+                return flow;
+            }
         }
-        reducer.merge(&mut acc, outcome.acc);
-        if outcome.idx == floor {
-            stats.interrupted = outcome.stats.interrupted;
-        }
+        ControlFlow::Continue(())
     }
-    match stats.interrupted {
-        None => progress.finish(),
-        Some(_) => stats.progress_at_interrupt = Some(progress.fraction()),
-    }
-    Ok((acc, stats))
 }
 
 #[cfg(test)]
@@ -1154,140 +857,117 @@ mod tests {
     use super::*;
     use crate::constraints::Constraint;
     use crate::functions::PackageFn;
+    use crate::instance::SizeBound;
     use pkgrec_data::{tuple, AttrType, Database, Relation, RelationSchema};
     use pkgrec_guard::Resource;
     use pkgrec_query::{Builtin, CmpOp, ConjunctiveQuery, Query, RelAtom, Term};
 
-    fn items(n: i64) -> Vec<Tuple> {
-        (0..n).map(|i| tuple![i]).collect()
+    /// Collects every valid package in visit order, breaking on
+    /// `stop_at` (a position-independent test, so the fold stays a
+    /// homomorphism at any job count).
+    struct Collect {
+        stop_at: Option<Package>,
     }
 
-    #[test]
-    fn enumerates_all_subsets() {
-        let mut count = 0;
-        let completion = for_each_package(
-            &items(4),
-            4,
-            &SolveOptions::default(),
-            |_| false,
-            |_| {
-                count += 1;
-                Ok(ControlFlow::Continue(()))
-            },
-        )
-        .unwrap();
-        assert_eq!(count, 16); // 2^4 including ∅
-        assert_eq!(completion, Completion::Exhausted);
+    const COLLECT: Collect = Collect { stop_at: None };
+
+    impl ValidPackageReducer for Collect {
+        type Acc = Vec<Package>;
+
+        fn new_acc(&self) -> Vec<Package> {
+            Vec::new()
+        }
+
+        fn visit(&self, acc: &mut Vec<Package>, pkg: &Package, _val: Ext) -> ControlFlow<()> {
+            acc.push(pkg.clone());
+            if self.stop_at.as_ref() == Some(pkg) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        }
+
+        fn merge(&self, into: &mut Vec<Package>, later: Vec<Package>) {
+            into.extend(later);
+        }
+    }
+
+    /// Items `0..n` of a unary relation; cost = |N| (∞ on ∅), no
+    /// cost budget, default size bound `|D|`.
+    fn instance(n: i64) -> RecInstance {
+        let mut db = Database::new();
+        let r = RelationSchema::new("r", [("a", AttrType::Int)]).unwrap();
+        db.add_relation(Relation::from_tuples(r, (0..n).map(|i| tuple![i])).unwrap())
+            .unwrap();
+        RecInstance::new(db, Query::Cq(ConjunctiveQuery::identity("r", 1)))
+            .with_budget(f64::INFINITY)
+    }
+
+    /// Items {1, 2, 3}.
+    fn small_instance() -> RecInstance {
+        let mut db = Database::new();
+        let r = RelationSchema::new("r", [("a", AttrType::Int)]).unwrap();
+        db.add_relation(Relation::from_tuples(r, [tuple![1], tuple![2], tuple![3]]).unwrap())
+            .unwrap();
+        RecInstance::new(db, Query::Cq(ConjunctiveQuery::identity("r", 1)))
+    }
+
+    fn collect(inst: &RecInstance, opts: &SolveOptions) -> (Vec<Package>, SearchStats) {
+        reduce_valid_packages(inst, None, opts, &COLLECT).unwrap()
     }
 
     #[test]
     fn size_cap_limits_enumeration() {
-        let mut count = 0;
-        for_each_package(
-            &items(4),
-            2,
-            &SolveOptions::default(),
-            |_| false,
-            |_| {
-                count += 1;
-                Ok(ControlFlow::Continue(()))
-            },
-        )
-        .unwrap();
-        // ∅ + 4 singletons + 6 pairs.
-        assert_eq!(count, 11);
-    }
-
-    #[test]
-    fn early_break_stops() {
-        let mut count = 0;
-        let completion = for_each_package(
-            &items(10),
-            10,
-            &SolveOptions::default(),
-            |_| false,
-            |_| {
-                count += 1;
-                Ok(if count == 5 {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                })
-            },
-        )
-        .unwrap();
-        assert_eq!(completion, Completion::Stopped);
-        assert_eq!(count, 5);
+        let inst = instance(4).with_size_bound(SizeBound::Constant(2));
+        let (valid, stats) = collect(&inst, &SolveOptions::default());
+        // ∅ + 4 singletons + 6 pairs enumerated; ∅ (cost ∞) is invalid.
+        assert_eq!(stats.packages_enumerated, 11);
+        assert_eq!(valid.len(), 10);
+        assert!(valid.iter().all(|p| p.len() <= 2));
     }
 
     #[test]
     fn node_limit_interrupts() {
-        // Seed semantics preserved: a limit of 100 stops the search
-        // after 100 enumerated packages — now as a Completion carrying
-        // which resource ran out instead of a bare error.
-        let mut count = 0;
-        let completion = for_each_package(
-            &items(20),
-            20,
-            &SolveOptions::limited(100),
-            |_| false,
-            |_| {
-                count += 1;
-                Ok(ControlFlow::Continue(()))
-            },
-        )
-        .unwrap();
-        match completion {
-            Completion::Interrupted(cut) => {
-                assert_eq!(cut.resource, Resource::Steps { limit: 100 });
-            }
-            other => panic!("expected Interrupted, got {other:?}"),
-        }
-        assert_eq!(count, 100);
+        // A limit of 100 stops the search after 100 enumerated
+        // packages, recording which resource ran out instead of
+        // raising an error.
+        let (valid, stats) = collect(&instance(20), &SolveOptions::limited(100).with_jobs(1));
+        let cut = stats.interrupted.expect("100 < 2^20 packages");
+        assert_eq!(cut.resource, Resource::Steps { limit: 100 });
+        assert_eq!(stats.packages_enumerated, 100);
+        // Every enumerated package but ∅ is valid.
+        assert_eq!(valid.len(), 99);
+        let frac = stats.progress_at_interrupt.expect("interrupted run");
+        assert!((0.0..1.0).contains(&frac), "{frac}");
     }
 
     #[test]
     fn from_u64_preserves_node_limit_back_compat() {
         let opts: SolveOptions = 100u64.into();
-        let completion = for_each_package(
-            &items(20),
-            20,
-            &opts,
-            |_| false,
-            |_| Ok(ControlFlow::Continue(())),
-        )
-        .unwrap();
-        assert!(matches!(completion, Completion::Interrupted(_)));
+        let (_, stats) = collect(&instance(20), &opts);
+        assert_eq!(
+            stats.interrupted.map(|cut| cut.resource),
+            Some(Resource::Steps { limit: 100 })
+        );
     }
 
     #[test]
-    fn pruning_skips_supersets() {
-        // Prune everything with ≥ 2 elements at the 2-element frontier.
-        let mut sizes = Vec::new();
-        for_each_package(
-            &items(4),
-            4,
-            &SolveOptions::default(),
-            |p| p.len() >= 2,
-            |p| {
-                sizes.push(p.len());
-                Ok(ControlFlow::Continue(()))
-            },
-        )
-        .unwrap();
-        // ∅, 4 singletons, 6 pairs — no triples or quads.
-        assert_eq!(sizes.iter().filter(|&&s| s >= 3).count(), 0);
-        assert_eq!(sizes.len(), 11);
-    }
-
-    fn small_instance() -> RecInstance {
-        let mut db = Database::new();
-        let r = RelationSchema::new("r", [("a", AttrType::Int)]).unwrap();
-        db.add_relation(
-            Relation::from_tuples(r, [tuple![1], tuple![2], tuple![3]]).unwrap(),
-        )
-        .unwrap();
-        RecInstance::new(db, Query::Cq(ConjunctiveQuery::identity("r", 1)))
+    fn early_break_stops() {
+        // Canonical order: {0}, {0,1}, {0,1,2}, … — breaking on
+        // {0,1,2} keeps exactly the three packages up to it, at any
+        // job count.
+        let stop = Package::new([tuple![0], tuple![1], tuple![2]]);
+        let reducer = Collect {
+            stop_at: Some(stop.clone()),
+        };
+        for jobs in [1, 2, 4] {
+            let opts = SolveOptions::default().with_jobs(jobs);
+            let (valid, stats) =
+                reduce_valid_packages(&instance(10), None, &opts, &reducer).unwrap();
+            assert_eq!(valid.len(), 3, "jobs {jobs}");
+            assert_eq!(valid.last(), Some(&stop), "jobs {jobs}");
+            assert!(stats.interrupted.is_none(), "jobs {jobs}");
+        }
     }
 
     #[test]
@@ -1298,12 +978,7 @@ mod tests {
             .with_qc(Constraint::ptime("no item 3", |p, _| {
                 !p.contains(&tuple![3])
             }));
-        let mut valid = Vec::new();
-        let stats = for_each_valid_package(&inst, None, &SolveOptions::default(), |p, _| {
-            valid.push(p.clone());
-            ControlFlow::Continue(())
-        })
-        .unwrap();
+        let (valid, stats) = collect(&inst, &SolveOptions::default());
         // Valid: {1}, {2}, {1,2} — not ∅ (cost ∞), not anything with 3,
         // not {1,2,3} (cost 3 > 2 and contains 3).
         assert_eq!(valid.len(), 3);
@@ -1318,36 +993,15 @@ mod tests {
         let inst = small_instance()
             .with_budget(10.0)
             .with_val(PackageFn::cardinality());
-        let mut count = 0;
-        for_each_valid_package(
+        let (valid, _) = reduce_valid_packages(
             &inst,
             Some(Ext::Finite(2.0)),
             &SolveOptions::default(),
-            |_, _| {
-                count += 1;
-                ControlFlow::Continue(())
-            },
+            &COLLECT,
         )
         .unwrap();
         // Packages with ≥ 2 items: 3 pairs + 1 triple.
-        assert_eq!(count, 4);
-    }
-
-    #[test]
-    fn interruption_recorded_in_stats() {
-        let inst = small_instance()
-            .with_budget(10.0)
-            .with_val(PackageFn::cardinality());
-        let stats =
-            for_each_valid_package(&inst, None, &SolveOptions::limited(3), |_, _| {
-                ControlFlow::Continue(())
-            })
-            .unwrap();
-        let cut = stats.interrupted.expect("limit 3 < 8 subsets");
-        assert_eq!(cut.resource, Resource::Steps { limit: 3 });
-        assert_eq!(stats.packages_enumerated, 3);
-        let frac = stats.progress_at_interrupt.expect("interrupted run");
-        assert!((0.0..1.0).contains(&frac), "{frac}");
+        assert_eq!(valid.len(), 4);
     }
 
     #[test]
@@ -1357,10 +1011,7 @@ mod tests {
         // Budget 1.0 with cost = |N|: every singleton's supersets are
         // over budget, so the cost prune fires on each singleton.
         let inst = small_instance().with_budget(1.0);
-        for_each_valid_package(&inst, None, &SolveOptions::default(), |_, _| {
-            ControlFlow::Continue(())
-        })
-        .unwrap();
+        collect(&inst, &SolveOptions::default().with_jobs(1));
         let report = pkgrec_trace::take();
         assert!(report.counters["enumerate.pruned.cost"] >= 3);
         assert!(
@@ -1386,50 +1037,76 @@ mod tests {
             let _scope = pkgrec_trace::scoped();
             pkgrec_trace::reset();
             let inst = small_instance().with_budget(10.0).with_qc(qc);
-            let mut valid = 0u64;
-            let stats = for_each_valid_package(&inst, None, &SolveOptions::default(), |_, _| {
-                valid += 1;
-                ControlFlow::Continue(())
-            })
-            .unwrap();
-            (valid, stats.valid_packages, pkgrec_trace::take())
+            let (valid, stats) = collect(&inst, &SolveOptions::default().with_jobs(1));
+            (
+                valid.len() as u64,
+                stats.valid_packages,
+                pkgrec_trace::take(),
+            )
         };
         let (valid_cq, stats_cq, report_cq) = run(Constraint::Query(cq));
-        let (valid_pt, stats_pt, report_pt) = run(Constraint::ptime("≤ 1 item", |p, _| p.len() <= 1));
+        let (valid_pt, stats_pt, report_pt) =
+            run(Constraint::ptime("≤ 1 item", |p, _| p.len() <= 1));
         assert_eq!(valid_cq, valid_pt, "pruning must not change the answer");
         assert_eq!(stats_cq, stats_pt);
         assert_eq!(stats_cq, valid_cq);
         assert!(report_cq.counters["enumerate.pruned.compat"] >= 1);
         assert!(!report_pt.counters.contains_key("enumerate.pruned.compat"));
         // The anti-monotone run visits no more nodes than the opaque one.
-        assert!(
-            report_cq.counters["enumerate.nodes"] <= report_pt.counters["enumerate.nodes"]
-        );
+        assert!(report_cq.counters["enumerate.nodes"] <= report_pt.counters["enumerate.nodes"]);
     }
 
     #[test]
     fn qc_panic_becomes_typed_error_not_abort() {
         // A Qc predicate that panics mid-search must surface as
-        // CoreError::WorkerPanic from both engines — never tear down
+        // CoreError::WorkerPanic at every job count — never tear down
         // the process (the resident server shares it across requests).
         for jobs in [1usize, 2] {
-            let inst = small_instance().with_budget(10.0).with_qc(Constraint::ptime(
-                "panics on {2}",
-                |p, _| {
+            let inst = small_instance()
+                .with_budget(10.0)
+                .with_qc(Constraint::ptime("panics on {2}", |p, _| {
                     if p.contains(&tuple![2]) {
                         panic!("injected qc fault");
                     }
                     true
-                },
-            ));
+                }));
             let opts = SolveOptions::default().with_jobs(jobs);
-            let err = for_each_valid_package(&inst, None, &opts, |_, _| {
-                ControlFlow::Continue(())
-            })
-            .expect_err("injected panic must surface as an error");
+            let err = reduce_valid_packages(&inst, None, &opts, &COLLECT)
+                .expect_err("injected panic must surface as an error");
             match err {
-                crate::CoreError::WorkerPanic { message, .. } => {
+                crate::CoreError::WorkerPanic { unit, message } => {
+                    assert!(unit.is_some(), "the panic is fenced at its unit");
                     assert!(message.contains("injected qc fault"), "{message}");
+                }
+                other => panic!("expected WorkerPanic, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn panic_outside_a_unit_becomes_typed_error() {
+        // `new_acc` runs when a worker opens a run, outside every unit
+        // fence: the inline worker's panic and a spawned worker's
+        // alike must come back as a unit-less WorkerPanic.
+        struct Unopenable;
+        impl ValidPackageReducer for Unopenable {
+            type Acc = ();
+            fn new_acc(&self) {
+                panic!("injected new_acc fault");
+            }
+            fn visit(&self, _: &mut (), _: &Package, _: Ext) -> ControlFlow<()> {
+                ControlFlow::Continue(())
+            }
+            fn merge(&self, _: &mut (), _: ()) {}
+        }
+        for jobs in [1usize, 2] {
+            let opts = SolveOptions::default().with_jobs(jobs);
+            let err = reduce_valid_packages(&small_instance(), None, &opts, &Unopenable)
+                .expect_err("injected panic must surface as an error");
+            match err {
+                crate::CoreError::WorkerPanic { unit, message } => {
+                    assert_eq!(unit, None, "jobs {jobs}");
+                    assert!(message.contains("injected new_acc fault"), "{message}");
                 }
                 other => panic!("expected WorkerPanic, got {other:?}"),
             }
@@ -1440,11 +1117,38 @@ mod tests {
     fn progress_reaches_one_on_exact_completion() {
         let progress = Arc::new(Progress::new());
         let inst = small_instance().with_budget(10.0);
-        let opts = SolveOptions::unbounded().with_progress(Arc::clone(&progress));
-        for_each_valid_package(&inst, None, &opts, |_, _| ControlFlow::Continue(())).unwrap();
+        let opts = SolveOptions::unbounded()
+            .with_jobs(1)
+            .with_progress(Arc::clone(&progress));
+        collect(&inst, &opts);
         assert_eq!(progress.fraction(), 1.0);
         let (done, total) = progress.units();
         assert_eq!(done, total);
         assert!(total > 0);
+    }
+
+    #[test]
+    fn one_job_visits_every_package_on_the_calling_thread() {
+        // jobs = 1 is worker 0 alone, inline: no thread is spawned.
+        struct Threads;
+        impl ValidPackageReducer for Threads {
+            type Acc = Vec<std::thread::ThreadId>;
+            fn new_acc(&self) -> Self::Acc {
+                Vec::new()
+            }
+            fn visit(&self, acc: &mut Self::Acc, _: &Package, _: Ext) -> ControlFlow<()> {
+                acc.push(std::thread::current().id());
+                ControlFlow::Continue(())
+            }
+            fn merge(&self, into: &mut Self::Acc, later: Self::Acc) {
+                into.extend(later);
+            }
+        }
+        let opts = SolveOptions::default().with_jobs(1);
+        let (threads, stats) = reduce_valid_packages(&instance(6), None, &opts, &Threads).unwrap();
+        assert_eq!(threads.len() as u64, stats.valid_packages);
+        assert_eq!(threads.len(), 63);
+        let caller = std::thread::current().id();
+        assert!(threads.iter().all(|&t| t == caller));
     }
 }

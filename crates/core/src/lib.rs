@@ -43,8 +43,7 @@ pub mod sketch;
 
 pub use constraints::{Constraint, ANSWER_RELATION};
 pub use enumerate::{
-    for_each_package, for_each_valid_package, reduce_valid_packages,
-    reduce_valid_packages_in, Completion, SearchStats, SolveOptions, UnitSkew,
+    reduce_valid_packages, reduce_valid_packages_in, SearchStats, SolveOptions, UnitSkew,
     ValidPackageReducer, WorkerStat,
 };
 pub use error::{ColumnIssue, CoreError};

@@ -354,8 +354,8 @@ mod tests {
     fn exhausted_budget_yields_anytime_best() {
         // Canonical DFS order visits ∅, {1}, {1,2}, ... — a budget of 3
         // sees val 1 and 3 but never the true best ({2,3}, val 5).
-        // Pinned to the sequential engine: which prefix a step budget
-        // covers is engine-dependent.
+        // Pinned to jobs = 1: which prefix a step budget covers depends
+        // on the worker count.
         let out = top_k(&inst(), &SolveOptions::limited(3).with_jobs(1)).unwrap();
         assert!(!out.exact);
         let sel = out.value.expect("a valid package was seen before cut-off");

@@ -240,8 +240,8 @@ mod tests {
     #[test]
     fn partial_bound_is_a_lower_bound() {
         // Budget 3 sees ∅, {1}, {1,2}: k=1 best-so-far is 3, below the
-        // true maximum bound 5. Pinned to the sequential engine: which
-        // prefix a step budget covers is engine-dependent.
+        // true maximum bound 5. Pinned to jobs = 1: which prefix a step
+        // budget covers depends on the worker count.
         let out = maximum_bound(&inst(), &SolveOptions::limited(3).with_jobs(1)).unwrap();
         assert!(!out.exact);
         let partial = out.value.expect("a valid package was seen");

@@ -53,9 +53,9 @@ impl Progress {
         }
     }
 
-    /// Record one finished work unit.
-    pub(crate) fn unit_done(&self) {
-        self.units_done.fetch_add(1, Ordering::Relaxed);
+    /// Record `n` finished work units.
+    pub(crate) fn add_units_done(&self, n: u64) {
+        self.units_done.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Pin the estimate to 1.0 — called when a walk completes (either
@@ -98,9 +98,11 @@ pub(crate) fn count_nodes(avail: usize, cap: usize) -> f64 {
     total
 }
 
-/// A per-thread accumulator that batches node/prune credits into the
-/// shared [`Progress`], flushing every [`ProgressSink::FLUSH_NODES`]
-/// nodes to keep the hot loop free of atomics.
+/// A per-thread accumulator that batches node, prune and unit credits
+/// into the shared [`Progress`], flushing every
+/// [`ProgressSink::FLUSH_NODES`] nodes to keep the hot loop free of
+/// atomics — units included, since a small search's units are about
+/// one node each.
 pub(crate) struct ProgressSink<'a> {
     progress: &'a Progress,
     /// PPB value of a single node: `PPB / total_nodes` (0 when the
@@ -108,6 +110,8 @@ pub(crate) struct ProgressSink<'a> {
     ppb_per_node: f64,
     pending: f64,
     since_flush: u32,
+    /// Finished units not yet published.
+    units_pending: u64,
 }
 
 impl<'a> ProgressSink<'a> {
@@ -125,6 +129,7 @@ impl<'a> ProgressSink<'a> {
             ppb_per_node,
             pending: 0.0,
             since_flush: 0,
+            units_pending: 0,
         }
     }
 
@@ -147,19 +152,22 @@ impl<'a> ProgressSink<'a> {
         }
     }
 
-    /// Push the pending credit to the shared counter.
+    /// Push the pending credit and unit count to the shared counters.
     pub(crate) fn flush(&mut self) {
         if self.pending >= 1.0 {
             self.progress.add_ppb(self.pending as u64);
             self.pending = 0.0;
         }
+        if self.units_pending > 0 {
+            self.progress.add_units_done(self.units_pending);
+            self.units_pending = 0;
+        }
         self.since_flush = 0;
     }
 
-    /// Finish a unit: flush and bump the units-done count.
+    /// Count one finished unit (published with the next flush).
     pub(crate) fn unit_done(&mut self) {
-        self.flush();
-        self.progress.unit_done();
+        self.units_pending += 1;
     }
 }
 
@@ -220,6 +228,7 @@ mod tests {
             sink.node();
         }
         sink.unit_done();
+        sink.flush();
         assert_eq!(p.fraction(), 0.0);
         assert_eq!(p.units(), (1, 2));
     }

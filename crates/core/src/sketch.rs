@@ -278,9 +278,12 @@ impl<'a> Run<'a, '_> {
             Some(left) => self.params.sub_steps.min(left),
             None => self.params.sub_steps,
         });
+        // One worker: a step allowance that trips with several workers
+        // cuts a prefix that depends on thread timing, and the sketch
+        // answer would too.
         let sub_opts = SolveOptions {
             budget,
-            jobs: self.opts.jobs,
+            jobs: 1,
             progress: None,
             approx: None, // the sub-solves are the exact engine
         };

@@ -17,8 +17,8 @@
 //!
 //! * `flight` — the record belongs to the **deterministic projection**,
 //!   the flight recording ([`take_recording`]). It never carries a time
-//!   field, so an uninterrupted parallel run reproduces the sequential
-//!   recording bit for bit;
+//!   field, so an uninterrupted search records the same events bit for
+//!   bit at every jobs level;
 //! * `timing` — a wall-clock timing (time, profiling scope, worker),
 //!   present while the profile channel is on. The **timed projection**
 //!   ([`crate::timeline`]) keeps exactly these records.
@@ -96,7 +96,7 @@ pub enum FlightEvent {
         /// Total number of units the search was split into.
         units: u64,
     },
-    /// A unit was claimed (by the sequential loop or a worker).
+    /// A unit was claimed by a search worker.
     UnitClaimed,
     /// A unit's partition was walked to completion.
     UnitFinished,

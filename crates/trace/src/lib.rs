@@ -200,8 +200,8 @@ pub struct Telemetry {
     /// Profiling scope timed records are tagged with (0 = none); see
     /// [`timeline::begin_scope`].
     pub scope: u64,
-    /// Worker index timed records carry (0 = the coordinator or the
-    /// sequential engine).
+    /// Worker index timed records carry (0 = the coordinator, whose
+    /// thread also runs search worker 0).
     pub worker: u32,
 }
 

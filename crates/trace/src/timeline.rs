@@ -537,7 +537,7 @@ pub struct PhaseTotal {
 /// What one worker did over the timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerLoad {
-    /// The worker index (coordinator / sequential engine = 0).
+    /// The worker index (0 = the coordinator's thread, search worker 0).
     pub worker: u32,
     /// Summed claim→end wall time, nanoseconds.
     pub busy_ns: u64,

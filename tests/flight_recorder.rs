@@ -1,9 +1,8 @@
-//! Flight-recorder contracts across the whole stack: sequential and
-//! parallel engines produce bit-identical merged recordings on
-//! completed runs, interrupted runs end their black box with the
-//! tripping event, the attributed `enumerate.pruned.*` counters agree
-//! with the recorded prune events, and the live progress estimate is
-//! monotone and exact.
+//! Flight-recorder contracts across the whole stack: every jobs level
+//! produces the bit-identical merged recording on completed runs,
+//! interrupted runs end their black box with the tripping event, the
+//! attributed `enumerate.pruned.*` counters agree with the recorded
+//! prune events, and the live progress estimate is monotone and exact.
 //!
 //! Flight recording (like tracing) is per-thread, and the test harness
 //! runs each test on its own thread, so enabling it here cannot
@@ -80,8 +79,8 @@ const GOLDEN: [(&[(i64, i64)], Qc); 4] = [
     (&[(1, 1)], Qc::None),
 ];
 
-/// Completed runs: the merged parallel recording is bit-identical to
-/// the sequential one at every jobs level, for every golden workload.
+/// Completed runs: the merged recording at jobs N is bit-identical to
+/// the jobs = 1 one, for every golden workload.
 #[test]
 fn parallel_recordings_match_sequential_bit_for_bit() {
     let _on = flight::scoped();
@@ -90,7 +89,7 @@ fn parallel_recordings_match_sequential_bit_for_bit() {
         flight::reset();
         let seq_out = frp::top_k(&inst, &SolveOptions::default().with_jobs(1)).unwrap();
         let seq = flight::take_recording();
-        assert!(!seq.events.is_empty(), "the sequential run recorded events");
+        assert!(!seq.events.is_empty(), "the jobs = 1 run recorded events");
         for jobs in JOBS_LEVELS {
             flight::reset();
             let par_out = frp::top_k(&inst, &SolveOptions::default().with_jobs(jobs)).unwrap();
@@ -103,8 +102,8 @@ fn parallel_recordings_match_sequential_bit_for_bit() {
 }
 
 /// A budget-interrupted run's recording ends with the tripping event —
-/// every `SearchLimitExceeded` comes with its black box — in both
-/// engines.
+/// every `SearchLimitExceeded` comes with its black box — at every
+/// jobs level.
 #[test]
 fn interrupted_recordings_end_with_the_tripping_event() {
     let _on = flight::scoped();
@@ -220,7 +219,7 @@ fn progress_is_monotone_and_exact() {
     panic!("40 steps should have exhausted the golden workload");
 }
 
-/// Parallel completed runs also pin the shared estimate to 1.0.
+/// Multi-worker completed runs also pin the shared estimate to 1.0.
 #[test]
 fn parallel_progress_reaches_one() {
     let inst = instance(GOLDEN[0].0, GOLDEN[0].1);

@@ -1,15 +1,15 @@
-//! Parallel-engine equivalence: the prefix-partitioned multi-worker
-//! search must be *bit-identical* to the sequential walk on completed
-//! runs — same packages, same ratings, same statistics — for every
-//! jobs level, and budget-interrupted parallel runs must still satisfy
-//! the anytime contracts (certified lower bounds, charged steps within
-//! the budget).
+//! Jobs-level equivalence: the search must return the answers of a
+//! brute-force oracle at every jobs level, completed runs at jobs N
+//! must be *bit-identical* to jobs = 1 — same packages, same ratings,
+//! same statistics — and budget-interrupted multi-worker runs must
+//! still satisfy the anytime contracts (certified lower bounds, charged
+//! steps within the budget).
 
 use proptest::prelude::*;
 
 use pkgrec::core::{
     problems::cpp, problems::frp, problems::mbp, problems::rpp, Budget, CancelFlag, Constraint,
-    Ext, PackageFn, RecInstance, SolveOptions,
+    Ext, Package, PackageFn, RecInstance, SolveOptions,
 };
 use pkgrec::data::{tuple, AttrType, Database, Relation, RelationSchema};
 use pkgrec::query::{ConjunctiveQuery, Query};
@@ -45,6 +45,33 @@ fn instance(scores: Vec<(i64, i64)>, with_qc: bool, k: usize) -> RecInstance {
         }));
     }
     inst
+}
+
+/// The brute-force oracle: every subset of `Q(D)` up to the size
+/// bound, kept with its rating when `SearchContext::is_valid_package`
+/// accepts it — no units, pruning or merge. Sorted best first: rating
+/// descending, ties to the canonically smaller package (FRP's order).
+fn oracle(inst: &RecInstance) -> Vec<(Ext, Package)> {
+    let ctx = inst.search_context().expect("valid instance");
+    let items = ctx.items();
+    let mut valid = Vec::new();
+    for mask in 0u32..1 << items.len() {
+        if mask.count_ones() as usize > ctx.max_package_size() {
+            continue;
+        }
+        let pkg = Package::new(
+            items
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| mask >> i & 1 == 1)
+                .map(|(_, t)| t.clone()),
+        );
+        if ctx.is_valid_package(&pkg, None).expect("checkable") {
+            valid.push((inst.val.eval(&pkg), pkg));
+        }
+    }
+    valid.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    valid
 }
 
 fn scores_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -111,6 +138,39 @@ proptest! {
                 .as_ref()
                 .map(|sel| rpp::is_top_k(&inst, sel, &par).unwrap());
             prop_assert_eq!(&rpp_par, &rpp_seq, "jobs {}", jobs);
+        }
+    }
+
+    /// Every jobs level, jobs = 1 included, returns the oracle's
+    /// answers: the FRP top-k selection, the MBP maximum bound (the
+    /// k-th best rating) and the CPP count of packages rated ≥ 10.
+    #[test]
+    fn solvers_match_the_brute_force_oracle(
+        scores in scores_strategy(),
+        with_qc in any::<bool>(),
+        k in 1usize..4,
+    ) {
+        let inst = instance(scores, with_qc, k);
+        let valid = oracle(&inst);
+        let top_k = (valid.len() >= k)
+            .then(|| valid[..k].iter().map(|(_, p)| p.clone()).collect::<Vec<_>>());
+        let max_bound = (valid.len() >= k).then(|| valid[k - 1].0);
+        let count = valid.iter().filter(|(v, _)| *v >= Ext::Finite(10.0)).count() as u128;
+        for jobs in [1].into_iter().chain(JOBS_LEVELS) {
+            let opts = SolveOptions::default().with_jobs(jobs);
+            let frp = frp::top_k(&inst, &opts).unwrap();
+            prop_assert!(frp.exact);
+            prop_assert_eq!(&frp.value, &top_k, "jobs {}", jobs);
+            prop_assert_eq!(
+                mbp::maximum_bound(&inst, &opts).unwrap().value,
+                max_bound,
+                "jobs {}", jobs
+            );
+            prop_assert_eq!(
+                cpp::count_valid(&inst, Ext::Finite(10.0), &opts).unwrap().value,
+                count,
+                "jobs {}", jobs
+            );
         }
     }
 

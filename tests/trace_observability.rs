@@ -36,8 +36,8 @@ fn rpp_solve_emits_the_documented_counter_names() {
     pkgrec_trace::reset();
     let inst = small_instance();
     let sel = vec![Package::new([tuple![2], tuple![3]])];
-    // jobs=1: the golden span list is the sequential engine's (the
-    // parallel engine adds enumerate.par/enumerate.worker spans).
+    // jobs=1 keeps the golden under a PKGREC_JOBS override: spawned
+    // workers' `enumerate.dfs` spans are absorbed at the report's root.
     assert!(rpp::is_top_k(&inst, &sel, &SolveOptions::default().with_jobs(1)).unwrap());
     let report = pkgrec_trace::take();
 
@@ -93,20 +93,22 @@ fn rpp_solve_pins_compiled_plan_counters() {
 }
 
 /// An FRP search cut off mid-enumeration reports *where* the budget
-/// tripped: the interruption is tagged with the innermost open span.
+/// tripped: the interruption is tagged with the innermost open span,
+/// which every worker — inline or spawned — opens as `enumerate.dfs`.
 #[test]
 fn interrupted_frp_solve_names_the_enumeration_span() {
     let _scope = pkgrec_trace::scoped();
-    pkgrec_trace::reset();
-    // jobs=1: the parallel engine trips inside enumerate.worker.
-    let out = frp::top_k(&small_instance(), &SolveOptions::limited(3).with_jobs(1)).unwrap();
-    assert!(!out.exact);
-    let cut = out.interrupted.expect("3 steps cannot finish the search");
-    assert_eq!(cut.span, Some("enumerate.dfs"));
-    assert!(
-        cut.to_string().ends_with("in enumerate.dfs"),
-        "Display names the tripping span: {cut}"
-    );
+    for jobs in [1, 2] {
+        pkgrec_trace::reset();
+        let out = frp::top_k(&small_instance(), &SolveOptions::limited(3).with_jobs(jobs)).unwrap();
+        assert!(!out.exact);
+        let cut = out.interrupted.expect("3 steps cannot finish the search");
+        assert_eq!(cut.span, Some("enumerate.dfs"), "jobs {jobs}");
+        assert!(
+            cut.to_string().ends_with("in enumerate.dfs"),
+            "Display names the tripping span: {cut}"
+        );
+    }
 }
 
 /// Without tracing enabled the same interruption carries no span — the
