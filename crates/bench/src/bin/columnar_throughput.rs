@@ -1,12 +1,13 @@
-//! `columnar_throughput` — bitset fast path versus the row path, on
-//! the two probe shapes the columnar layer accelerates:
+//! `columnar_throughput` — posting-intersection fast path versus the
+//! row path, on the two probe shapes the columnar layer accelerates:
 //!
 //! * `dense_cq_membership` — candidate-membership probes `t ∈ Q(D)`
 //!   for the identity CQ over a wide, low-cardinality relation (every
 //!   column holds a handful of distinct values, so per-column
 //!   candidate lists are thousands of rows long). The row path probes
-//!   one column index and scans its candidates; the bitset path
-//!   intersects the per-column inverted-index bitsets word by word.
+//!   one column's postings and scans its candidates; the fast path
+//!   intersects the columns' postings — here every value is on more
+//!   than `rows/32` rows, so all are bitsets, AND-ed word by word.
 //!   Bitmap indexes classically win exactly here: dense columns,
 //!   selective conjunctions, and *absent* rows (the row path must
 //!   exhaust a candidate list to say "no").
@@ -15,14 +16,16 @@
 //!   c2, c3)` rejects any item whose category columns form a banned
 //!   combination. The dynamic atom binds all three categories, so the
 //!   `banned` atom is a fully-bound existence step — the shape the
-//!   greedy join order makes bitset-eligible (a pairwise
+//!   greedy join order makes intersection-eligible (a pairwise
 //!   `conflict(c1, c2)` across *two* dynamic atoms is placed after
 //!   only one category is bound and stays on the row path; the
 //!   columnar-vs-row equivalence suite covers that shape for
-//!   correctness).
+//!   correctness). 32 values over 28k rows sit at the `rows/32`
+//!   container threshold, so about half the postings are sorted runs
+//!   and most probes intersect a run with bitsets.
 //!
 //! Both sides run the *same* compiled plan — the slow side is the
-//! plan with [`CompiledPlan::with_bitsets`] disabled, i.e. the PR 5
+//! plan with [`CompiledPlan::with_bitsets`] disabled, i.e. the
 //! compiled row path. Every timed closure re-checks answers against
 //! precomputed expectations, so a speedup can never come from wrong
 //! answers, and an untimed pre-pass asserts `query.bitset_probes`

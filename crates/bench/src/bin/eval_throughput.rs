@@ -6,10 +6,10 @@
 //!
 //! * `qc_overlay` — the hot probe of compatibility checking: is
 //!   `Qc(N, D)` empty? One-shot, every probe binds `R_Q` over a clone
-//!   of the whole database (`Database::with_relation`) and compiles
-//!   `Qc`; cached, the package is bound as a zero-copy overlay against
-//!   a plan built once. Example 1.1's "≤ 2 museums" constraint over a
-//!   random travel database.
+//!   of the whole database (`Database::with_relation`, a new epoch, so
+//!   a new snapshot) and compiles `Qc`; cached, the package is bound
+//!   as a zero-copy overlay against a plan built once. Example 1.1's
+//!   "≤ 2 museums" constraint over a random travel database.
 //! * `thm41_membership` — item-membership probes `t ∈ Q(D)` on the
 //!   Theorem 4.1 gadget instance, `Query::contains` vs
 //!   `CompiledPlan::contains`.

@@ -23,7 +23,9 @@
 //!
 //! `--smoke` shrinks the catalog to 20k items for CI shape checks (still
 //! far beyond the exact engines, and large enough to exercise a
-//! multi-level partition tree).
+//! multi-level partition tree). The report records the process's peak
+//! resident set (`peak_rss_mb`, from `VmHWM`), so a run under a
+//! `ulimit -v` cap shows how close it came.
 
 use std::time::{Duration, Instant};
 
@@ -95,6 +97,17 @@ fn finite(e: Ext) -> f64 {
         Ext::Finite(x) => x,
         other => panic!("expected a finite rating, got {other}"),
     }
+}
+
+/// The process's peak resident set (`VmHWM`) in MB (10^6 bytes), as
+/// JSON: `null` where `/proc/self/status` is unavailable.
+fn peak_rss_mb() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok());
+    kb.map_or_else(|| "null".to_string(), |kb| format!("{:.1}", kb * 1024.0 / 1e6))
 }
 
 fn main() {
@@ -179,9 +192,10 @@ fn main() {
 \"valid\":true,\"interrupted\":{}}},\
 \"mbp\":{{\"seconds\":{mbp_seconds:.6},\"bound\":{bound}}},\
 \"quality\":{{\"items\":{ITEMS_EXACT},\"exact\":{exact_top},\"approx\":{approx_top},\
-\"ratio\":{ratio:.6}}}}}",
+\"ratio\":{ratio:.6}}},\"peak_rss_mb\":{}}}",
         sel.len(),
         mbp_out.interrupted.is_some() || frp_out.interrupted.is_some(),
+        peak_rss_mb(),
     );
     pkgrec_trace::json::validate_object(&json).expect("report is valid JSON");
     std::fs::write(&out_path, format!("{json}\n")).expect("write output file");

@@ -1,34 +1,12 @@
-//! Columnar (struct-of-arrays) relation storage and item bitsets.
-//!
-//! The row-oriented [`Relation`](crate::Relation) stores `Tuple`s —
-//! every probe chases an `Arc` per value. For the hot probes of package
-//! search (membership `t ∈ Q(D)` and antimonotone-`Qc` compat checks),
-//! compiled plans instead want the layout scalable package-query
-//! engines use: one dense-`u32` column vector per attribute over a
-//! per-relation [`ValueInterner`], plus an inverted index mapping each
-//! column value to the *set of rows* carrying it, represented as a
-//! word-packed [`ItemBitset`]. A fully-bound atom probe then reduces to
-//! intersecting one bitset per column — branch-free `u64` AND loops the
-//! compiler auto-vectorizes — instead of scanning an index bucket row
-//! by row.
-//!
-//! A [`ColumnarRelation`] is built lazily from the canonical
-//! (`BTreeSet`-ordered) tuple layout and cached on the owning
-//! `Relation`: double-checked under an `RwLock`, invalidated on
-//! mutation, never cloned across relation clones. Row numbers are therefore *canonical positions*, identical
-//! to the row numbering compiled plans derive from `Relation::iter`.
-
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use crate::{Relation, ValueInterner};
+//! [`ItemBitset`]: the dense container of the snapshot's postings.
 
 /// A set of dense row/item ids packed into `u64` words.
 ///
-/// No dependencies, no compression: the sets this represents (rows of
-/// one relation) are bounded by the relation's cardinality, and the
-/// word ops (`and`/`or`/`andnot`) are what the probe hot path needs —
-/// plain slice loops over `u64`s that LLVM turns into SIMD.
+/// No dependencies, no compression: a [`Posting`](crate::Posting)
+/// carries one only when its value holds more than `rows/32` of a
+/// column's rows, where the bitset is the smaller container, and the
+/// word ops are plain slice loops over `u64`s that LLVM turns into
+/// SIMD.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ItemBitset {
     /// Packed words; bit `i` of word `w` is id `w * 64 + i`. Trailing
@@ -43,6 +21,15 @@ impl ItemBitset {
         ItemBitset {
             words: vec![0; capacity.div_ceil(64)],
         }
+    }
+
+    /// The set of `ids`, able to hold ids `0..capacity`.
+    pub(crate) fn from_ids(ids: &[u32], capacity: usize) -> ItemBitset {
+        let mut words = vec![0u64; capacity.div_ceil(64)];
+        for &id in ids {
+            words[id as usize / 64] |= 1 << (id % 64);
+        }
+        ItemBitset { words }
     }
 
     /// An empty set.
@@ -87,6 +74,7 @@ impl ItemBitset {
     }
 
     /// Membership test.
+    #[inline]
     pub fn contains(&self, id: u32) -> bool {
         self.word(id as usize / 64) & (1u64 << (id % 64)) != 0
     }
@@ -203,94 +191,9 @@ impl FromIterator<u32> for ItemBitset {
     }
 }
 
-/// A relation re-laid out column-major over dense interned ids, with a
-/// per-column inverted index. See the module docs.
-///
-/// Row numbering is the relation's canonical (sorted) tuple order, so
-/// row `r` here is the `r`-th tuple of `Relation::iter` — the same
-/// numbering compiled plans use for their row-major cell arrays.
-#[derive(Debug)]
-pub struct ColumnarRelation {
-    rows: usize,
-    /// This relation's private interner: ids are dense in first-seen
-    /// (row-major, canonical) order and meaningless outside this layout.
-    interner: ValueInterner,
-    /// One dense-id vector per attribute, each `rows` long.
-    columns: Vec<Vec<u32>>,
-    /// Per column: interned value id → the set of rows carrying it.
-    /// Bitsets are `Arc`-shared so consumers (compiled plans) can hold
-    /// them without copying words.
-    index: Vec<HashMap<u32, Arc<ItemBitset>>>,
-}
-
-impl ColumnarRelation {
-    /// Build the columnar layout of `rel` (canonical row order).
-    pub fn build(rel: &Relation) -> ColumnarRelation {
-        let arity = rel.schema().arity();
-        let rows = rel.len();
-        let mut interner = ValueInterner::new();
-        let mut columns: Vec<Vec<u32>> =
-            (0..arity).map(|_| Vec::with_capacity(rows)).collect();
-        let mut building: Vec<HashMap<u32, ItemBitset>> = vec![HashMap::new(); arity];
-        for (row, t) in rel.iter().enumerate() {
-            for (col, v) in t.values().iter().enumerate() {
-                let id = interner.intern(v);
-                columns[col].push(id);
-                building[col]
-                    .entry(id)
-                    .or_insert_with(|| ItemBitset::with_capacity(rows))
-                    .insert(row as u32);
-            }
-        }
-        let index = building
-            .into_iter()
-            .map(|m| m.into_iter().map(|(id, bs)| (id, Arc::new(bs))).collect())
-            .collect();
-        ColumnarRelation {
-            rows,
-            interner,
-            columns,
-            index,
-        }
-    }
-
-    /// Number of rows (canonical positions).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// The relation-local interner mapping this layout's dense ids to
-    /// values.
-    pub fn interner(&self) -> &ValueInterner {
-        &self.interner
-    }
-
-    /// Column `col` as a dense-id vector in canonical row order.
-    pub fn column(&self, col: usize) -> &[u32] {
-        &self.columns[col]
-    }
-
-    /// The rows whose column `col` holds the value with local id `id`,
-    /// or `None` when no row does.
-    pub fn rows_with(&self, col: usize, id: u32) -> Option<&Arc<ItemBitset>> {
-        self.index[col].get(&id)
-    }
-
-    /// The full inverted index of column `col`.
-    pub fn column_index(&self, col: usize) -> &HashMap<u32, Arc<ItemBitset>> {
-        &self.index[col]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{tuple, AttrType, RelationSchema, Value};
 
     #[test]
     fn bitset_ops_roundtrip() {
@@ -329,51 +232,5 @@ mod tests {
         let mut shrunk = big.clone();
         shrunk.and_assign(&small);
         assert_eq!(shrunk.iter_ones().collect::<Vec<_>>(), vec![1]);
-    }
-
-    fn rel() -> Relation {
-        let schema =
-            RelationSchema::new("r", [("a", AttrType::Int), ("b", AttrType::Str)]).unwrap();
-        Relation::from_tuples(
-            schema,
-            [tuple![1, "x"], tuple![2, "y"], tuple![1, "z"]],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn columnar_layout_matches_canonical_rows() {
-        let r = rel();
-        let c = ColumnarRelation::build(&r);
-        assert_eq!(c.rows(), 3);
-        assert_eq!(c.arity(), 2);
-        for (row, t) in r.iter().enumerate() {
-            for col in 0..2 {
-                assert_eq!(c.interner().resolve(c.column(col)[row]), &t[col]);
-            }
-        }
-        let one = c.interner().get(&Value::Int(1)).unwrap();
-        let rows = c.rows_with(0, one).unwrap();
-        // Canonical order sorts [1,"x"], [1,"z"], [2,"y"]: rows 0 and 1
-        // hold a = 1.
-        assert_eq!(rows.iter_ones().collect::<Vec<_>>(), vec![0, 1]);
-        assert!(c.rows_with(0, 999).is_none());
-    }
-
-    #[test]
-    fn relation_caches_and_invalidates_columnar() {
-        let mut r = rel();
-        let a = r.columnar();
-        let b = r.columnar();
-        assert!(Arc::ptr_eq(&a, &b), "cache hands out one build");
-        r.insert(tuple![5, "w"]).unwrap();
-        let c = r.columnar();
-        assert!(!Arc::ptr_eq(&a, &c), "mutation invalidates the cache");
-        assert_eq!(c.rows(), 4);
-        r.remove(&tuple![5, "w"]);
-        assert_eq!(r.columnar().rows(), 3);
-        // Clones rebuild lazily rather than sharing the cache.
-        let clone = r.clone();
-        assert_eq!(clone.columnar().rows(), 3);
     }
 }

@@ -1,8 +1,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-
-use crate::{DataError, Relation, RelationSchema, Result, Tuple, Value};
+use crate::{DataError, Relation, RelationSchema, Result, Snapshot, Tuple, Value};
 
 /// The *active domain* of a database (plus any constants supplied by a
 /// query): all values occurring in it.
@@ -86,11 +86,16 @@ fn next_epoch() -> u64 {
 /// database identity (e.g. a resident server's compiled-plan cache)
 /// can tell two different contents registered under the same name
 /// apart. The epoch is bookkeeping, not data: equality ignores it.
+///
+/// Each epoch has at most one [`Snapshot`], built on first use and
+/// shared by clones until either side mutates.
 #[derive(Debug, Clone)]
 pub struct Database {
     relations: BTreeMap<String, Relation>,
     /// Generation token; see the type docs.
     epoch: u64,
+    /// This epoch's interned snapshot; cleared by every mutation.
+    snapshot: OnceLock<Arc<Snapshot>>,
 }
 
 impl Default for Database {
@@ -98,6 +103,7 @@ impl Default for Database {
         Database {
             relations: BTreeMap::new(),
             epoch: next_epoch(),
+            snapshot: OnceLock::new(),
         }
     }
 }
@@ -128,9 +134,17 @@ impl Database {
         self.epoch
     }
 
-    /// Stamp a fresh generation; called by every mutating method.
+    /// Stamp a fresh generation and drop the old one's snapshot;
+    /// called by every mutating method.
     fn touch(&mut self) {
         self.epoch = next_epoch();
+        self.snapshot = OnceLock::new();
+    }
+
+    /// This epoch's interned snapshot, built on first use. Concurrent
+    /// first callers share one build.
+    pub fn snapshot(&self) -> &Arc<Snapshot> {
+        self.snapshot.get_or_init(|| Arc::new(Snapshot::build(self)))
     }
 
     /// Add a relation; errors if the name is taken.

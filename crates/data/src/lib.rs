@@ -13,13 +13,14 @@
 //! * [`Relation`] — a set of tuples under a schema, deduplicated and kept
 //!   in canonical (sorted) order so all downstream algorithms are
 //!   deterministic.
-//! * [`ColumnarRelation`] / [`ItemBitset`] — the struct-of-arrays
-//!   mirror of a relation (dense-`u32` columns plus per-column
-//!   value→row-bitset inverted indexes), built lazily and cached on the
-//!   relation; compiled query plans turn fully-bound probes into bitset
-//!   intersections over it.
 //! * [`Database`] — a catalog of relations, plus the *active domain*
 //!   computation used by FO evaluation and by query-relaxation search.
+//! * [`Snapshot`] — a database interned once per epoch: one
+//!   [`ValueInterner`] over all of `D`, `u32` row-major cells per
+//!   relation, and per-column [`Postings`] built lazily, at most once.
+//!   Every compiled query plan and one-shot call shares it. A posting
+//!   is a sorted row run, plus an [`ItemBitset`] once its value holds
+//!   more than `rows/32` rows, so a column's index is O(rows) bytes.
 //! * [`partition`] — the offline, deterministic hierarchical clustering
 //!   behind the SketchRefine approximate engine: per-partition
 //!   representative tuples and size/aggregate metadata.
@@ -30,24 +31,26 @@
 //! determinism and clarity while still using indexes where joins need
 //! them.
 
-mod columnar;
+mod bitset;
 mod database;
 mod error;
 mod interner;
 pub mod partition;
 mod relation;
 mod schema;
+mod snapshot;
 pub mod text;
 mod tuple;
 mod value;
 
-pub use columnar::{ColumnarRelation, ItemBitset};
+pub use bitset::ItemBitset;
 pub use database::{ActiveDomain, Database};
 pub use partition::{PartitionIndex, PartitionNode, PartitionParams};
 pub use error::DataError;
 pub use interner::ValueInterner;
 pub use relation::Relation;
 pub use schema::{Attribute, RelationSchema};
+pub use snapshot::{Posting, Postings, Snapshot, Table};
 pub use tuple::Tuple;
 pub use value::{AttrType, Value};
 

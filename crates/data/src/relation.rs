@@ -1,45 +1,20 @@
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
-use crate::{ColumnarRelation, RelationSchema, Result, Tuple, Value};
+use crate::{RelationSchema, Result, Tuple, Value};
 
 /// A relation instance: a set of tuples under a [`RelationSchema`].
 ///
 /// Tuples are stored in a `BTreeSet` so iteration order is canonical —
 /// every solver, counter and bench in the workspace is deterministic as a
-/// consequence. Query evaluation builds its own `u32` indexes in
-/// compiled plans; the relation caches only its columnar layout (see
-/// [`Relation::columnar`]), which compiled plans share.
-#[derive(Debug)]
+/// consequence. Query evaluation reads relations through the owning
+/// database's interned [`Snapshot`](crate::Snapshot), which numbers
+/// rows in this order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     schema: RelationSchema,
     tuples: BTreeSet<Tuple>,
-    /// Lazily built columnar (struct-of-arrays) layout: double-checked
-    /// build, cleared on mutation, never copied by `Clone`. It sits
-    /// behind an `RwLock` (not a `RefCell`) so parallel search workers
-    /// can share one relation. See [`ColumnarRelation`].
-    columnar: std::sync::RwLock<Option<Arc<ColumnarRelation>>>,
 }
-
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        Relation {
-            schema: self.schema.clone(),
-            tuples: self.tuples.clone(),
-            // The cache rebuilds lazily; cloning it would just copy work.
-            columnar: Default::default(),
-        }
-    }
-}
-
-impl PartialEq for Relation {
-    fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.tuples == other.tuples
-    }
-}
-
-impl Eq for Relation {}
 
 impl Relation {
     /// An empty relation under the given schema.
@@ -47,7 +22,6 @@ impl Relation {
         Relation {
             schema,
             tuples: BTreeSet::new(),
-            columnar: Default::default(),
         }
     }
 
@@ -73,7 +47,6 @@ impl Relation {
         Relation {
             schema,
             tuples: tuples.into_iter().collect(),
-            columnar: Default::default(),
         }
     }
 
@@ -96,25 +69,12 @@ impl Relation {
     /// was new.
     pub fn insert(&mut self, t: Tuple) -> Result<bool> {
         self.schema.check_tuple(&t)?;
-        let new = self.tuples.insert(t);
-        if new {
-            self.invalidate_caches();
-        }
-        Ok(new)
+        Ok(self.tuples.insert(t))
     }
 
     /// Remove a tuple. Returns whether it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        let removed = self.tuples.remove(t);
-        if removed {
-            self.invalidate_caches();
-        }
-        removed
-    }
-
-    /// Drop the lazily built columnar layout after a mutation.
-    fn invalidate_caches(&mut self) {
-        *self.columnar.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
+        self.tuples.remove(t)
     }
 
     /// Membership test.
@@ -130,37 +90,6 @@ impl Relation {
     /// All tuples, cloned, in canonical order.
     pub fn tuples(&self) -> Vec<Tuple> {
         self.tuples.iter().cloned().collect()
-    }
-
-    /// The columnar (struct-of-arrays + per-column bitset index) layout
-    /// of this relation, built lazily on first use and cached until the
-    /// next mutation. The handle is `Arc`-shared, so compiled plans can
-    /// keep the layout alive past a mutation of the relation (they
-    /// snapshot, exactly as they snapshot tuples).
-    ///
-    /// Poisoned locks are recovered rather than propagated: the slot is
-    /// only ever filled with a finished layout (the build closure returns it
-    /// whole or unwinds before insertion), so it is never observable
-    /// half-built, and a panic elsewhere in the process must not wedge
-    /// every later probe of this relation.
-    pub fn columnar(&self) -> Arc<ColumnarRelation> {
-        if let Some(c) = self
-            .columnar
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-        {
-            return Arc::clone(c);
-        }
-        // Double-checked build: two callers can both miss the read lock
-        // above; the write-locked slot is re-probed so the second one
-        // reuses the first one's layout instead of rebuilding it (the
-        // `query.index_builds` counter pins at-most-once builds).
-        let mut slot = self.columnar.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(slot.get_or_insert_with(|| {
-            pkgrec_trace::counter!("query.index_builds");
-            Arc::new(ColumnarRelation::build(self))
-        }))
     }
 
     /// All distinct values appearing anywhere in the relation.
@@ -225,86 +154,6 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort();
         assert_eq!(order, sorted);
-    }
-
-    #[test]
-    fn columnar_layout_is_cached_and_shared() {
-        let r = rel();
-        let a = r.columnar();
-        let b = r.columnar();
-        // Same allocation handed out to every caller.
-        assert!(Arc::ptr_eq(&a, &b));
-        let one = a.interner().get(&Value::Int(1)).expect("1 is interned");
-        assert_eq!(a.rows_with(0, one).expect("two matches").count_ones(), 2);
-    }
-
-    #[test]
-    fn mutation_invalidates_columnar_layout() {
-        let rows_with_1 = |r: &Relation| {
-            let c = r.columnar();
-            let id = c.interner().get(&Value::Int(1)).expect("1 is interned");
-            c.rows_with(0, id).map_or(0, |rows| rows.count_ones())
-        };
-        let mut r = rel();
-        assert_eq!(rows_with_1(&r), 2);
-        r.insert(tuple![1, "w"]).unwrap();
-        assert_eq!(rows_with_1(&r), 3);
-        r.remove(&tuple![1, "w"]);
-        assert_eq!(rows_with_1(&r), 2);
-    }
-
-    /// Regression: concurrent first calls must build the columnar
-    /// layout exactly once. Tracing is per thread, so each caller turns
-    /// it on and hands its report back to the main thread.
-    #[test]
-    fn concurrent_lookups_build_the_index_at_most_once() {
-        let r = std::sync::Arc::new(rel());
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
-        let mut total = pkgrec_trace::TraceReport::default();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let r = std::sync::Arc::clone(&r);
-                let barrier = std::sync::Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    let _scope = pkgrec_trace::scoped();
-                    barrier.wait();
-                    for _ in 0..100 {
-                        let _ = r.columnar();
-                    }
-                    pkgrec_trace::take()
-                })
-            })
-            .collect();
-        for h in handles {
-            total.merge(&h.join().expect("caller thread"));
-        }
-        assert_eq!(
-            total.counters.get("query.index_builds").copied(),
-            Some(1),
-            "double-checked rebuild must dedupe concurrent builds"
-        );
-    }
-
-    /// Regression: a panic while holding the cache lock (as a crashed
-    /// search worker would leave it) poisons the `RwLock`, but the cache
-    /// must keep serving — the resident server reuses one `Relation`
-    /// across requests, and a single fault must not wedge every later
-    /// probe.
-    #[test]
-    fn lookup_recovers_from_poisoned_index_lock() {
-        let r = std::sync::Arc::new(rel());
-        let r2 = std::sync::Arc::clone(&r);
-        std::thread::spawn(move || {
-            let _guard = r2.columnar.write().unwrap();
-            panic!("poison the cache lock");
-        })
-        .join()
-        .expect_err("the poisoning thread panicked");
-        assert!(r.columnar.is_poisoned());
-        let c = r.columnar();
-        assert_eq!(c.rows(), 3);
-        assert!(c.interner().get(&Value::Int(9)).is_none());
-        assert!(Arc::ptr_eq(&c, &r.columnar()));
     }
 
     #[test]

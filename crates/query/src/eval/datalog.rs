@@ -15,7 +15,7 @@ use pkgrec_data::Tuple;
 use crate::cq::ConjunctiveQuery;
 use crate::datalog::{BodyLiteral, DatalogProgram};
 use crate::eval::EvalContext;
-use crate::plan::{EdbRels, RuleRunner};
+use crate::plan::{check_edb, RuleRunner};
 use crate::Result;
 
 /// The name a semi-naive firing binds `pred`'s new facts under. `#`
@@ -40,8 +40,9 @@ struct RuleParts {
 pub(crate) fn eval_datalog(ctx: EvalContext<'_>, prog: &DatalogProgram) -> Result<BTreeSet<Tuple>> {
     let _span = pkgrec_trace::span!("datalog.fixpoint");
     prog.check()?;
-    let edb = EdbRels::compile(prog, ctx.db, None)?;
-    fixpoint(ctx, prog, RuleRunner::new(&edb))
+    let snap = ctx.db.snapshot();
+    check_edb(prog, snap, None)?;
+    fixpoint(ctx, prog, RuleRunner::new(snap))
 }
 
 /// The semi-naive fixpoint of a checked program, firing its rules on

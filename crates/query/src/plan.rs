@@ -3,50 +3,49 @@
 //! Every conjunctive body in the system runs on [`ConjSet`]: CQ/UCQ
 //! answers and membership tests (the "guess a tableau" step behind the
 //! paper's upper bounds), Datalog rule firings, and conjunctive `Qc`
-//! checks. Compilation does the work that depends only on the
-//! (query, database) pair:
+//! checks. All of them read the database's interned [`Snapshot`]
+//! (`Database::snapshot`, built once per epoch and shared): row-major
+//! `u32` cells over one interner for all of `D`, and per-column
+//! postings built on first touch, at most once. A plan keeps the
+//! snapshot's `Arc` plus what depends on the query alone:
 //!
-//! * relation tuples are flattened into row-major `u32` cell arrays
-//!   over a shared [`ValueInterner`], so the join inner loop compares
-//!   4-byte ids instead of cloning [`Value`]s;
-//! * the greedy atom order, builtin schedule and probe columns are
-//!   computed per disjunct and mode (evaluation vs membership);
-//! * every column index the static access paths probe is built up
-//!   front (`query.index_builds` counts them);
-//! * a dynamic answer relation binds as a zero-copy overlay instead of
-//!   `Database::with_relation`'s full clone.
+//! * query constants absent from `D`, interned above the snapshot's
+//!   ids (each probe's [`ProbeSyms`] layers its own ids above those);
+//! * the greedy atom order, builtin schedule and probe column of each
+//!   disjunct in both modes (evaluation vs membership), and which
+//!   steps are fully-bound existence probes;
+//! * a dynamic answer relation, bound per probe as a zero-copy overlay
+//!   instead of `Database::with_relation`'s full clone.
 //!
-//! How much is compiled is the caller's choice ([`Usage`]).
-//! [`Query::compile`] builds a reusable [`CompiledPlan`] — both modes,
-//! plus the columnar bitsets behind fully-bound existence steps —
-//! because package search probes one database millions of times. The
-//! per-call API (`Query::eval`, `Query::contains`, `Query::has_answer_with`)
-//! compiles once per call: only the mode the call runs, its indexes,
-//! and no bitsets, which pay off only across many probes. A Datalog
-//! fixpoint compiles the EDB it reads once ([`EdbRels`]; a cached
-//! plan keeps it across probes) and plans each rule firing against it
-//! and the round's IDB facts ([`RuleRunner`]). Either way the join
+//! Compiling therefore costs O(|query|), so a one-shot call
+//! (`Query::eval`, `Query::contains`, `Query::has_answer_with`) is one
+//! compile and one run, and [`Query::compile`] builds the same plan for
+//! reuse. The join reads a posting's rows in ascending order and
 //! charges one budget tick per candidate row, so the same query makes
-//! the same charges on every path.
+//! the same charges on every path; an unmetered existence step instead
+//! intersects its postings ([`Posting::intersects_all`]). A Datalog
+//! fixpoint plans each rule firing against the snapshot and the
+//! round's IDB facts ([`RuleRunner`]).
 //!
 //! A [`CompiledPlan`] pairs its [`Executor`] with a shared handle
-//! (`Arc`) to the database it was compiled against and snapshots its
-//! contents, so plans have no borrow lifetime and can be cached across
-//! solves (the `pkgrec serve` plan cache keys them by
-//! `(query, database)`); replace the database and you must recompile.
+//! (`Arc`) to the database it was compiled against, so plans have no
+//! borrow lifetime and can be cached across solves (the `pkgrec serve`
+//! plan cache keys them by `(query, database)`); replace the database
+//! and you must recompile.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
 use pkgrec_data::{
-    AttrType, Database, ItemBitset, Relation, RelationSchema, Tuple, Value, ValueInterner,
+    AttrType, Database, Posting, Relation, RelationSchema, Snapshot, Table, Tuple, Value,
+    ValueInterner,
 };
 use pkgrec_guard::Meter;
 
 use crate::cq::ConjunctiveQuery;
 use crate::datalog::{BodyLiteral, DatalogProgram};
-use crate::eval::{datalog as dl_eval, fo as fo_eval, EvalContext, OverlayProvider, RelProvider};
+use crate::eval::{datalog as dl_eval, fo as fo_eval, EvalContext, OverlayProvider};
 use crate::fo::FoQuery;
 use crate::metric::MetricSet;
 use crate::query::Query;
@@ -92,29 +91,21 @@ impl Query {
         arity: usize,
         items: impl IntoIterator<Item = &'t Tuple>,
     ) -> Result<bool> {
-        let exec = Executor::build(self, ctx.db, Some((name, arity)), Usage::Once(Mode::Eval))?;
+        let exec = Executor::build(self, ctx.db, Some((name, arity)))?;
         Ok(!exec.run_dynamic(ctx, items, true)?.is_empty())
     }
 }
 
-/// Run conjunctive bodies once against `provider`, compiling only the
-/// mode this call runs (membership when `pre_bound` is given): the
-/// per-call CQ/UCQ API.
+/// Run conjunctive bodies once over `ctx.db` (membership when
+/// `pre_bound` is given): the per-call CQ/UCQ API.
 pub(crate) fn eval_conj_once(
     ctx: EvalContext<'_>,
-    provider: &dyn RelProvider,
     disjuncts: &[ConjunctiveQuery],
     pre_bound: Option<&Tuple>,
     stop_on_first: bool,
 ) -> Result<BTreeSet<Tuple>> {
-    let mode = if pre_bound.is_some() {
-        Mode::Membership
-    } else {
-        Mode::Eval
-    };
-    let set = ConjSet::compile(disjuncts, provider, None, Usage::Once(mode))?;
-    let mut syms = ProbeSyms::new(&set.syms);
-    set.eval_impl(ctx, pre_bound, None, &mut syms, stop_on_first)
+    let set = ConjSet::compile(disjuncts, ctx.db.snapshot(), None)?;
+    set.eval_impl(ctx, pre_bound, None, &mut set.probe_syms(), stop_on_first)
 }
 
 /// The two static modes of a conjunctive plan.
@@ -126,18 +117,6 @@ enum Mode {
     Membership = 1,
 }
 
-/// How much a compile prepares.
-#[derive(Clone, Copy)]
-enum Usage {
-    /// A reusable plan: both modes, and the columnar bitsets behind
-    /// every fully-bound existence step.
-    Cached,
-    /// A single run in one mode: only that mode's plan and indexes. No
-    /// bitsets — they are cached on the `Relation` and pay off only
-    /// across many probes.
-    Once(Mode),
-}
-
 /// A query compiled against one database. See the module docs.
 pub struct CompiledPlan {
     db: Arc<Database>,
@@ -145,9 +124,9 @@ pub struct CompiledPlan {
 }
 
 /// What compilation derived from a query and a database, without the
-/// database itself: [`CompiledPlan`] pairs one with the `Arc` snapshot
-/// it caches, while one-shot calls build one against a borrowed
-/// database and run it once.
+/// database itself: [`CompiledPlan`] pairs one with the `Arc` of the
+/// database it caches, while one-shot calls build one against a
+/// borrowed database and run it once.
 struct Executor {
     dynamic: Option<DynSpec>,
     arity: usize,
@@ -191,18 +170,17 @@ fn answer_schema(name: &str, arity: usize) -> RelationSchema {
 }
 
 impl Executor {
-    fn build(
-        q: &Query,
-        db: &Database,
-        dynamic: Option<(&str, usize)>,
-        usage: Usage,
-    ) -> Result<Executor> {
+    fn build(q: &Query, db: &Database, dynamic: Option<(&str, usize)>) -> Result<Executor> {
         let arity = q.arity()?;
         let kind = match q {
-            Query::Cq(c) => {
-                PlanKind::Conj(ConjSet::compile(std::slice::from_ref(c), db, dynamic, usage)?)
+            Query::Cq(c) => PlanKind::Conj(ConjSet::compile(
+                std::slice::from_ref(c),
+                db.snapshot(),
+                dynamic,
+            )?),
+            Query::Ucq(u) => {
+                PlanKind::Conj(ConjSet::compile(&u.disjuncts, db.snapshot(), dynamic)?)
             }
-            Query::Ucq(u) => PlanKind::Conj(ConjSet::compile(&u.disjuncts, db, dynamic, usage)?),
             Query::Fo(f) => PlanKind::Fo(FoPlan::compile(f, db, dynamic.map(|(n, _)| n))?),
             Query::Datalog(p) => PlanKind::Dl(DlPlan::compile(p, db, dynamic.map(|(n, _)| n))?),
         };
@@ -228,8 +206,7 @@ impl Executor {
     ) -> Result<BTreeSet<Tuple>> {
         match &self.kind {
             PlanKind::Conj(set) => {
-                let mut syms = ProbeSyms::new(&set.syms);
-                set.eval_impl(ctx, pre_bound, None, &mut syms, stop_on_first)
+                set.eval_impl(ctx, pre_bound, None, &mut set.probe_syms(), stop_on_first)
             }
             PlanKind::Fo(fp) => fp.eval(ctx, pre_bound),
             PlanKind::Dl(dp) => {
@@ -258,8 +235,8 @@ impl Executor {
             .ok_or_else(|| QueryError::Internal("plan compiled without a dynamic relation".into()))?;
         match &self.kind {
             PlanKind::Conj(set) => {
-                let mut syms = ProbeSyms::new(&set.syms);
-                let table = CompiledRel::intern_tuples(&spec.name, spec.arity, items, &mut syms);
+                let mut syms = set.probe_syms();
+                let table = intern_table(spec.arity, items, &mut syms);
                 set.eval_impl(ctx, None, Some(&table), &mut syms, stop_on_first)
             }
             PlanKind::Fo(fp) => {
@@ -286,7 +263,7 @@ impl CompiledPlan {
     fn build(q: &Query, db: &Arc<Database>, dynamic: Option<(&str, usize)>) -> Result<Self> {
         pkgrec_trace::counter!("query.plan_compiles");
         Ok(CompiledPlan {
-            exec: Executor::build(q, db, dynamic, Usage::Cached)?,
+            exec: Executor::build(q, db, dynamic)?,
             db: Arc::clone(db),
         })
     }
@@ -296,11 +273,11 @@ impl CompiledPlan {
         self.exec.arity
     }
 
-    /// Enable or disable the columnar bitset fast path for fully-bound
-    /// existence steps (conjunctive plans only; on by default). With it
-    /// off — or whenever a budget meter is attached — every probe takes
-    /// the row path, which is what benchmarks and equivalence tests
-    /// compare against.
+    /// Enable or disable the posting-intersection fast path for
+    /// fully-bound existence steps (conjunctive plans only; on by
+    /// default). With it off — or whenever a budget meter is attached —
+    /// every probe takes the row path, which is what benchmarks and
+    /// equivalence tests compare against.
     pub fn with_bitsets(mut self, enabled: bool) -> Self {
         if let PlanKind::Conj(set) = &mut self.exec.kind {
             set.use_bitsets = enabled;
@@ -391,125 +368,33 @@ impl DynSpec {
 // Conjunctive plans (CQ / UCQ / rule bodies): the u32 executor.
 // ---------------------------------------------------------------------
 
-/// A compiled union of conjunctions. All disjuncts share one value
-/// interner and one table of compiled base relations.
+/// A compiled union of conjunctions over one database snapshot.
 struct ConjSet {
-    syms: ValueInterner,
-    rels: Vec<CompiledRel>,
+    snap: Arc<Snapshot>,
+    /// Query constants absent from the snapshot, with ids above its.
+    consts: ExtSyms,
     plans: Vec<ConjPlan>,
-    /// Whether fully-bound existence steps may use the columnar bitset
-    /// fast path (on unmetered probes). Set for cached plans, whose
-    /// compile adopts the bitsets; benchmarks and equivalence tests
-    /// clear it to exercise the row path.
+    /// Whether fully-bound existence steps may intersect postings (on
+    /// unmetered probes). Benchmarks and equivalence tests clear it to
+    /// exercise the row path.
     use_bitsets: bool,
 }
 
-/// A base relation flattened to row-major interned cells, with the
-/// column indexes the static access paths need prebuilt.
-struct CompiledRel {
-    /// The name atoms resolve the relation by, kept for
-    /// [`CompiledPlan::explain`] and bitset adoption.
-    name: String,
+/// Intern tuples bound for one run — package items, IDB facts —
+/// through the run's interner extension.
+fn intern_table<'t>(
     arity: usize,
-    rows: usize,
-    cells: Vec<u32>,
-    /// column → cell id → row numbers (ascending = canonical order).
-    indexes: HashMap<usize, HashMap<u32, Vec<u32>>>,
-    /// Per-column value→row bitsets shared with the relation's cached
-    /// [`ColumnarRelation`], re-keyed to this plan's interner. Empty
-    /// unless a cached plan has a fully-bound existence probe.
-    bitsets: Vec<HashMap<u32, Arc<ItemBitset>>>,
-}
-
-impl CompiledRel {
-    fn compile(name: &str, rel: &Relation, syms: &mut ValueInterner) -> CompiledRel {
-        let arity = rel.schema().arity();
-        let mut cells = Vec::with_capacity(rel.len() * arity);
-        for t in rel.iter() {
-            for v in t.values() {
-                cells.push(syms.intern(v));
-            }
-        }
-        CompiledRel {
-            name: name.to_string(),
-            arity,
-            rows: rel.len(),
-            cells,
-            indexes: HashMap::new(),
-            bitsets: Vec::new(),
-        }
+    tuples: impl IntoIterator<Item = &'t Tuple>,
+    syms: &mut ProbeSyms<'_>,
+) -> Table {
+    let mut cells = Vec::new();
+    let mut rows = 0;
+    for t in tuples {
+        debug_assert_eq!(t.arity(), arity, "caller checks tuple arity");
+        cells.extend(t.values().iter().map(|v| syms.intern(v)));
+        rows += 1;
     }
-
-    /// Intern tuples bound for one run — package items, IDB facts —
-    /// through the run's interner extension. No index is built.
-    fn intern_tuples<'t>(
-        name: &str,
-        arity: usize,
-        tuples: impl IntoIterator<Item = &'t Tuple>,
-        syms: &mut ProbeSyms<'_>,
-    ) -> CompiledRel {
-        let mut cells = Vec::new();
-        let mut rows = 0;
-        for t in tuples {
-            debug_assert_eq!(t.arity(), arity, "caller checks tuple arity");
-            for v in t.values() {
-                cells.push(syms.intern(v));
-            }
-            rows += 1;
-        }
-        CompiledRel {
-            name: name.to_string(),
-            arity,
-            rows,
-            cells,
-            indexes: HashMap::new(),
-            bitsets: Vec::new(),
-        }
-    }
-
-    /// Adopt the relation's cached columnar inverted indexes, re-keyed
-    /// from the relation-local interner to the plan's shared one. The
-    /// bitsets themselves are shared (`Arc`), not copied. Every value
-    /// of the relation was interned by [`CompiledRel::compile`], so the
-    /// re-keying lookups cannot miss.
-    fn ensure_bitsets(&mut self, rel: &Relation, syms: &ValueInterner) {
-        if !self.bitsets.is_empty() || self.arity == 0 {
-            return;
-        }
-        let columnar = rel.columnar();
-        self.bitsets = (0..self.arity)
-            .map(|col| {
-                columnar
-                    .column_index(col)
-                    .iter()
-                    .map(|(&local, rows)| {
-                        let global = syms
-                            .get(columnar.interner().resolve(local))
-                            .expect("every relation value is interned at compile time");
-                        (global, Arc::clone(rows))
-                    })
-                    .collect()
-            })
-            .collect();
-    }
-
-    fn ensure_index(&mut self, col: usize) {
-        if self.indexes.contains_key(&col) {
-            return;
-        }
-        pkgrec_trace::counter!("query.index_builds");
-        let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
-        for row in 0..self.rows {
-            let id = self.cells[row * self.arity + col];
-            index.entry(id).or_default().push(row as u32);
-        }
-        self.indexes.insert(col, index);
-    }
-
-    fn row(&self, row: u32) -> &[u32] {
-        let start = row as usize * self.arity;
-        &self.cells[start..start + self.arity]
-    }
+    Table::new(arity, rows, cells)
 }
 
 /// A term with constants interned and variables densified.
@@ -539,8 +424,7 @@ impl PTerm {
 
 #[derive(Clone, Copy)]
 enum Source {
-    /// A relation compiled with the plan (or, for a rule firing, a
-    /// shared EDB relation).
+    /// A snapshot relation, by its index in the snapshot.
     Base(usize),
     /// A relation a rule firing's run bound: IDB facts, a delta, or
     /// the dynamic relation.
@@ -657,8 +541,8 @@ struct ModePlan {
     /// atom whose every term is a constant or an already-bound
     /// variable, with no builtin scheduled after it. Such a step binds
     /// nothing; the only question is whether a matching row exists,
-    /// which the bitset path answers by intersecting per-column row
-    /// sets instead of enumerating candidates.
+    /// which the fast path answers by intersecting the columns'
+    /// postings instead of enumerating candidates.
     exist: Vec<bool>,
 }
 
@@ -669,7 +553,7 @@ struct ConjPlan {
     builtins: Vec<PBuiltin>,
     nvars: usize,
     /// The static plan per [`Mode`] (indexed by `Mode as usize`); a
-    /// one-shot compile builds only the mode it runs.
+    /// rule firing plans only [`Mode::Eval`].
     modes: [Option<ModePlan>; 2],
 }
 
@@ -694,8 +578,8 @@ fn check_arity(atom: &RelAtom, expected: usize) -> Result<()> {
 }
 
 /// Plan one disjunct: intern its terms, resolve its atoms, and fix the
-/// static plan of each mode in `modes`. Builds no index; the caller
-/// owns the relations and builds the ones the plan probes.
+/// static plan of each mode in `modes`. Builds no index: postings are
+/// built when a run first probes them.
 fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) -> Result<ConjPlan> {
     d.check_safe()?;
 
@@ -800,19 +684,20 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
     })
 }
 
-/// The planning environment of [`ConjSet::compile`]: base relations
-/// are compiled on first reference into the set's own interner.
+/// The planning environment of [`ConjSet::compile`]: atoms resolve to
+/// snapshot relations, constants to snapshot ids or plan-owned ones.
 struct CompileEnv<'a> {
-    provider: &'a dyn RelProvider,
+    snap: &'a Snapshot,
     dynamic: Option<(&'a str, usize)>,
-    syms: ValueInterner,
-    rels: Vec<CompiledRel>,
-    rel_ids: HashMap<String, usize>,
+    consts: ExtSyms,
 }
 
 impl PlanEnv for CompileEnv<'_> {
     fn intern(&mut self, v: &Value) -> u32 {
-        self.syms.intern(v)
+        match self.snap.symbols().get(v) {
+            Some(id) => id,
+            None => self.consts.intern(v),
+        }
     }
 
     fn resolve(&mut self, a: &RelAtom) -> Result<(Source, usize)> {
@@ -823,75 +708,48 @@ impl PlanEnv for CompileEnv<'_> {
                 check_arity(a, arity)?;
                 Ok((Source::Dyn, 0))
             }
-            _ => {
-                let rel = self
-                    .provider
-                    .get_relation(&a.relation)
-                    .ok_or_else(|| QueryError::UnknownRelation(a.relation.to_string()))?;
-                check_arity(a, rel.schema().arity())?;
-                let ri = match self.rel_ids.get(&*a.relation) {
-                    Some(&ri) => ri,
-                    None => {
-                        self.rels.push(CompiledRel::compile(&a.relation, rel, &mut self.syms));
-                        self.rel_ids.insert(a.relation.to_string(), self.rels.len() - 1);
-                        self.rels.len() - 1
-                    }
-                };
-                Ok((Source::Base(ri), self.rels[ri].rows))
-            }
+            _ => resolve_base(self.snap, a),
         }
     }
+}
+
+/// Resolve `a` to a snapshot relation, checking its arity.
+fn resolve_base(snap: &Snapshot, a: &RelAtom) -> Result<(Source, usize)> {
+    let ri = snap
+        .find(&a.relation)
+        .ok_or_else(|| QueryError::UnknownRelation(a.relation.to_string()))?;
+    let table = &snap.tables()[ri];
+    check_arity(a, table.arity())?;
+    Ok((Source::Base(ri), table.rows()))
 }
 
 impl ConjSet {
     fn compile(
         disjuncts: &[ConjunctiveQuery],
-        provider: &dyn RelProvider,
+        snap: &Arc<Snapshot>,
         dynamic: Option<(&str, usize)>,
-        usage: Usage,
     ) -> Result<ConjSet> {
-        let use_bitsets = matches!(usage, Usage::Cached);
-        let modes: &[Mode] = match usage {
-            Usage::Cached => &[Mode::Eval, Mode::Membership],
-            Usage::Once(Mode::Eval) => &[Mode::Eval],
-            Usage::Once(Mode::Membership) => &[Mode::Membership],
-        };
         let mut env = CompileEnv {
-            provider,
+            snap,
             dynamic,
-            syms: ValueInterner::new(),
-            rels: Vec::new(),
-            rel_ids: HashMap::new(),
+            consts: ExtSyms::above(snap.symbols().len()),
         };
-        let mut plans = Vec::with_capacity(disjuncts.len());
-        for d in disjuncts {
-            let plan = plan_disjunct(d, &mut env, modes)?;
-            // Build every column index the access paths probe; cached
-            // plans also adopt the columnar bitsets behind fully-bound
-            // existence steps (the row indexes stay, for metered runs).
-            for m in plan.modes.iter().flatten() {
-                for (depth, &ai) in m.order.iter().enumerate() {
-                    if let Source::Base(ri) = plan.atoms[ai].src {
-                        if let Some(col) = m.probe[depth] {
-                            env.rels[ri].ensure_index(col);
-                        }
-                        if use_bitsets && m.exist[depth] {
-                            let rel = provider
-                                .get_relation(&env.rels[ri].name)
-                                .expect("resolved when the atom was planned");
-                            env.rels[ri].ensure_bitsets(rel, &env.syms);
-                        }
-                    }
-                }
-            }
-            plans.push(plan);
-        }
+        let plans = disjuncts
+            .iter()
+            .map(|d| plan_disjunct(d, &mut env, &[Mode::Eval, Mode::Membership]))
+            .collect::<Result<_>>()?;
         Ok(ConjSet {
-            syms: env.syms,
-            rels: env.rels,
+            snap: Arc::clone(snap),
+            consts: env.consts,
             plans,
-            use_bitsets,
+            use_bitsets: true,
         })
+    }
+
+    /// A fresh per-probe interner over the snapshot and the plan's
+    /// constants.
+    fn probe_syms(&self) -> ProbeSyms<'_> {
+        ProbeSyms::new(self.snap.symbols(), Some(&self.consts))
     }
 
     /// Evaluate all disjuncts. With `stop_on_first`, returns as soon as
@@ -900,7 +758,7 @@ impl ConjSet {
         &self,
         ctx: EvalContext<'_>,
         pre_bound: Option<&Tuple>,
-        dyn_table: Option<&CompiledRel>,
+        dyn_table: Option<&Table>,
         syms: &mut ProbeSyms<'_>,
         stop_on_first: bool,
     ) -> Result<BTreeSet<Tuple>> {
@@ -914,7 +772,7 @@ impl ConjSet {
             let _span = pkgrec_trace::span!("cq.eval");
             let run = ConjRun {
                 ctx,
-                rels: &self.rels,
+                rels: self.snap.tables(),
                 local: &[],
                 use_bitsets: self.use_bitsets,
                 plan,
@@ -937,94 +795,55 @@ impl ConjSet {
 // per fixpoint.
 // ---------------------------------------------------------------------
 
-/// The relations a Datalog program reads from its database, compiled
-/// once into one interner, with an index on every column a rule firing
-/// can probe. Every firing of a fixpoint shares them — and, in a cached
-/// [`DlPlan`], every probe's fixpoint does.
-pub(crate) struct EdbRels {
-    syms: ValueInterner,
-    rels: Vec<CompiledRel>,
-    ids: HashMap<String, usize>,
-}
-
-impl EdbRels {
-    /// Compile the EDB relations of `prog`'s rule bodies from
-    /// `provider`, except `dynamic`, which each run binds itself.
-    pub(crate) fn compile(
-        prog: &DatalogProgram,
-        provider: &dyn RelProvider,
-        dynamic: Option<&str>,
-    ) -> Result<EdbRels> {
-        let idb = prog.idb_predicates();
-        let mut edb = EdbRels {
-            syms: ValueInterner::new(),
-            rels: Vec::new(),
-            ids: HashMap::new(),
-        };
-        let atoms = prog.rules.iter().flat_map(|r| &r.body).filter_map(|l| match l {
-            BodyLiteral::Rel(a) => Some(a),
-            BodyLiteral::Builtin(_) => None,
-        });
-        for a in atoms {
-            if idb.contains(&a.relation) || dynamic == Some(&*a.relation) {
-                continue;
-            }
-            let ri = match edb.ids.get(&*a.relation) {
-                Some(&ri) => ri,
-                None => {
-                    let rel = provider
-                        .get_relation(&a.relation)
-                        .ok_or_else(|| QueryError::UnknownRelation(a.relation.to_string()))?;
-                    edb.rels.push(CompiledRel::compile(&a.relation, rel, &mut edb.syms));
-                    edb.ids.insert(a.relation.to_string(), edb.rels.len() - 1);
-                    edb.rels.len() - 1
-                }
-            };
-            // A firing probes the atom's first determined position, so
-            // no position past its first constant is ever probed.
-            let upto = a
-                .terms
-                .iter()
-                .position(|t| matches!(t, Term::Const(_)))
-                .map_or(a.terms.len(), |p| p + 1);
-            let rel = &mut edb.rels[ri];
-            for col in 0..upto.min(rel.arity) {
-                rel.ensure_index(col);
-            }
-        }
-        Ok(edb)
+/// Check that every relation `prog`'s rule bodies read from the
+/// database — all but its IDB predicates and `dynamic`, which each run
+/// binds itself — exists in `snap`.
+pub(crate) fn check_edb(
+    prog: &DatalogProgram,
+    snap: &Snapshot,
+    dynamic: Option<&str>,
+) -> Result<()> {
+    let idb = prog.idb_predicates();
+    let mut atoms = prog.rules.iter().flat_map(|r| &r.body).filter_map(|l| match l {
+        BodyLiteral::Rel(a) => Some(a),
+        BodyLiteral::Builtin(_) => None,
+    });
+    let bound_per_run = |a: &RelAtom| idb.contains(&a.relation) || dynamic == Some(&*a.relation);
+    match atoms.find(|a| !bound_per_run(a) && snap.find(&a.relation).is_none()) {
+        Some(a) => Err(QueryError::UnknownRelation(a.relation.to_string())),
+        None => Ok(()),
     }
 }
 
-/// One fixpoint's rule executor: the shared [`EdbRels`], plus the
+/// One fixpoint's rule executor: the snapshot's relations, plus the
 /// relations each run binds — IDB facts and deltas per round, the
 /// dynamic relation once — interned as a per-run extension.
 pub(crate) struct RuleRunner<'e> {
-    edb: &'e EdbRels,
+    snap: &'e Snapshot,
     syms: ProbeSyms<'e>,
-    local: Vec<CompiledRel>,
+    local: Vec<Table>,
     local_ids: HashMap<String, usize>,
 }
 
 impl<'e> RuleRunner<'e> {
-    pub(crate) fn new(edb: &'e EdbRels) -> Self {
+    pub(crate) fn new(snap: &'e Snapshot) -> Self {
         RuleRunner {
-            edb,
-            syms: ProbeSyms::new(&edb.syms),
+            snap,
+            syms: ProbeSyms::new(snap.symbols(), None),
             local: Vec::new(),
             local_ids: HashMap::new(),
         }
     }
 
     /// Bind `name` to `tuples` (each of arity `arity`), replacing any
-    /// earlier binding. Bound names shadow the EDB.
+    /// earlier binding. Bound names shadow the snapshot.
     pub(crate) fn bind<'t>(
         &mut self,
         name: &str,
         arity: usize,
         tuples: impl IntoIterator<Item = &'t Tuple>,
     ) {
-        let rel = CompiledRel::intern_tuples(name, arity, tuples, &mut self.syms);
+        let rel = intern_table(arity, tuples, &mut self.syms);
         match self.local_ids.get(name) {
             Some(&li) => self.local[li] = rel,
             None => {
@@ -1042,22 +861,15 @@ impl<'e> RuleRunner<'e> {
         body: &ConjunctiveQuery,
     ) -> Result<BTreeSet<Tuple>> {
         let plan = plan_disjunct(body, self, &[Mode::Eval])?;
-        let mode = plan.modes[Mode::Eval as usize]
-            .as_ref()
-            .expect("planned above");
-        for (depth, &ai) in mode.order.iter().enumerate() {
-            // EDB indexes were built by `EdbRels::compile`.
-            if let (Source::Local(li), Some(col)) = (plan.atoms[ai].src, mode.probe[depth]) {
-                self.local[li].ensure_index(col);
-            }
-        }
         let run = ConjRun {
             ctx,
-            rels: &self.edb.rels,
+            rels: self.snap.tables(),
             local: &self.local,
             use_bitsets: false,
             plan: &plan,
-            mode,
+            mode: plan.modes[Mode::Eval as usize]
+                .as_ref()
+                .expect("planned above"),
             dyn_table: None,
             stop_on_first: false,
         };
@@ -1073,15 +885,13 @@ impl PlanEnv for RuleRunner<'_> {
     }
 
     fn resolve(&mut self, a: &RelAtom) -> Result<(Source, usize)> {
-        let (src, rel) = if let Some(&li) = self.local_ids.get(&*a.relation) {
-            (Source::Local(li), &self.local[li])
-        } else if let Some(&ri) = self.edb.ids.get(&*a.relation) {
-            (Source::Base(ri), &self.edb.rels[ri])
-        } else {
-            return Err(QueryError::UnknownRelation(a.relation.to_string()));
-        };
-        check_arity(a, rel.arity)?;
-        Ok((src, rel.rows))
+        match self.local_ids.get(&*a.relation) {
+            Some(&li) => {
+                check_arity(a, self.local[li].arity())?;
+                Ok((Source::Local(li), self.local[li].rows()))
+            }
+            None => resolve_base(self.snap, a),
+        }
     }
 }
 
@@ -1096,44 +906,74 @@ fn resolved_ids(b: &PBuiltin, bindings: &[Option<u32>]) -> Result<(u32, u32)> {
     }
 }
 
-/// Per-probe interner extension: values foreign to the compiled base
-/// (pre-bound tuples, dynamic package items) get ids past the base
-/// range, so they can never spuriously equal a base relation cell.
+/// A [`ValueInterner`] whose ids start at `offset`, above another
+/// interner's.
+struct ExtSyms {
+    offset: u32,
+    syms: ValueInterner,
+}
+
+impl ExtSyms {
+    fn above(offset: usize) -> Self {
+        ExtSyms {
+            offset: u32::try_from(offset).expect("fewer than 2^32 distinct values"),
+            syms: ValueInterner::new(),
+        }
+    }
+
+    /// One past the largest id handed out so far.
+    fn end(&self) -> usize {
+        self.offset as usize + self.syms.len()
+    }
+
+    fn get(&self, v: &Value) -> Option<u32> {
+        self.syms.get(v).map(|id| self.offset + id)
+    }
+
+    fn intern(&mut self, v: &Value) -> u32 {
+        let id = self.syms.intern(v);
+        self.offset.checked_add(id).expect("fewer than 2^32 distinct values")
+    }
+
+    fn resolve(&self, id: u32) -> &Value {
+        self.syms.resolve(id - self.offset)
+    }
+}
+
+/// Per-probe interner: the snapshot's ids, then the plan's constants,
+/// then values foreign to both (pre-bound tuples, dynamic package
+/// items), so a foreign value can never spuriously equal a base cell.
 struct ProbeSyms<'a> {
     base: &'a ValueInterner,
-    extra_ids: HashMap<Value, u32>,
-    extra: Vec<Value>,
+    consts: Option<&'a ExtSyms>,
+    extra: ExtSyms,
 }
 
 impl<'a> ProbeSyms<'a> {
-    fn new(base: &'a ValueInterner) -> Self {
+    fn new(base: &'a ValueInterner, consts: Option<&'a ExtSyms>) -> Self {
+        let offset = consts.map_or(base.len(), ExtSyms::end);
         ProbeSyms {
             base,
-            extra_ids: HashMap::new(),
-            extra: Vec::new(),
+            consts,
+            extra: ExtSyms::above(offset),
         }
     }
 
     fn intern(&mut self, v: &Value) -> u32 {
-        if let Some(id) = self.base.get(v) {
-            return id;
+        let known = self.base.get(v);
+        match known.or_else(|| self.consts.and_then(|c| c.get(v))) {
+            Some(id) => id,
+            None => self.extra.intern(v),
         }
-        if let Some(&id) = self.extra_ids.get(v) {
-            return id;
-        }
-        let id = u32::try_from(self.base.len() + self.extra.len())
-            .expect("fewer than 2^32 distinct values");
-        self.extra_ids.insert(v.clone(), id);
-        self.extra.push(v.clone());
-        id
     }
 
     fn resolve(&self, id: u32) -> &Value {
-        let i = id as usize;
-        if i < self.base.len() {
+        if (id as usize) < self.base.len() {
             self.base.resolve(id)
+        } else if id < self.extra.offset {
+            self.consts.expect("ids below the extension are the plan's").resolve(id)
         } else {
-            &self.extra[i - self.base.len()]
+            self.extra.resolve(id)
         }
     }
 }
@@ -1141,14 +981,14 @@ impl<'a> ProbeSyms<'a> {
 /// One depth-first join over a compiled disjunct.
 struct ConjRun<'r> {
     ctx: EvalContext<'r>,
-    /// The relations [`Source::Base`] atoms read.
-    rels: &'r [CompiledRel],
+    /// The relations [`Source::Base`] atoms read: the snapshot's.
+    rels: &'r [Table],
     /// The relations [`Source::Local`] atoms read.
-    local: &'r [CompiledRel],
+    local: &'r [Table],
     use_bitsets: bool,
     plan: &'r ConjPlan,
     mode: &'r ModePlan,
-    dyn_table: Option<&'r CompiledRel>,
+    dyn_table: Option<&'r Table>,
     stop_on_first: bool,
 }
 
@@ -1224,7 +1064,7 @@ impl ConjRun<'_> {
                 // Per-probe tuples: a handful of package items, scanned
                 // linearly (no per-probe index construction).
                 if let Some(table) = self.dyn_table {
-                    for row in 0..table.rows as u32 {
+                    for row in 0..table.rows() as u32 {
                         if self.candidate(depth, table.row(row), bindings, syms, out)? {
                             return Ok(true);
                         }
@@ -1233,7 +1073,7 @@ impl ConjRun<'_> {
                 return Ok(false);
             }
         };
-        // Fully-bound existence steps collapse to a word-wise bitset
+        // Fully-bound existence steps collapse to a posting
         // intersection: no bindings change, so a single recursion
         // replaces the whole candidate loop. Only on unmetered probes —
         // the row path charges one budget tick per candidate, and a
@@ -1251,12 +1091,8 @@ impl ConjRun<'_> {
                 let pid = atom.terms[col]
                     .id(bindings)
                     .expect("probe column statically determined");
-                let index = rel
-                    .indexes
-                    .get(&col)
-                    .expect("probe index built before the run");
-                if let Some(rows) = index.get(&pid) {
-                    for &row in rows {
+                if let Some(posting) = rel.postings(col).get(pid) {
+                    for &row in posting.rows {
                         if self.candidate(depth, rel.row(row), bindings, syms, out)? {
                             return Ok(true);
                         }
@@ -1264,7 +1100,7 @@ impl ConjRun<'_> {
                 }
             }
             None => {
-                for row in 0..rel.rows as u32 {
+                for row in 0..rel.rows() as u32 {
                     if self.candidate(depth, rel.row(row), bindings, syms, out)? {
                         return Ok(true);
                     }
@@ -1276,25 +1112,22 @@ impl ConjRun<'_> {
 
     /// Decide a fully-bound existence step: does some row of `rel`
     /// match `atom` under `bindings`? Each term resolves to a cell id
-    /// whose per-column bitset lists the rows carrying it; the atom
-    /// matches iff the intersection is nonempty. Ids foreign to the
-    /// relation's column — including per-probe [`ProbeSyms`] ids past
-    /// the base interner — simply miss the map.
-    fn exist_probe(&self, rel: &CompiledRel, atom: &PAtom, bindings: &[Option<u32>]) -> bool {
-        if atom.terms.is_empty() {
-            return rel.rows > 0;
-        }
-        let mut sets: Vec<&ItemBitset> = Vec::with_capacity(atom.terms.len());
+    /// whose column posting lists the rows carrying it; the atom
+    /// matches iff the postings intersect. Ids foreign to the column —
+    /// including plan constants and per-probe [`ProbeSyms`] ids past
+    /// the snapshot's — simply miss.
+    fn exist_probe(&self, rel: &Table, atom: &PAtom, bindings: &[Option<u32>]) -> bool {
+        let mut postings = Vec::with_capacity(atom.terms.len());
         for (col, term) in atom.terms.iter().enumerate() {
             let id = term
                 .id(bindings)
                 .expect("existence step: statically all-bound");
-            match rel.bitsets[col].get(&id) {
-                Some(set) => sets.push(set.as_ref()),
+            match rel.postings(col).get(id) {
+                Some(p) => postings.push(p),
                 None => return false,
             }
         }
-        ItemBitset::intersection_nonempty(&sets)
+        rel.rows() > 0 && Posting::intersects_all(&postings)
     }
 
     /// Try one candidate row at `depth`: bind, check builtins, recurse,
@@ -1413,8 +1246,8 @@ impl FoPlan {
 
 struct DlPlan {
     prog: DatalogProgram,
-    /// The EDB, compiled once for every probe's fixpoint.
-    edb: EdbRels,
+    /// The snapshot every probe's fixpoint reads its EDB from.
+    snap: Arc<Snapshot>,
 }
 
 // ---------------------------------------------------------------------
@@ -1434,8 +1267,9 @@ pub struct PlanReport {
     pub kind: &'static str,
     /// Answer arity.
     pub arity: usize,
-    /// Distinct values interned at compile time (conjunctive plans;
-    /// 0 for FO/Datalog, which do not intern).
+    /// Distinct values a conjunctive plan can name: the snapshot's
+    /// symbols plus the query constants absent from `D` (0 for
+    /// FO/Datalog plans).
     pub interned_symbols: usize,
     /// Name of the dynamic (per-probe) relation, if one was left open.
     pub dynamic: Option<String>,
@@ -1480,15 +1314,15 @@ pub struct JoinStepReport {
     /// Snapshot cardinality (`None` for the dynamic relation, whose
     /// rows are supplied per probe).
     pub rows: Option<usize>,
-    /// Access path: `index` (probe a prebuilt column index), `scan`
+    /// Access path: `index` (probe a column's postings), `scan`
     /// (full scan of a base relation) or `dynamic-scan` (linear scan
     /// of the per-probe dynamic rows).
     pub access: &'static str,
     /// The column probed when `access` is `index`.
     pub probe_column: Option<usize>,
-    /// Whether this step is a fully-bound existence probe that the
-    /// columnar bitset path answers by intersection (unmetered runs;
-    /// metered runs fall back to the `access` path above).
+    /// Whether this step is a fully-bound existence probe that
+    /// unmetered runs answer by intersecting postings (metered runs
+    /// fall back to the `access` path above).
     pub bitset: bool,
     /// Builtins scheduled immediately after this step binds its
     /// variables.
@@ -1515,7 +1349,7 @@ impl CompiledPlan {
         };
         match &self.exec.kind {
             PlanKind::Conj(set) => {
-                report.interned_symbols = set.syms.len();
+                report.interned_symbols = set.consts.end();
                 for plan in &set.plans {
                     let mode_report = |name: &'static str, mode: &ModePlan| ModeReport {
                         mode: name,
@@ -1529,8 +1363,8 @@ impl CompiledPlan {
                                 let probe = mode.probe[depth];
                                 match atom.src {
                                     Source::Base(ri) => JoinStepReport {
-                                        relation: set.rels[ri].name.clone(),
-                                        rows: Some(set.rels[ri].rows),
+                                        relation: set.snap.name(ri).to_string(),
+                                        rows: Some(set.snap.tables()[ri].rows()),
                                         access: if probe.is_some() { "index" } else { "scan" },
                                         probe_column: probe,
                                         bitset: mode.exist[depth],
@@ -1725,9 +1559,11 @@ impl PlanReport {
 impl DlPlan {
     fn compile(p: &DatalogProgram, db: &Database, dynamic: Option<&str>) -> Result<DlPlan> {
         p.check()?;
+        let snap = db.snapshot();
+        check_edb(p, snap, dynamic)?;
         Ok(DlPlan {
             prog: p.clone(),
-            edb: EdbRels::compile(p, db, dynamic)?,
+            snap: Arc::clone(snap),
         })
     }
 
@@ -1739,7 +1575,7 @@ impl DlPlan {
         dynamic: Option<(&DynSpec, impl IntoIterator<Item = &'t Tuple>)>,
     ) -> Result<BTreeSet<Tuple>> {
         let _span = pkgrec_trace::span!("datalog.fixpoint");
-        let mut runner = RuleRunner::new(&self.edb);
+        let mut runner = RuleRunner::new(&self.snap);
         if let Some((spec, items)) = dynamic {
             runner.bind(&spec.name, spec.arity, items);
         }
@@ -1876,10 +1712,10 @@ mod tests {
         assert!(plan.contains(&tuple![1, 4], None, None).unwrap());
         assert!(!plan.contains(&tuple![4, 1], None, None).unwrap());
 
-        // The EDB is compiled and indexed with the plan, so a probe
-        // indexes only what its fixpoint binds: round 1 (a size tie,
-        // so e is scanned) indexes its delta; round 2 scans its
-        // smaller delta and probes e's prebuilt index.
+        // e's postings live in the database's snapshot, built by the
+        // calls above, so a probe indexes only what its fixpoint binds:
+        // round 1 (a size tie, so e is scanned) indexes its delta;
+        // round 2 scans its smaller delta and probes e's postings.
         let _scope = pkgrec_trace::scoped();
         pkgrec_trace::reset();
         assert!(plan.contains(&tuple![1, 4], None, None).unwrap());

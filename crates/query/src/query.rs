@@ -92,8 +92,8 @@ impl Query {
     /// [`Query::compile`]d plan instead.
     pub fn eval_ctx(&self, ctx: EvalContext<'_>) -> Result<BTreeSet<Tuple>> {
         match self {
-            Query::Cq(q) => eval_conj_once(ctx, ctx.db, std::slice::from_ref(q), None, false),
-            Query::Ucq(q) => eval_conj_once(ctx, ctx.db, &q.disjuncts, None, false),
+            Query::Cq(q) => eval_conj_once(ctx, std::slice::from_ref(q), None, false),
+            Query::Ucq(q) => eval_conj_once(ctx, &q.disjuncts, None, false),
             Query::Fo(q) => fo_eval::eval_fo(ctx, q, None),
             Query::Datalog(p) => dl_eval::eval_datalog(ctx, p),
         }
@@ -131,9 +131,9 @@ impl Query {
     pub fn contains_ctx(&self, ctx: EvalContext<'_>, t: &Tuple) -> Result<bool> {
         match self {
             Query::Cq(q) => {
-                Ok(!eval_conj_once(ctx, ctx.db, std::slice::from_ref(q), Some(t), true)?.is_empty())
+                Ok(!eval_conj_once(ctx, std::slice::from_ref(q), Some(t), true)?.is_empty())
             }
-            Query::Ucq(q) => Ok(!eval_conj_once(ctx, ctx.db, &q.disjuncts, Some(t), true)?.is_empty()),
+            Query::Ucq(q) => Ok(!eval_conj_once(ctx, &q.disjuncts, Some(t), true)?.is_empty()),
             Query::Fo(q) => Ok(!fo_eval::eval_fo(ctx, q, Some(t))?.is_empty()),
             Query::Datalog(p) => Ok(dl_eval::eval_datalog(ctx, p)?.contains(t)),
         }
@@ -549,38 +549,6 @@ mod tests {
             vec![],
         ));
         assert!(answers(&qf).is_empty());
-    }
-
-    /// One-shot calls build only the row indexes they probe: no
-    /// columnar layout, which is cached on the `Relation` and pays off
-    /// only across the many probes of a compiled plan.
-    #[test]
-    fn one_shot_calls_build_no_columnar_relation() {
-        let _scope = pkgrec_trace::scoped();
-        let builds = |run: &dyn Fn(&Database)| {
-            pkgrec_trace::reset();
-            run(&join_db());
-            pkgrec_trace::take()
-                .counters
-                .get("query.index_builds")
-                .copied()
-                .unwrap_or(0)
-        };
-        let q = Query::Cq(ConjunctiveQuery::identity("e", 2));
-        // Membership of the identity query is one fully-bound existence
-        // step: a compiled plan adopts the bitsets behind it, so its
-        // compile builds the row index *and* the columnar layout.
-        let compiled = builds(&|db| {
-            let plan = q.compile(&std::sync::Arc::new(db.clone())).unwrap();
-            assert!(plan.contains(&tuple![1, 2], None, None).unwrap());
-        });
-        assert_eq!(compiled, 2);
-        // The one-shot membership test builds the row index alone.
-        assert_eq!(builds(&|db| assert!(q.contains(db, &tuple![1, 2]).unwrap())), 1);
-        // One-shot evaluation scans: nothing to build.
-        assert_eq!(builds(&|db| assert_eq!(q.eval(db).unwrap().len(), 4)), 0);
-        // Same for a join whose second step is an existence probe.
-        assert_eq!(builds(&|db| assert!(path2().contains(db, &tuple![1, 4]).unwrap())), 2);
     }
 
     #[test]

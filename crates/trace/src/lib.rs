@@ -55,8 +55,8 @@
 //! | `cq.join_candidates` | query | candidate tuples tried by the join |
 //! | `query.plan_compiles` | query | query plans compiled (once per (query, db) pair) |
 //! | `query.plan_probes` | query | compiled-plan evaluations / membership probes |
-//! | `query.index_builds` | query | column indexes built (relation or compiled plan) |
-//! | `query.bitset_probes` | query | fully-bound existence steps answered by bitset intersection |
+//! | `query.index_builds` | query | column postings built (snapshot columns, once per epoch; per-run IDB tables) |
+//! | `query.bitset_probes` | query | fully-bound existence steps answered by posting intersection |
 //! | `fo.assignments` | query | active-domain rows enumerated |
 //! | `rewrite.steps` | query | language-lattice rewrite steps |
 //! | `enumerate.nodes` | core | package-space DFS nodes visited |
@@ -134,8 +134,8 @@ pub const COUNTER_REGISTRY: &[CounterInfo] = &[
     CounterInfo { name: "cq.join_candidates", layer: "query", help: "candidate tuples tried by the join" },
     CounterInfo { name: "query.plan_compiles", layer: "query", help: "query plans compiled (once per (query, db) pair)" },
     CounterInfo { name: "query.plan_probes", layer: "query", help: "compiled-plan evaluations / membership probes" },
-    CounterInfo { name: "query.index_builds", layer: "query", help: "column indexes built (relation or compiled plan)" },
-    CounterInfo { name: "query.bitset_probes", layer: "query", help: "fully-bound existence steps answered by bitset intersection" },
+    CounterInfo { name: "query.index_builds", layer: "query", help: "column postings built (snapshot columns, once per epoch; per-run IDB tables)" },
+    CounterInfo { name: "query.bitset_probes", layer: "query", help: "fully-bound existence steps answered by posting intersection" },
     CounterInfo { name: "fo.assignments", layer: "query", help: "active-domain rows enumerated" },
     CounterInfo { name: "rewrite.steps", layer: "query", help: "language-lattice rewrite steps" },
     CounterInfo { name: "enumerate.nodes", layer: "core", help: "package-space DFS nodes visited" },

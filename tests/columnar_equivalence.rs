@@ -1,23 +1,35 @@
-//! Randomized equivalence for the columnar evaluation layer:
+//! Randomized equivalence, sharing and memory checks for the columnar
+//! evaluation layer (the database snapshot and its postings):
 //!
 //! * `ItemBitset` against a `BTreeSet<u32>` model — every mutating and
 //!   combining op must agree with ordinary set semantics;
-//! * the bitset fast path against the row path — the same compiled
-//!   plan with bitsets on and off must produce identical answers for
-//!   full evaluation, membership probes and antimonotone-Qc dynamic
-//!   probes, across CQ and UCQ workloads;
+//! * postings against a `BTreeSet<u32>` model — each value's rows, its
+//!   container (sorted run, plus a bitset past `rows/32`), and the
+//!   intersection of sparse, dense and mixed postings;
+//! * the posting-intersection fast path against the row path — the
+//!   same compiled plan with it on and off must produce identical
+//!   answers for full evaluation, membership probes and
+//!   antimonotone-Qc dynamic probes, across CQ and UCQ workloads, on
+//!   all-dense relations and on relations with mixed columns;
 //! * metered runs — a budget meter forces the fast plan onto the row
 //!   path, so tick accounting stays bit-identical to the row plan
 //!   (and hence to per-call evaluation, which `tests/plan_equivalence.rs`
-//!   pins).
+//!   pins);
+//! * sharing and memory — plans and one-shot calls against one epoch
+//!   share its postings, a mutation rebuilds them, concurrent first
+//!   touches build a posting once, and a unique-key column's postings
+//!   stay under 16 bytes per row.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pkgrec::data::{tuple, AttrType, Database, ItemBitset, Relation, RelationSchema, Tuple};
-use pkgrec::query::{Budget, ConjunctiveQuery, Query, RelAtom, Term, UnionQuery};
+use pkgrec::data::{
+    tuple, AttrType, Database, ItemBitset, Posting, Relation, RelationSchema, Table, Tuple,
+};
+use pkgrec::query::{Budget, ConjunctiveQuery, EvalContext, Query, RelAtom, Term, UnionQuery};
+use proptest::TestCaseError;
 
 // ---------------------------------------------------------------------
 // ItemBitset vs BTreeSet<u32> model
@@ -104,31 +116,112 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Postings vs BTreeSet<u32> model
+// ---------------------------------------------------------------------
+
+/// A 3-column table of 32..300 rows. Each column draws from 1..=4
+/// values (every value dense), 20..40 values (around the `rows/32`
+/// threshold) or 40..400 values (sparse, with the odd dense value), so
+/// probes meet sparse, dense and mixed postings.
+fn table_strategy() -> impl Strategy<Value = (usize, Vec<Vec<u32>>)> {
+    let cards = prop::collection::vec(prop_oneof![1u32..5, 20u32..40, 40u32..400], 3);
+    (32usize..300, cards).prop_flat_map(|(rows, cards)| {
+        let cols: Vec<_> = cards
+            .into_iter()
+            .map(|c| prop::collection::vec(0..c, rows))
+            .collect();
+        cols.prop_map(move |cols| (rows, cols))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each value's posting is its rows, ascending, with a bitset iff
+    /// it holds more than `rows/32` of them; and intersecting postings
+    /// over any subset of columns agrees with intersecting the model
+    /// sets, for probes taken from a row, from random values, and a
+    /// mix of both.
+    #[test]
+    fn posting_intersection_matches_btreeset_model(
+        (rows, cols) in table_strategy(),
+        pick in 0usize..1000,
+        random in prop::collection::vec(0u32..8, 3),
+    ) {
+        let cells = (0..rows).flat_map(|r| cols.iter().map(move |c| c[r])).collect();
+        let table = Table::new(3, rows, cells);
+        let model = |col: usize, v: u32| -> BTreeSet<u32> {
+            (0..rows as u32).filter(|&r| cols[col][r as usize] == v).collect()
+        };
+        for (col, values) in cols.iter().enumerate() {
+            for &v in values.iter().collect::<BTreeSet<_>>() {
+                let p = table.postings(col).get(v).expect("a present value has a posting");
+                let want: Vec<u32> = model(col, v).into_iter().collect();
+                prop_assert_eq!(p.rows, &want[..]);
+                prop_assert_eq!(p.bits.is_some(), want.len() > rows / 32);
+                if let Some(bits) = p.bits {
+                    prop_assert_eq!(bits.iter_ones().collect::<Vec<_>>(), want.clone());
+                }
+            }
+        }
+        let hit: Vec<u32> = cols.iter().map(|c| c[pick % rows]).collect();
+        let mut half = hit.clone();
+        half[pick % 3] = random[pick % 3];
+        for probe in [hit, half, random] {
+            for mask in 1u32..8 {
+                let chosen: Vec<usize> = (0..3).filter(|c| mask & (1 << c) != 0).collect();
+                let want = chosen
+                    .iter()
+                    .map(|&c| model(c, probe[c]))
+                    .reduce(|a, b| a.intersection(&b).copied().collect())
+                    .is_some_and(|rows| !rows.is_empty());
+                let postings: Option<Vec<Posting>> =
+                    chosen.iter().map(|&c| table.postings(c).get(probe[c])).collect();
+                let got = postings.is_some_and(|ps| Posting::intersects_all(&ps));
+                prop_assert_eq!(got, want, "probe {:?} on columns {:?}", probe, chosen);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Bitset fast path vs row path on compiled plans
 // ---------------------------------------------------------------------
+
+/// A database over r(a, b) and s(a).
+fn rs_db(r_rows: BTreeSet<(i64, i64)>, s_rows: BTreeSet<i64>) -> Database {
+    let r = RelationSchema::new("r", [("a", AttrType::Int), ("b", AttrType::Int)])
+        .expect("valid schema");
+    let s = RelationSchema::new("s", [("a", AttrType::Int)]).expect("valid schema");
+    let mut db = Database::new();
+    db.add_relation(
+        Relation::from_tuples(r, r_rows.into_iter().map(|(a, b)| tuple![a, b]))
+            .expect("schema-conformant"),
+    )
+    .expect("fresh db");
+    db.add_relation(
+        Relation::from_tuples(s, s_rows.into_iter().map(|a| tuple![a]))
+            .expect("schema-conformant"),
+    )
+    .expect("fresh db");
+    db
+}
 
 /// A small random database over r(a, b) and s(a) — dense values so
 /// fully-bound probes regularly hit populated bitsets.
 fn db_strategy() -> impl Strategy<Value = Database> {
     let r_rows = prop::collection::btree_set((0i64..4, 0i64..4), 0..10);
     let s_rows = prop::collection::btree_set(0i64..4, 0..4);
-    (r_rows, s_rows).prop_map(|(r_rows, s_rows)| {
-        let r = RelationSchema::new("r", [("a", AttrType::Int), ("b", AttrType::Int)])
-            .expect("valid schema");
-        let s = RelationSchema::new("s", [("a", AttrType::Int)]).expect("valid schema");
-        let mut db = Database::new();
-        db.add_relation(
-            Relation::from_tuples(r, r_rows.into_iter().map(|(a, b)| tuple![a, b]))
-                .expect("schema-conformant"),
-        )
-        .expect("fresh db");
-        db.add_relation(
-            Relation::from_tuples(s, s_rows.into_iter().map(|a| tuple![a]))
-                .expect("schema-conformant"),
-        )
-        .expect("fresh db");
-        db
-    })
+    (r_rows, s_rows).prop_map(|(r_rows, s_rows)| rs_db(r_rows, s_rows))
+}
+
+/// A database whose r has mixed columns: `a` takes 3 values, each on
+/// far more than `rows/32` rows (dense postings), while most `b`
+/// values sit on one or two rows (sparse postings).
+fn mixed_db_strategy() -> impl Strategy<Value = Database> {
+    let r_rows = prop::collection::btree_set((0i64..3, 0i64..64), 40..120);
+    let s_rows = prop::collection::btree_set(0i64..4, 0..4);
+    (r_rows, s_rows).prop_map(|(r_rows, s_rows)| rs_db(r_rows, s_rows))
 }
 
 fn term_strategy() -> impl Strategy<Value = Term> {
@@ -191,6 +284,66 @@ fn qc_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     ]
 }
 
+/// CQ and UCQ over `a` and `b`: the same plan with the fast path on
+/// and off answers full evaluation and membership probes identically,
+/// for answers and out-of-domain tuples alike.
+fn membership_paths_agree(
+    db: &Arc<Database>,
+    a: ConjunctiveQuery,
+    b: ConjunctiveQuery,
+) -> Result<(), TestCaseError> {
+    let ucq = UnionQuery::new(vec![a.clone(), b]).expect("same arity");
+    for q in [Query::Cq(a), Query::Ucq(ucq)] {
+        let fast = q.compile(db).unwrap();
+        let slow = q.compile(db).unwrap().with_bitsets(false);
+        let answers = fast.eval(None, None).unwrap();
+        prop_assert_eq!(&answers, &slow.eval(None, None).unwrap(), "on {}", q);
+        let probes: Vec<Tuple> = answers
+            .iter()
+            .take(4)
+            .cloned()
+            .chain([tuple![0, 0], tuple![3, 1], tuple![99, 99]])
+            .collect();
+        for t in &probes {
+            prop_assert_eq!(
+                fast.contains(t, None, None).unwrap(),
+                slow.contains(t, None, None).unwrap(),
+                "membership of {} on {}", t, q
+            );
+            prop_assert_eq!(
+                fast.eval_pre_bound(t, None, None).unwrap(),
+                slow.eval_pre_bound(t, None, None).unwrap(),
+                "pre-bound {} on {}", t, q
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A dynamic `Qc` probe with the package `items` bound: emptiness and
+/// full dynamic evaluation agree with the fast path on and off.
+fn qc_paths_agree(
+    db: &Arc<Database>,
+    qc: ConjunctiveQuery,
+    items: &BTreeSet<(i64, i64)>,
+) -> Result<(), TestCaseError> {
+    let tuples: Vec<Tuple> = items.iter().map(|&(a, b)| tuple![a, b]).collect();
+    let q = Query::Cq(qc);
+    let fast = q.compile_with_dynamic(db, "p", 2).unwrap();
+    let slow = q.compile_with_dynamic(db, "p", 2).unwrap().with_bitsets(false);
+    prop_assert_eq!(
+        fast.has_answer_dynamic(tuples.iter(), None, None).unwrap(),
+        slow.has_answer_dynamic(tuples.iter(), None, None).unwrap(),
+        "on {}", q
+    );
+    prop_assert_eq!(
+        fast.eval_dynamic(tuples.iter(), None, None).unwrap(),
+        slow.eval_dynamic(tuples.iter(), None, None).unwrap(),
+        "on {}", q
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -203,32 +356,7 @@ proptest! {
         a in cq_strategy(),
         b in cq_strategy(),
     ) {
-        let db = Arc::new(db);
-        let ucq = UnionQuery::new(vec![a.clone(), b.clone()]).expect("same arity");
-        for q in [Query::Cq(a.clone()), Query::Ucq(ucq)] {
-            let fast = q.compile(&db).unwrap();
-            let slow = q.compile(&db).unwrap().with_bitsets(false);
-            let answers = fast.eval(None, None).unwrap();
-            prop_assert_eq!(&answers, &slow.eval(None, None).unwrap(), "on {}", q);
-            let probes: Vec<Tuple> = answers
-                .iter()
-                .take(4)
-                .cloned()
-                .chain([tuple![0, 0], tuple![3, 1], tuple![99, 99]])
-                .collect();
-            for t in &probes {
-                prop_assert_eq!(
-                    fast.contains(t, None, None).unwrap(),
-                    slow.contains(t, None, None).unwrap(),
-                    "membership of {} on {}", t, q
-                );
-                prop_assert_eq!(
-                    fast.eval_pre_bound(t, None, None).unwrap(),
-                    slow.eval_pre_bound(t, None, None).unwrap(),
-                    "pre-bound {} on {}", t, q
-                );
-            }
-        }
+        membership_paths_agree(&Arc::new(db), a, b)?;
     }
 
     /// Antimonotone-Qc dynamic probes: emptiness and full dynamic
@@ -239,21 +367,22 @@ proptest! {
         qc in qc_strategy(),
         items in prop::collection::btree_set((0i64..4, 0i64..4), 0..5),
     ) {
+        qc_paths_agree(&Arc::new(db), qc, &items)?;
+    }
+
+    /// The same two checks on relations whose existence steps
+    /// intersect sparse runs with dense bitsets.
+    #[test]
+    fn posting_path_matches_row_path_on_mixed_columns(
+        db in mixed_db_strategy(),
+        a in cq_strategy(),
+        b in cq_strategy(),
+        qc in qc_strategy(),
+        items in prop::collection::btree_set((0i64..3, 0i64..8), 0..5),
+    ) {
         let db = Arc::new(db);
-        let tuples: Vec<Tuple> = items.iter().map(|&(a, b)| tuple![a, b]).collect();
-        let q = Query::Cq(qc);
-        let fast = q.compile_with_dynamic(&db, "p", 2).unwrap();
-        let slow = q.compile_with_dynamic(&db, "p", 2).unwrap().with_bitsets(false);
-        prop_assert_eq!(
-            fast.has_answer_dynamic(tuples.iter(), None, None).unwrap(),
-            slow.has_answer_dynamic(tuples.iter(), None, None).unwrap(),
-            "on {}", q
-        );
-        prop_assert_eq!(
-            fast.eval_dynamic(tuples.iter(), None, None).unwrap(),
-            slow.eval_dynamic(tuples.iter(), None, None).unwrap(),
-            "on {}", q
-        );
+        membership_paths_agree(&db, a, b)?;
+        qc_paths_agree(&db, qc, &items)?;
     }
 
     /// Metered probes: a budget meter disables the bitset shortcut, so
@@ -288,4 +417,107 @@ proptest! {
             prop_assert_eq!(fm.spent(), sm.spent(), "tick drift on {} at {}", q, steps);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// One snapshot per epoch: sharing and memory
+// ---------------------------------------------------------------------
+
+/// `query.index_builds` counted on this thread while `run` runs.
+fn index_builds(run: impl FnOnce()) -> u64 {
+    pkgrec_trace::reset();
+    run();
+    let report = pkgrec_trace::take();
+    report.counters.get("query.index_builds").copied().unwrap_or(0)
+}
+
+/// Plans and one-shot calls against one epoch share its snapshot, so
+/// only the first touch of a column builds its postings; a clone
+/// shares the snapshot too, and a mutation starts a new one.
+#[test]
+fn compiles_and_one_shot_calls_share_one_epochs_postings() {
+    let _scope = pkgrec_trace::scoped();
+    let db = Arc::new(rs_db((0..40).map(|i| (i % 3, i)).collect(), [1].into()));
+    let q = Query::Cq(ConjunctiveQuery::identity("r", 2));
+    let member = tuple![1, 4];
+    // Membership of the identity query is one existence step over
+    // both of r's columns.
+    let first = index_builds(|| {
+        let plan = q.compile(&db).unwrap();
+        assert!(plan.contains(&member, None, None).unwrap());
+    });
+    assert_eq!(first, 2);
+    let again = index_builds(|| {
+        let plan = q.compile(&db).unwrap();
+        assert!(plan.contains(&member, None, None).unwrap());
+        assert!(q.contains(&db, &member).unwrap());
+        assert_eq!(q.eval(&db).unwrap().len(), 40);
+        let qc = Query::Cq(ConjunctiveQuery::new(
+            Vec::<Term>::new(),
+            vec![
+                RelAtom::new("p", vec![Term::v("x"), Term::v("y")]),
+                RelAtom::new("r", vec![Term::v("x"), Term::v("y")]),
+            ],
+            vec![],
+        ));
+        let items = [member.clone()];
+        assert!(qc.has_answer_with(EvalContext::new(&db), "p", 2, items.iter()).unwrap());
+    });
+    assert_eq!(again, 0, "a second compile and one-shot calls build nothing");
+
+    let clone = Database::clone(&db);
+    assert!(Arc::ptr_eq(db.snapshot(), clone.snapshot()));
+    let mut changed = clone;
+    changed.insert("r", tuple![2, 99]).unwrap();
+    assert!(!Arc::ptr_eq(db.snapshot(), changed.snapshot()));
+    assert_eq!(index_builds(|| assert!(q.contains(&changed, &member).unwrap())), 2);
+}
+
+/// Eight threads touching one posting for the first time build it
+/// once. Tracing is per thread, so each caller turns it on and hands
+/// its report back.
+#[test]
+fn concurrent_first_touches_build_a_posting_once() {
+    let db = rs_db((0..200).map(|i| (i % 5, i)).collect(), BTreeSet::new());
+    let snap = Arc::clone(db.snapshot());
+    let barrier = Arc::new(std::sync::Barrier::new(8));
+    let handles: Vec<_> = (0..8)
+        .map(|_| {
+            let (snap, barrier) = (Arc::clone(&snap), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let _scope = pkgrec_trace::scoped();
+                barrier.wait();
+                let table = &snap.tables()[snap.find("r").unwrap()];
+                index_builds(|| {
+                    for _ in 0..100 {
+                        assert_eq!(table.postings(1).get(0).unwrap().rows.len(), 1);
+                    }
+                })
+            })
+        })
+        .collect();
+    let total: u64 = handles.into_iter().map(|h| h.join().expect("caller thread")).sum();
+    assert_eq!(total, 1);
+}
+
+/// A unique-key column's postings are O(rows): one run entry and one
+/// value entry per row, no bitset (a bitset per value would need
+/// 200k × 25 KB = 5 GB). A low-cardinality column's dense values stay
+/// within the same bound.
+#[test]
+fn unique_key_postings_stay_under_16_bytes_per_row() {
+    let rows = 200_000;
+    let r = RelationSchema::new("item", [("id", AttrType::Int), ("grp", AttrType::Int)])
+        .expect("valid schema");
+    let rel = Relation::from_tuples(r, (0..rows as i64).map(|i| tuple![i, i % 8]))
+        .expect("schema-conformant");
+    let mut db = Database::new();
+    db.add_relation(rel).expect("fresh db");
+    let table = &db.snapshot().tables()[0];
+    for col in 0..2 {
+        let bytes = table.postings(col).heap_bytes();
+        assert!(bytes < 16 * rows, "column {col}: {bytes} bytes for {rows} rows");
+    }
+    assert!(table.postings(0).get(0).unwrap().bits.is_none());
+    assert!(table.postings(1).get(0).unwrap().bits.is_some());
 }
