@@ -97,8 +97,8 @@ const KNOWN_KEYS: &[&str] = &[
     "steps", "jobs", "approx",
 ];
 
-/// Parse a package-function spec: `count`, `sum:COL` or `negsum:COL` —
-/// the same grammar the CLI accepts for `--cost` / `--val`.
+/// Parse a package-function spec: `count`, `sum:COL` or `negsum:COL`.
+/// The CLI parses `--cost` / `--val` with this function too.
 pub fn parse_fn_spec(spec: &str) -> Result<PackageFn, RequestError> {
     if spec == "count" {
         return Ok(PackageFn::cardinality());

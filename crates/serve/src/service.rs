@@ -349,7 +349,6 @@ impl Service {
     /// id.
     pub fn handle_solve_ctx(&self, body: &[u8], ctx: &RequestCtx) -> (u16, String) {
         let started = Instant::now();
-        pkgrec_trace::counter!("serve.requests");
         // The request's telemetry comes from the configuration alone:
         // channels are per thread, so nothing another request or the
         // environment switches on can leak into this one. Tracing feeds
@@ -362,6 +361,11 @@ impl Service {
             ..Telemetry::default()
         }
         .enter();
+        // This request's trace window: everything counted from here to
+        // `merge_trace` — the request itself, a rejection, the solve —
+        // reaches `/metrics`, on every path.
+        pkgrec_trace::reset();
+        pkgrec_trace::counter!("serve.requests");
         // A fresh ring per request: the flight export and the timeline
         // are this request's black box and nothing else's.
         let _ = flight::drain_all();
@@ -371,6 +375,7 @@ impl Service {
             Err(e) => {
                 Metrics::bump(&self.metrics.rejected_bad_request);
                 pkgrec_trace::counter!("serve.rejected.bad_request");
+                self.merge_trace();
                 let err = ServeError::new(400, "bad_request", e.message);
                 self.account(ctx, started, None, err.status, &err.outcome(), None, &scope);
                 return (err.status, err.body_with_id(Some(&ctx.id)));
@@ -378,16 +383,12 @@ impl Service {
         };
         Metrics::bump(&self.metrics.requests);
 
-        // Collect this solve's trace so `/metrics` can report merged
-        // counters/spans across requests.
-        pkgrec_trace::reset();
         let result = self.solve_rendered(&req);
-        let report = pkgrec_trace::take();
-        self.metrics
-            .trace
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(&report);
+        if matches!(&result, Err(err) if err.status == 400) {
+            Metrics::bump(&self.metrics.rejected_bad_request);
+            pkgrec_trace::counter!("serve.rejected.bad_request");
+        }
+        let report = self.merge_trace();
         self.export_flight(&ctx.id);
 
         let (status, outcome, body) = match result {
@@ -399,17 +400,11 @@ impl Service {
                     inject_request_id(rendered.body, &ctx.id),
                 )
             }
-            Err(err) => {
-                if err.status == 400 {
-                    Metrics::bump(&self.metrics.rejected_bad_request);
-                    pkgrec_trace::counter!("serve.rejected.bad_request");
-                }
-                (
-                    err.status,
-                    err.outcome(),
-                    err.body_with_id(Some(&ctx.id)),
-                )
-            }
+            Err(err) => (
+                err.status,
+                err.outcome(),
+                err.body_with_id(Some(&ctx.id)),
+            ),
         };
         self.account(
             ctx,
@@ -423,19 +418,16 @@ impl Service {
         (status, body)
     }
 
-    /// Solve a validated request (trace scope managed by the caller for
-    /// request-path accounting; this wrapper scopes its own).
-    pub fn solve(&self, req: &SolveRequest) -> Result<String, ServeError> {
-        let _trace = pkgrec_trace::scoped();
-        pkgrec_trace::reset();
-        let solved = self.solve_rendered(req);
+    /// Close the request's trace window: take this thread's report and
+    /// merge it into the one `/metrics` reports across requests.
+    fn merge_trace(&self) -> TraceReport {
         let report = pkgrec_trace::take();
         self.metrics
             .trace
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .merge(&report);
-        solved.map(|r| r.body)
+        report
     }
 
     /// Solve and render, also labelling the outcome (`exact` /

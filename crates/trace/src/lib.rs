@@ -552,14 +552,28 @@ pub fn add_steps(n: u64) {
 
 /// Fold a report produced on *another* thread into this thread's
 /// aggregates, as if its spans/counters/histograms had been recorded
-/// here. This is how a parallel search's coordinator reunites the
-/// per-worker traces ([`take`]n on each worker before it exits) into
-/// the solve's single report. No-op while tracing is disabled.
+/// here: span and histogram paths are re-rooted under the spans open
+/// on this thread. This is how a parallel search's coordinator
+/// reunites the per-worker traces ([`take`]n on each worker before it
+/// exits) into the solve's single report, with a spawned worker's
+/// spans at the same paths as the inline worker's, so span trees do
+/// not depend on the jobs level. No-op while tracing is disabled.
 pub fn absorb(report: &TraceReport) {
     if !is_enabled() || report.is_empty() {
         return;
     }
-    with_collector(|c| c.absorbed.merge(report));
+    with_collector(|c| {
+        let root = |path: &String| match c.path.as_str() {
+            "" => path.clone(),
+            open => format!("{open}/{path}"),
+        };
+        let rerooted = TraceReport {
+            spans: report.spans.iter().map(|(p, s)| (root(p), *s)).collect(),
+            counters: report.counters.clone(),
+            histograms: report.histograms.iter().map(|(p, h)| (root(p), h.clone())).collect(),
+        };
+        c.absorbed.merge(&rerooted);
+    });
 }
 
 /// Name of the innermost open span on this thread, if tracing is

@@ -125,6 +125,7 @@ use pkgrec::logic::{parse_qdimacs, QbfFormula};
 use pkgrec::query::parser::{parse_fo, parse_query};
 use pkgrec::query::Query;
 use pkgrec::reductions::membership;
+use pkgrec::serve::request::parse_fn_spec;
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
@@ -157,23 +158,6 @@ struct Options {
 enum TraceFormat {
     Human,
     Json,
-}
-
-fn parse_fn_spec(spec: &str) -> Result<PackageFn, String> {
-    if spec == "count" {
-        return Ok(PackageFn::cardinality());
-    }
-    if let Some(col) = spec.strip_prefix("sum:") {
-        let col: usize = col.parse().map_err(|_| format!("bad column in `{spec}`"))?;
-        return Ok(PackageFn::sum_col(col, true));
-    }
-    if let Some(col) = spec.strip_prefix("negsum:") {
-        let col: usize = col.parse().map_err(|_| format!("bad column in `{spec}`"))?;
-        return Ok(PackageFn::neg_sum_col(col));
-    }
-    Err(format!(
-        "unknown function spec `{spec}` (expected count, sum:COL or negsum:COL)"
-    ))
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -227,8 +211,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     value.parse().map_err(|_| "bad --budget value".to_string())?,
                 )
             }
-            "--cost" => opts.cost = parse_fn_spec(value)?,
-            "--val" => opts.val = parse_fn_spec(value)?,
+            "--cost" => opts.cost = parse_fn_spec(value).map_err(|e| e.message)?,
+            "--val" => opts.val = parse_fn_spec(value).map_err(|e| e.message)?,
             "--min-val" => {
                 opts.min_val =
                     Some(value.parse().map_err(|_| "bad --min-val value".to_string())?)

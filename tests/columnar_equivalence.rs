@@ -1,35 +1,31 @@
-//! Randomized equivalence, sharing and memory checks for the columnar
-//! evaluation layer (the database snapshot and its postings):
+//! Model, sharing and memory checks for the columnar evaluation layer
+//! (the database snapshot and its postings):
 //!
 //! * `ItemBitset` against a `BTreeSet<u32>` model — every mutating and
 //!   combining op must agree with ordinary set semantics;
 //! * postings against a `BTreeSet<u32>` model — each value's rows, its
 //!   container (sorted run, plus a bitset past `rows/32`), and the
 //!   intersection of sparse, dense and mixed postings;
-//! * the posting-intersection fast path against the row path — the
-//!   same compiled plan with it on and off must produce identical
-//!   answers for full evaluation, membership probes and
-//!   antimonotone-Qc dynamic probes, across CQ and UCQ workloads, on
-//!   all-dense relations and on relations with mixed columns;
 //! * metered runs — a budget meter forces the fast plan onto the row
-//!   path, so tick accounting stays bit-identical to the row plan
-//!   (and hence to per-call evaluation, which `tests/plan_equivalence.rs`
-//!   pins);
+//!   path, so tick accounting stays bit-identical to the row plan;
 //! * sharing and memory — plans and one-shot calls against one epoch
 //!   share its postings, a mutation rebuilds them, concurrent first
 //!   touches build a posting once, and a unique-key column's postings
 //!   stay under 16 bytes per row.
+//!
+//! The answers of the posting path and the row path are both checked
+//! against the oracle in `tests/oracle_matrix.rs`.
+
+mod common;
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pkgrec::data::{
-    tuple, AttrType, Database, ItemBitset, Posting, Relation, RelationSchema, Table, Tuple,
-};
-use pkgrec::query::{Budget, ConjunctiveQuery, EvalContext, Query, RelAtom, Term, UnionQuery};
-use proptest::TestCaseError;
+use common::{cq_strategy, db_strategy, rs_db};
+use pkgrec::data::{tuple, AttrType, Database, ItemBitset, Posting, Relation, RelationSchema, Table};
+use pkgrec::query::{Budget, ConjunctiveQuery, EvalContext, Query, RelAtom, Term};
 
 // ---------------------------------------------------------------------
 // ItemBitset vs BTreeSet<u32> model
@@ -185,205 +181,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Bitset fast path vs row path on compiled plans
+// Metered probes on compiled plans
 // ---------------------------------------------------------------------
-
-/// A database over r(a, b) and s(a).
-fn rs_db(r_rows: BTreeSet<(i64, i64)>, s_rows: BTreeSet<i64>) -> Database {
-    let r = RelationSchema::new("r", [("a", AttrType::Int), ("b", AttrType::Int)])
-        .expect("valid schema");
-    let s = RelationSchema::new("s", [("a", AttrType::Int)]).expect("valid schema");
-    let mut db = Database::new();
-    db.add_relation(
-        Relation::from_tuples(r, r_rows.into_iter().map(|(a, b)| tuple![a, b]))
-            .expect("schema-conformant"),
-    )
-    .expect("fresh db");
-    db.add_relation(
-        Relation::from_tuples(s, s_rows.into_iter().map(|a| tuple![a]))
-            .expect("schema-conformant"),
-    )
-    .expect("fresh db");
-    db
-}
-
-/// A small random database over r(a, b) and s(a) — dense values so
-/// fully-bound probes regularly hit populated bitsets.
-fn db_strategy() -> impl Strategy<Value = Database> {
-    let r_rows = prop::collection::btree_set((0i64..4, 0i64..4), 0..10);
-    let s_rows = prop::collection::btree_set(0i64..4, 0..4);
-    (r_rows, s_rows).prop_map(|(r_rows, s_rows)| rs_db(r_rows, s_rows))
-}
-
-/// A database whose r has mixed columns: `a` takes 3 values, each on
-/// far more than `rows/32` rows (dense postings), while most `b`
-/// values sit on one or two rows (sparse postings).
-fn mixed_db_strategy() -> impl Strategy<Value = Database> {
-    let r_rows = prop::collection::btree_set((0i64..3, 0i64..64), 40..120);
-    let s_rows = prop::collection::btree_set(0i64..4, 0..4);
-    (r_rows, s_rows).prop_map(|(r_rows, s_rows)| rs_db(r_rows, s_rows))
-}
-
-fn term_strategy() -> impl Strategy<Value = Term> {
-    prop_oneof![
-        (0usize..3).prop_map(|i| Term::v(format!("v{i}"))),
-        (0i64..4).prop_map(Term::c),
-    ]
-}
-
-/// A random safe CQ over r/s whose head repeats body variables — the
-/// shape where membership probes bind every atom and the bitset
-/// existence steps engage.
-fn cq_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
-    let atom = prop_oneof![
-        (term_strategy(), term_strategy()).prop_map(|(a, b)| RelAtom::new("r", vec![a, b])),
-        term_strategy().prop_map(|a| RelAtom::new("s", vec![a])),
-    ];
-    prop::collection::vec(atom, 1..4).prop_filter_map("need at least one variable", |atoms| {
-        let vars: Vec<_> = atoms
-            .iter()
-            .flat_map(|a| a.variables())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        if vars.is_empty() {
-            return None;
-        }
-        let head = vec![
-            Term::Var(vars[0].clone()),
-            Term::Var(vars[vars.len() / 2].clone()),
-        ];
-        Some(ConjunctiveQuery::new(head, atoms, vec![]))
-    })
-}
-
-/// An antimonotone-Qc shape over the dynamic relation p(a, b): both
-/// the pairwise-conflict form `Qc() :- p(x1,c1), p(x2,c2), r(c1,c2)`
-/// and the banned-combination form `Qc() :- p(c1,c2), r(c1,c2)` (the
-/// latter compiles to a fully-bound bitset existence step; the former
-/// stays on the row path — both must agree with bitsets disabled).
-fn qc_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
-    prop_oneof![
-        Just(ConjunctiveQuery::new(
-            Vec::<Term>::new(),
-            vec![
-                RelAtom::new("p", vec![Term::v("x1"), Term::v("c1")]),
-                RelAtom::new("p", vec![Term::v("x2"), Term::v("c2")]),
-                RelAtom::new("r", vec![Term::v("c1"), Term::v("c2")]),
-            ],
-            vec![],
-        )),
-        Just(ConjunctiveQuery::new(
-            Vec::<Term>::new(),
-            vec![
-                RelAtom::new("p", vec![Term::v("c1"), Term::v("c2")]),
-                RelAtom::new("r", vec![Term::v("c1"), Term::v("c2")]),
-            ],
-            vec![],
-        )),
-    ]
-}
-
-/// CQ and UCQ over `a` and `b`: the same plan with the fast path on
-/// and off answers full evaluation and membership probes identically,
-/// for answers and out-of-domain tuples alike.
-fn membership_paths_agree(
-    db: &Arc<Database>,
-    a: ConjunctiveQuery,
-    b: ConjunctiveQuery,
-) -> Result<(), TestCaseError> {
-    let ucq = UnionQuery::new(vec![a.clone(), b]).expect("same arity");
-    for q in [Query::Cq(a), Query::Ucq(ucq)] {
-        let fast = q.compile(db).unwrap();
-        let slow = q.compile(db).unwrap().with_bitsets(false);
-        let answers = fast.eval(None, None).unwrap();
-        prop_assert_eq!(&answers, &slow.eval(None, None).unwrap(), "on {}", q);
-        let probes: Vec<Tuple> = answers
-            .iter()
-            .take(4)
-            .cloned()
-            .chain([tuple![0, 0], tuple![3, 1], tuple![99, 99]])
-            .collect();
-        for t in &probes {
-            prop_assert_eq!(
-                fast.contains(t, None, None).unwrap(),
-                slow.contains(t, None, None).unwrap(),
-                "membership of {} on {}", t, q
-            );
-            prop_assert_eq!(
-                fast.eval_pre_bound(t, None, None).unwrap(),
-                slow.eval_pre_bound(t, None, None).unwrap(),
-                "pre-bound {} on {}", t, q
-            );
-        }
-    }
-    Ok(())
-}
-
-/// A dynamic `Qc` probe with the package `items` bound: emptiness and
-/// full dynamic evaluation agree with the fast path on and off.
-fn qc_paths_agree(
-    db: &Arc<Database>,
-    qc: ConjunctiveQuery,
-    items: &BTreeSet<(i64, i64)>,
-) -> Result<(), TestCaseError> {
-    let tuples: Vec<Tuple> = items.iter().map(|&(a, b)| tuple![a, b]).collect();
-    let q = Query::Cq(qc);
-    let fast = q.compile_with_dynamic(db, "p", 2).unwrap();
-    let slow = q.compile_with_dynamic(db, "p", 2).unwrap().with_bitsets(false);
-    prop_assert_eq!(
-        fast.has_answer_dynamic(tuples.iter(), None, None).unwrap(),
-        slow.has_answer_dynamic(tuples.iter(), None, None).unwrap(),
-        "on {}", q
-    );
-    prop_assert_eq!(
-        fast.eval_dynamic(tuples.iter(), None, None).unwrap(),
-        slow.eval_dynamic(tuples.iter(), None, None).unwrap(),
-        "on {}", q
-    );
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// CQ and UCQ: the same plan with bitsets on and off answers full
-    /// evaluation and membership probes identically, for answers and
-    /// out-of-domain tuples alike.
-    #[test]
-    fn bitset_path_matches_row_path(
-        db in db_strategy(),
-        a in cq_strategy(),
-        b in cq_strategy(),
-    ) {
-        membership_paths_agree(&Arc::new(db), a, b)?;
-    }
-
-    /// Antimonotone-Qc dynamic probes: emptiness and full dynamic
-    /// evaluation agree between the two paths for random packages.
-    #[test]
-    fn qc_dynamic_probes_match_row_path(
-        db in db_strategy(),
-        qc in qc_strategy(),
-        items in prop::collection::btree_set((0i64..4, 0i64..4), 0..5),
-    ) {
-        qc_paths_agree(&Arc::new(db), qc, &items)?;
-    }
-
-    /// The same two checks on relations whose existence steps
-    /// intersect sparse runs with dense bitsets.
-    #[test]
-    fn posting_path_matches_row_path_on_mixed_columns(
-        db in mixed_db_strategy(),
-        a in cq_strategy(),
-        b in cq_strategy(),
-        qc in qc_strategy(),
-        items in prop::collection::btree_set((0i64..3, 0i64..8), 0..5),
-    ) {
-        let db = Arc::new(db);
-        membership_paths_agree(&db, a, b)?;
-        qc_paths_agree(&db, qc, &items)?;
-    }
 
     /// Metered probes: a budget meter disables the bitset shortcut, so
     /// the fast plan charges exactly the row plan's ticks — same

@@ -8,75 +8,27 @@
 //! runs each test on its own thread, so enabling it here cannot
 //! contaminate other tests' rings.
 
+mod common;
+
 use std::sync::Arc;
 
-use pkgrec::core::{
-    problems::cpp, problems::frp, Constraint, Ext, PackageFn, Progress, RecInstance, SolveOptions,
-};
-use pkgrec::data::{tuple, AttrType, Database, Relation, RelationSchema};
-use pkgrec::query::{Builtin, CmpOp, ConjunctiveQuery, Query, RelAtom, Term};
+use common::{item_instance, Qc};
+use pkgrec::core::{problems::cpp, problems::frp, Ext, Progress, RecInstance, SolveOptions};
 use pkgrec_trace::flight::{self, FlightEvent};
 
 const JOBS_LEVELS: [usize; 3] = [2, 4, 8];
 
-/// The golden workload family of `parallel_equivalence`: items with
-/// groups and scores, budget 2 items, val = total score.
+/// The golden workload family of `tests/common`: items with groups
+/// and scores, budget 2 items, val = total score, k = 1.
 fn instance(scores: &[(i64, i64)], qc: Qc) -> RecInstance {
-    let schema = RelationSchema::new(
-        "item",
-        [("id", AttrType::Int), ("grp", AttrType::Int), ("score", AttrType::Int)],
-    )
-    .expect("valid schema");
-    let rel = Relation::from_tuples(
-        schema,
-        scores
-            .iter()
-            .enumerate()
-            .map(|(i, &(g, s))| tuple![i as i64, g, s]),
-    )
-    .expect("schema-conformant");
-    let mut db = Database::new();
-    db.add_relation(rel).expect("fresh db");
-    let inst = RecInstance::new(db, Query::Cq(ConjunctiveQuery::identity("item", 3)))
-        .with_budget(2.0)
-        .with_val(PackageFn::sum_col(2, true));
-    match qc {
-        Qc::None => inst,
-        Qc::Ptime => inst.with_qc(Constraint::ptime("distinct groups", |p, _| {
-            let mut seen = std::collections::BTreeSet::new();
-            p.iter().all(|t| seen.insert(t[1].clone()))
-        })),
-        // Qc() :- RQ(id,g,s), RQ(id',g,s'), id != id' — "no two items
-        // share a group", as a CQ and therefore anti-monotone.
-        Qc::Cq => inst.with_qc(Constraint::Query(Query::Cq(ConjunctiveQuery::new(
-            Vec::<Term>::new(),
-            vec![
-                RelAtom::new(
-                    pkgrec::core::ANSWER_RELATION,
-                    vec![Term::v("i1"), Term::v("g"), Term::v("s1")],
-                ),
-                RelAtom::new(
-                    pkgrec::core::ANSWER_RELATION,
-                    vec![Term::v("i2"), Term::v("g"), Term::v("s2")],
-                ),
-            ],
-            vec![Builtin::cmp(Term::v("i1"), CmpOp::Neq, Term::v("i2"))],
-        )))),
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Qc {
-    None,
-    Ptime,
-    Cq,
+    item_instance(scores, qc, 1)
 }
 
 const GOLDEN: [(&[(i64, i64)], Qc); 4] = [
-    (&[(0, 10), (1, 20), (2, 30), (0, 40)], Qc::None),
-    (&[(0, 10), (1, 20), (2, 30), (0, 40), (1, 5)], Qc::Ptime),
-    (&[(0, 7), (0, 9), (1, 3), (2, 30), (2, 2), (1, 11)], Qc::Cq),
-    (&[(1, 1)], Qc::None),
+    (&[(0, 10), (1, 20), (2, 30), (0, 40)], Qc::Absent),
+    (&[(0, 10), (1, 20), (2, 30), (0, 40), (1, 5)], Qc::PTime),
+    (&[(0, 7), (0, 9), (1, 3), (2, 30), (2, 2), (1, 11)], Qc::Query),
+    (&[(1, 1)], Qc::Absent),
 ];
 
 /// Completed runs: the merged recording at jobs N is bit-identical to

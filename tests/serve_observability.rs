@@ -316,3 +316,20 @@ fn prometheus_exposition_and_explain_answer_over_http() {
     assert_eq!(status, 404, "{text}");
     handle.shutdown();
 }
+
+/// A request's trace window spans the whole request: the request
+/// counter and a malformed body's rejection both reach `/metrics`'
+/// `trace` section, not just the counters bumped inside the solve.
+#[test]
+fn request_and_rejection_counters_reach_the_metrics_trace() {
+    let mut service = Service::new(ServiceConfig::default());
+    service.add_db("shop", parse_database(DB).expect("fixture db parses"));
+    let solve = format!(r#"{{"db":"shop","problem":"count","query":"{QUERY}"}}"#);
+    let bodies = [solve.as_bytes(), solve.as_bytes(), b"not json", solve.as_bytes()];
+    let statuses: Vec<u16> = bodies.iter().map(|b| service.handle_solve(b).0).collect();
+    assert_eq!(statuses, [200, 200, 400, 200]);
+    let metrics = json::parse(&service.metrics_json()).expect("valid JSON");
+    let counter = |name: &str| metrics.get("trace")?.get("counters")?.get(name)?.as_u64();
+    assert_eq!(counter("serve.requests"), Some(4));
+    assert_eq!(counter("serve.rejected.bad_request"), Some(1));
+}

@@ -4,49 +4,18 @@
 //! function versions agree, CPP's count is antitone in the bound, and
 //! the item fast path matches the Section 2 package embedding.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{item_instance, qc_strategy, scores_strategy, Qc};
+
 use pkgrec::core::{
-    problems::cpp, problems::frp, problems::mbp, problems::rpp, Constraint, Ext, ItemInstance,
-    ItemUtility, PackageFn, RecInstance, SizeBound, SolveOptions,
+    problems::cpp, problems::frp, problems::mbp, problems::rpp, Ext, ItemInstance,
+    ItemUtility, SizeBound, SolveOptions,
 };
 use pkgrec::data::{tuple, AttrType, Database, Relation, RelationSchema, Tuple};
 use pkgrec::query::{ConjunctiveQuery, Query};
-
-/// A small random instance: items 0..n with scores, budget 2 items,
-/// val = total score, optional no-duplicate-group PTIME constraint.
-fn instance(scores: Vec<(i64, i64)>, with_qc: bool, k: usize) -> RecInstance {
-    let schema = RelationSchema::new(
-        "item",
-        [("id", AttrType::Int), ("grp", AttrType::Int), ("score", AttrType::Int)],
-    )
-    .expect("valid schema");
-    let rel = Relation::from_tuples(
-        schema,
-        scores
-            .iter()
-            .enumerate()
-            .map(|(i, &(g, s))| tuple![i as i64, g, s]),
-    )
-    .expect("schema-conformant");
-    let mut db = Database::new();
-    db.add_relation(rel).expect("fresh db");
-    let mut inst = RecInstance::new(db, Query::Cq(ConjunctiveQuery::identity("item", 3)))
-        .with_budget(2.0)
-        .with_val(PackageFn::sum_col(2, true))
-        .with_k(k);
-    if with_qc {
-        inst = inst.with_qc(Constraint::ptime("distinct groups", |p, _| {
-            let mut seen = std::collections::BTreeSet::new();
-            p.iter().all(|t| seen.insert(t[1].clone()))
-        }));
-    }
-    inst
-}
-
-fn scores_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
-    prop::collection::vec((0i64..3, 1i64..50), 1..8)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -54,8 +23,8 @@ proptest! {
     /// Every FRP answer is certified by RPP (the function problem's
     /// output satisfies the decision problem's definition).
     #[test]
-    fn frp_output_passes_rpp(scores in scores_strategy(), with_qc in any::<bool>(), k in 1usize..4) {
-        let inst = instance(scores, with_qc, k);
+    fn frp_output_passes_rpp(scores in scores_strategy(), qc in qc_strategy(), k in 1usize..4) {
+        let inst = item_instance(&scores, qc, k);
         let opts = SolveOptions::default();
         if let Some(sel) = frp::top_k(&inst, &opts).unwrap().value {
             prop_assert!(rpp::is_top_k(&inst, &sel, &opts).unwrap());
@@ -69,8 +38,8 @@ proptest! {
 
     /// The enumerating solver and the paper's oracle-loop solver agree.
     #[test]
-    fn frp_oracle_agrees(scores in scores_strategy(), with_qc in any::<bool>(), k in 1usize..4) {
-        let inst = instance(scores, with_qc, k);
+    fn frp_oracle_agrees(scores in scores_strategy(), qc in qc_strategy(), k in 1usize..4) {
+        let inst = item_instance(&scores, qc, k);
         let opts = SolveOptions::default();
         prop_assert_eq!(
             frp::top_k(&inst, &opts).unwrap().value,
@@ -81,8 +50,8 @@ proptest! {
     /// `maximum_bound` and `is_maximum_bound` are two views of one
     /// number, and nothing above it is a bound (the L1 ∩ L2 split).
     #[test]
-    fn mbp_function_and_decision_agree(scores in scores_strategy(), with_qc in any::<bool>(), k in 1usize..4) {
-        let inst = instance(scores, with_qc, k);
+    fn mbp_function_and_decision_agree(scores in scores_strategy(), qc in qc_strategy(), k in 1usize..4) {
+        let inst = item_instance(&scores, qc, k);
         let opts = SolveOptions::default();
         match mbp::maximum_bound(&inst, &opts).unwrap().value {
             Some(b) => {
@@ -100,8 +69,8 @@ proptest! {
     /// CPP is antitone in the rating bound and consistent with MBP: at
     /// the maximum bound there are at least k valid packages.
     #[test]
-    fn cpp_antitone_and_consistent(scores in scores_strategy(), with_qc in any::<bool>()) {
-        let inst = instance(scores, with_qc, 1);
+    fn cpp_antitone_and_consistent(scores in scores_strategy(), qc in qc_strategy()) {
+        let inst = item_instance(&scores, qc, 1);
         let opts = SolveOptions::default();
         let c_low = cpp::count_valid(&inst, Ext::Finite(0.0), &opts).unwrap().value;
         let c_mid = cpp::count_valid(&inst, Ext::Finite(30.0), &opts).unwrap().value;
@@ -117,8 +86,8 @@ proptest! {
     #[test]
     fn constant_bound_is_a_restriction(scores in scores_strategy()) {
         let opts = SolveOptions::default();
-        let free = instance(scores.clone(), false, 1);
-        let capped = instance(scores, false, 1).with_size_bound(SizeBound::Constant(1));
+        let free = item_instance(&scores, Qc::Absent, 1);
+        let capped = item_instance(&scores, Qc::Absent, 1).with_size_bound(SizeBound::Constant(1));
         let mb_free = mbp::maximum_bound(&free, &opts).unwrap().value;
         let mb_capped = mbp::maximum_bound(&capped, &opts).unwrap().value;
         if let (Some(f), Some(c)) = (mb_free, mb_capped) {
@@ -132,11 +101,11 @@ proptest! {
     #[test]
     fn finished_budgeted_run_equals_unbounded(
         scores in scores_strategy(),
-        with_qc in any::<bool>(),
+        qc in qc_strategy(),
         k in 1usize..4,
         budget in 1u64..40,
     ) {
-        let inst = instance(scores, with_qc, k);
+        let inst = item_instance(&scores, qc, k);
         let unbounded = frp::top_k(&inst, &SolveOptions::default()).unwrap();
         prop_assert!(unbounded.exact);
         let bounded = frp::top_k(&inst, &SolveOptions::limited(budget)).unwrap();
@@ -163,11 +132,11 @@ proptest! {
     #[test]
     fn cpp_partial_counts_are_monotone(
         scores in scores_strategy(),
-        with_qc in any::<bool>(),
+        qc in qc_strategy(),
         b1 in 1u64..20,
         extra in 0u64..20,
     ) {
-        let inst = instance(scores, with_qc, 1);
+        let inst = item_instance(&scores, qc, 1);
         let bound = Ext::Finite(0.0);
         let exact = cpp::count_valid(&inst, bound, &SolveOptions::default()).unwrap();
         prop_assert!(exact.exact);

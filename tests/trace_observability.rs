@@ -15,6 +15,8 @@ use pkgrec::core::{
 use pkgrec::data::{tuple, AttrType, Database, Relation, RelationSchema};
 use pkgrec::query::{ConjunctiveQuery, Query};
 
+const JOBS: [usize; 4] = [1, 2, 4, 8];
+
 /// Items {1, 2, 3}; val = sum of items; cost = |N|; budget 2.
 fn small_instance() -> RecInstance {
     let mut db = Database::new();
@@ -33,13 +35,17 @@ fn small_instance() -> RecInstance {
 #[test]
 fn rpp_solve_emits_the_documented_counter_names() {
     let _scope = pkgrec_trace::scoped();
-    pkgrec_trace::reset();
-    let inst = small_instance();
     let sel = vec![Package::new([tuple![2], tuple![3]])];
-    // jobs=1 keeps the golden under a PKGREC_JOBS override: spawned
-    // workers' `enumerate.dfs` spans are absorbed at the report's root.
-    assert!(rpp::is_top_k(&inst, &sel, &SolveOptions::default().with_jobs(1)).unwrap());
-    let report = pkgrec_trace::take();
+    let reports: Vec<_> = JOBS
+        .iter()
+        .map(|&jobs| {
+            pkgrec_trace::reset();
+            let inst = small_instance();
+            assert!(rpp::is_top_k(&inst, &sel, &SolveOptions::default().with_jobs(jobs)).unwrap());
+            pkgrec_trace::take()
+        })
+        .collect();
+    let report = &reports[0];
 
     let counters: Vec<&str> = report.counters.keys().map(String::as_str).collect();
     assert_eq!(
@@ -70,6 +76,13 @@ fn rpp_solve_emits_the_documented_counter_names() {
     assert!(report.counters["enumerate.nodes"] > 0);
     assert!(report.spans["rpp.check_top_k"].total_ns > 0);
     assert!(report.spans["rpp.check_top_k/enumerate.dfs"].steps > 0);
+    // Spawned workers' spans sit where the inline worker's do, so the
+    // span tree and every counter value are the same at every jobs
+    // level.
+    for (jobs, other) in JOBS.iter().zip(&reports).skip(1) {
+        assert_eq!(other.spans.keys().collect::<Vec<_>>(), spans, "jobs {jobs}");
+        assert_eq!(other.counters, report.counters, "jobs {jobs}");
+    }
 }
 
 /// Golden test for the compiled-plan counters: one solve compiles `Q`
