@@ -6,6 +6,10 @@
 //! * postings against a `BTreeSet<u32>` model — each value's rows, its
 //!   container (sorted run, plus a bitset past `rows/32`), and the
 //!   intersection of sparse, dense and mixed postings;
+//! * the posting-intersection fast path against the row path — the
+//!   same compiled plan with it on and off must produce identical
+//!   answers for full evaluation, membership probes and
+//!   antimonotone-Qc dynamic probes, across CQ and UCQ workloads;
 //! * metered runs — a budget meter forces the fast plan onto the row
 //!   path, so tick accounting stays bit-identical to the row plan;
 //! * sharing and memory — plans and one-shot calls against one epoch
@@ -13,8 +17,8 @@
 //!   touches build a posting once, and a unique-key column's postings
 //!   stay under 16 bytes per row.
 //!
-//! The answers of the posting path and the row path are both checked
-//! against the oracle in `tests/oracle_matrix.rs`.
+//! The answers of the posting path and the row path are also checked
+//! against the oracle in `tests/oracle_matrix.rs`, on mixed columns too.
 
 mod common;
 
@@ -23,9 +27,12 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use common::{cq_strategy, db_strategy, rs_db};
-use pkgrec::data::{tuple, AttrType, Database, ItemBitset, Posting, Relation, RelationSchema, Table};
-use pkgrec::query::{Budget, ConjunctiveQuery, EvalContext, Query, RelAtom, Term};
+use common::{cq_strategy, db_strategy, dyn_cq_strategy, rs_db};
+use pkgrec::core::ANSWER_RELATION;
+use pkgrec::data::{
+    tuple, AttrType, Database, ItemBitset, Posting, Relation, RelationSchema, Table, Tuple,
+};
+use pkgrec::query::{Budget, ConjunctiveQuery, EvalContext, Query, RelAtom, Term, UnionQuery};
 
 // ---------------------------------------------------------------------
 // ItemBitset vs BTreeSet<u32> model
@@ -177,6 +184,99 @@ proptest! {
                 prop_assert_eq!(got, want, "probe {:?} on columns {:?}", probe, chosen);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Posting fast path vs row path on compiled plans
+// ---------------------------------------------------------------------
+
+/// CQ and UCQ over `a` and `b`: the same plan with the fast path on
+/// and off answers full evaluation and membership probes identically,
+/// for answers and out-of-domain tuples alike.
+fn membership_paths_agree(
+    db: &Arc<Database>,
+    a: ConjunctiveQuery,
+    b: ConjunctiveQuery,
+) -> Result<(), TestCaseError> {
+    let ucq = UnionQuery::new(vec![a.clone(), b]).expect("same arity");
+    for q in [Query::Cq(a), Query::Ucq(ucq)] {
+        let fast = q.compile(db).unwrap();
+        let slow = q.compile(db).unwrap().with_bitsets(false);
+        let answers = fast.eval(None, None).unwrap();
+        prop_assert_eq!(&answers, &slow.eval(None, None).unwrap(), "on {}", q);
+        let probes: Vec<Tuple> = answers
+            .iter()
+            .take(4)
+            .cloned()
+            .chain([tuple![0, 0], tuple![3, 1], tuple![99, 99]])
+            .collect();
+        for t in &probes {
+            prop_assert_eq!(
+                fast.contains(t, None, None).unwrap(),
+                slow.contains(t, None, None).unwrap(),
+                "membership of {} on {}", t, q
+            );
+            prop_assert_eq!(
+                fast.eval_pre_bound(t, None, None).unwrap(),
+                slow.eval_pre_bound(t, None, None).unwrap(),
+                "pre-bound {} on {}", t, q
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A dynamic `Qc` probe with the package `items` bound: emptiness and
+/// full dynamic evaluation agree with the fast path on and off.
+fn qc_paths_agree(
+    db: &Arc<Database>,
+    qc: ConjunctiveQuery,
+    items: &BTreeSet<(i64, i64)>,
+) -> Result<(), TestCaseError> {
+    let tuples: Vec<Tuple> = items.iter().map(|&(a, b)| tuple![a, b]).collect();
+    let q = Query::Cq(qc);
+    let fast = q.compile_with_dynamic(db, ANSWER_RELATION, 2).unwrap();
+    let slow = q.compile_with_dynamic(db, ANSWER_RELATION, 2).unwrap().with_bitsets(false);
+    prop_assert_eq!(
+        fast.has_answer_dynamic(tuples.iter(), None, None).unwrap(),
+        slow.has_answer_dynamic(tuples.iter(), None, None).unwrap(),
+        "on {}", q
+    );
+    prop_assert_eq!(
+        fast.eval_dynamic(tuples.iter(), None, None).unwrap(),
+        slow.eval_dynamic(tuples.iter(), None, None).unwrap(),
+        "on {}", q
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// CQ and UCQ: the same plan with bitsets on and off answers full
+    /// evaluation and membership probes identically, for answers and
+    /// out-of-domain tuples alike.
+    #[test]
+    fn bitset_path_matches_row_path(
+        db in db_strategy(),
+        a in cq_strategy(),
+        b in cq_strategy(),
+    ) {
+        membership_paths_agree(&Arc::new(db), a, b)?;
+    }
+
+    /// Antimonotone-Qc dynamic probes (the pairwise-conflict and
+    /// banned-combination shapes among them): emptiness and full
+    /// dynamic evaluation agree between the two paths for random
+    /// packages.
+    #[test]
+    fn qc_dynamic_probes_match_row_path(
+        db in db_strategy(),
+        qc in dyn_cq_strategy(),
+        items in prop::collection::btree_set((0i64..4, 0i64..4), 0..5),
+    ) {
+        qc_paths_agree(&Arc::new(db), qc, &items)?;
     }
 }
 
