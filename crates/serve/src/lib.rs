@@ -40,6 +40,6 @@ pub mod service;
 
 pub use access_log::AccessLog;
 pub use http::{Request, MAX_BODY_BYTES, MAX_HEADER_BYTES};
-pub use request::{parse_solve_request, ProblemKind, RequestError, SolveRequest};
+pub use request::{parse_solve_request, Answer, ProblemKind, RequestError, SolveRequest};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use service::{Metrics, RequestCtx, ServeError, Service, ServiceConfig};

@@ -1,12 +1,29 @@
-//! Typed decoding of `/solve` request payloads. The body is JSON,
-//! parsed with the stack's own [`pkgrec_trace::json`] parser (depth
-//! capped, total on arbitrary bytes); this module then validates every
-//! field — required keys present, numbers in range, specs well-formed,
-//! **unknown keys rejected** — so a malformed or hostile payload is a
-//! typed [`RequestError`], never a panic and never a silently-ignored
-//! field that makes the server answer a different question than asked.
+//! The one solve spec. A [`SolveRequest`] is the tuple
+//! `(Q, D, cost, val, C, k)` plus the search's budget; both front ends
+//! fill it — `/solve` by decoding a JSON body ([`parse_solve_request`]),
+//! the `pkgrec` CLI from its flags — and from there share everything:
+//! [`SolveRequest::validate`] holds every field to one set of rules,
+//! [`SolveRequest::instance`] turns the spec into a [`RecInstance`],
+//! [`SolveRequest::options`] into solver options, and
+//! [`SolveRequest::solve`] runs the solver.
+//!
+//! Decoding uses the stack's own [`pkgrec_trace::json`] parser (depth
+//! capped, total on arbitrary bytes) and **rejects unknown keys**, so a
+//! malformed or hostile payload is a typed [`RequestError`], never a
+//! panic and never a silently-ignored field that makes the server
+//! answer a different question than asked.
 
-use pkgrec_core::PackageFn;
+use std::sync::Arc;
+use std::time::Duration;
+
+use pkgrec_core::problems::{cpp, frp, mbp};
+use pkgrec_core::{
+    Budget, CoreError, Ext, Outcome, Package, PackageFn, PreparedInstance, RecInstance,
+    SearchStats, SizeBound, SketchParams, SolveOptions,
+};
+use pkgrec_data::Database;
+use pkgrec_query::parser::{parse_fo, parse_query};
+use pkgrec_query::Query;
 use pkgrec_trace::json::{self, Json};
 
 /// Which problem a request asks the service to solve.
@@ -34,7 +51,9 @@ impl ProblemKind {
     }
 }
 
-/// A validated `/solve` request.
+/// A solve spec. Build one with [`SolveRequest::new`] or
+/// [`parse_solve_request`]; a front end that fills the fields itself
+/// runs [`SolveRequest::validate`] before solving.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveRequest {
     /// Name of a resident database.
@@ -56,9 +75,10 @@ pub struct SolveRequest {
     pub min_val: Option<f64>,
     /// Package-size cap; `None` keeps the default linear bound.
     pub max_size: Option<usize>,
-    /// Wall-clock deadline for this request, in milliseconds. `None`
-    /// lets the server apply its maximum; a request can only tighten
-    /// the server's cap, never exceed it.
+    /// Wall-clock deadline for this request, in milliseconds. A server
+    /// applies its maximum when this is `None` and otherwise the
+    /// smaller of the two: a request can tighten the cap, never exceed
+    /// it.
     pub deadline_ms: Option<u64>,
     /// Step budget, if the client wants one on top of the deadline.
     pub steps: Option<u64>,
@@ -76,6 +96,9 @@ pub struct SolveRequest {
 pub struct RequestError {
     /// What was wrong.
     pub message: String,
+    /// The wire field at fault, when one is (a front end with its own
+    /// names for the fields, such as the CLI's flags, maps it back).
+    pub field: Option<&'static str>,
 }
 
 impl std::fmt::Display for RequestError {
@@ -89,6 +112,14 @@ impl std::error::Error for RequestError {}
 fn bad(message: impl Into<String>) -> RequestError {
     RequestError {
         message: message.into(),
+        field: None,
+    }
+}
+
+fn bad_field(field: &'static str, message: impl Into<String>) -> RequestError {
+    RequestError {
+        message: message.into(),
+        field: Some(field),
     }
 }
 
@@ -98,7 +129,8 @@ const KNOWN_KEYS: &[&str] = &[
 ];
 
 /// Parse a package-function spec: `count`, `sum:COL` or `negsum:COL`.
-/// The CLI parses `--cost` / `--val` with this function too.
+/// `count` is `|N|` here; [`SolveRequest::instance`] reads it as
+/// [`PackageFn::count`] in the cost position.
 pub fn parse_fn_spec(spec: &str) -> Result<PackageFn, RequestError> {
     if spec == "count" {
         return Ok(PackageFn::cardinality());
@@ -120,31 +152,204 @@ pub fn parse_fn_spec(spec: &str) -> Result<PackageFn, RequestError> {
     )))
 }
 
-fn required_str(obj: &Json, key: &str) -> Result<String, RequestError> {
-    obj.get(key)
-        .ok_or_else(|| bad(format!("missing required field `{key}`")))?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| bad(format!("field `{key}` must be a string")))
+/// Parse the selection query `Q`: rule form first, FO form second.
+/// `/solve`, `/explain` and the CLI all read queries with this.
+pub fn load_query(src: &str) -> Result<Query, RequestError> {
+    parse_query(src).or_else(|rule_err| {
+        parse_fo(src).map_err(|fo_err| {
+            bad_field(
+                "query",
+                format!("query parses neither as rules ({rule_err}) nor as FO ({fo_err})"),
+            )
+        })
+    })
 }
 
-fn optional_u64(obj: &Json, key: &str) -> Result<Option<u64>, RequestError> {
+/// A solved request: the problem's answer with its search outcome.
+#[derive(Debug)]
+pub enum Answer {
+    /// `eval`: the item pool, which the prepared instance already holds.
+    Eval,
+    /// FRP: the top-`k` packages, best first.
+    TopK(Outcome<Option<Vec<Package>>, SearchStats>),
+    /// MBP: the maximum rating bound.
+    Bound(Outcome<Option<Ext>, SearchStats>),
+    /// CPP: the number of valid packages rated at least `min_val`.
+    Count(Outcome<u128, SearchStats>),
+}
+
+impl SolveRequest {
+    /// A request for `problem` with every optional field at its
+    /// default: `k = 1`, cost and rating `count`, no budget, rating
+    /// bound, size cap, deadline or step limit, one job, exact engine.
+    pub fn new(db: impl Into<String>, problem: ProblemKind, query: impl Into<String>) -> Self {
+        SolveRequest {
+            db: db.into(),
+            problem,
+            query: query.into(),
+            k: 1,
+            budget: None,
+            cost: "count".to_string(),
+            val: "count".to_string(),
+            min_val: None,
+            max_size: None,
+            deadline_ms: None,
+            steps: None,
+            jobs: 1,
+            approx: false,
+        }
+    }
+
+    /// Hold every field to the wire's rules: counts at least 1, numbers
+    /// finite, specs well-formed, `approx` only on `topk`/`bound`.
+    pub fn validate(&self) -> Result<(), RequestError> {
+        let counts = [
+            ("k", Some(self.k as u64)),
+            ("max_size", self.max_size.map(|n| n as u64)),
+            ("deadline_ms", self.deadline_ms),
+            ("steps", self.steps),
+            ("jobs", Some(self.jobs as u64)),
+        ];
+        for (field, n) in counts {
+            if n == Some(0) {
+                return Err(bad_field(
+                    field,
+                    format!("field `{field}` must be at least 1"),
+                ));
+            }
+        }
+        for (field, x) in [("budget", self.budget), ("min_val", self.min_val)] {
+            if x.is_some_and(|x| !x.is_finite()) {
+                return Err(bad_field(
+                    field,
+                    format!("field `{field}` must be a finite number"),
+                ));
+            }
+        }
+        for (field, spec) in [("cost", &self.cost), ("val", &self.val)] {
+            parse_fn_spec(spec).map_err(|e| bad_field(field, e.message))?;
+        }
+        if self.approx && !matches!(self.problem, ProblemKind::TopK | ProblemKind::Bound) {
+            return Err(bad_field(
+                "approx",
+                format!(
+                    "field `approx` is only supported for topk and bound (got `{}`)",
+                    self.problem.name()
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The instance this request asks about, over `db`: `/solve` builds
+    /// it on a plan-cache miss, the CLI on every run. The spec `count`
+    /// reads as [`RecInstance::new`]'s defaults do: as a cost it is
+    /// [`PackageFn::count`] (`cost(∅) = ∞`, so `∅` never fits a finite
+    /// budget), as a rating [`PackageFn::cardinality`] (`val(∅) = 0`).
+    pub fn instance(&self, db: Arc<Database>) -> Result<RecInstance, RequestError> {
+        self.validate()?;
+        let cost = match self.cost.as_str() {
+            "count" => PackageFn::count(),
+            spec => parse_fn_spec(spec)?,
+        };
+        let mut inst = RecInstance::new(db, load_query(&self.query)?)
+            .with_cost(cost)
+            .with_val(parse_fn_spec(&self.val)?)
+            .with_k(self.k);
+        if let Some(budget) = self.budget {
+            inst = inst.with_budget(budget);
+        }
+        if let Some(cap) = self.max_size {
+            inst = inst.with_size_bound(SizeBound::Constant(cap));
+        }
+        Ok(inst)
+    }
+
+    /// The solver options this request runs under: its deadline,
+    /// tightened to `max_deadline_ms` when there is a cap (a server
+    /// always has one, the CLI none), its step limit, its jobs clamped
+    /// to `max_jobs`, and the SketchRefine engine when `approx` is set.
+    pub fn options(&self, max_deadline_ms: Option<u64>, max_jobs: usize) -> SolveOptions {
+        let deadline_ms = match (self.deadline_ms, max_deadline_ms) {
+            (Some(ms), Some(cap)) => Some(ms.min(cap)),
+            (ms, cap) => ms.or(cap),
+        };
+        let mut budget = Budget::unlimited();
+        if let Some(ms) = deadline_ms {
+            budget = budget.timeout(Duration::from_millis(ms));
+        }
+        if let Some(steps) = self.steps {
+            budget = budget.steps(steps);
+        }
+        let opts = SolveOptions::with_budget(budget).with_jobs(self.jobs.min(max_jobs).max(1));
+        match self.approx {
+            true => opts.with_approx(SketchParams::default()),
+            false => opts,
+        }
+    }
+
+    /// Solve this request on `prepared`, the [`PreparedInstance`] of
+    /// [`SolveRequest::instance`].
+    pub fn solve(
+        &self,
+        prepared: &PreparedInstance,
+        opts: &SolveOptions,
+    ) -> Result<Answer, CoreError> {
+        Ok(match self.problem {
+            ProblemKind::Eval => Answer::Eval,
+            ProblemKind::TopK => Answer::TopK(frp::top_k_in(&prepared.context(), opts)?),
+            ProblemKind::Bound => Answer::Bound(mbp::maximum_bound_in(&prepared.context(), opts)?),
+            ProblemKind::Count => {
+                let bound = self.min_val.map_or(Ext::NegInf, Ext::from);
+                Answer::Count(cpp::count_valid_in(&prepared.context(), bound, opts)?)
+            }
+        })
+    }
+}
+
+fn required_str(obj: &Json, key: &'static str) -> Result<String, RequestError> {
+    obj.get(key)
+        .ok_or_else(|| bad_field(key, format!("missing required field `{key}`")))?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| bad_field(key, format!("field `{key}` must be a string")))
+}
+
+fn optional_str(obj: &Json, key: &'static str) -> Result<Option<String>, RequestError> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(|s| Some(s.to_string()))
+            .ok_or_else(|| bad_field(key, format!("field `{key}` must be a string"))),
+    }
+}
+
+fn optional_u64(obj: &Json, key: &'static str) -> Result<Option<u64>, RequestError> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => v
             .as_u64()
             .map(Some)
-            .ok_or_else(|| bad(format!("field `{key}` must be a non-negative integer"))),
+            .ok_or_else(|| bad_field(key, format!("field `{key}` must be a non-negative integer"))),
     }
 }
 
-fn optional_f64(obj: &Json, key: &str) -> Result<Option<f64>, RequestError> {
+fn optional_usize(obj: &Json, key: &'static str) -> Result<Option<usize>, RequestError> {
+    optional_u64(obj, key)?
+        .map(|n| {
+            usize::try_from(n).map_err(|_| bad_field(key, format!("field `{key}` is too large")))
+        })
+        .transpose()
+}
+
+fn optional_f64(obj: &Json, key: &'static str) -> Result<Option<f64>, RequestError> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => match v.as_f64() {
-            Some(x) if x.is_finite() => Ok(Some(x)),
-            _ => Err(bad(format!("field `{key}` must be a finite number"))),
-        },
+        Some(v) => v
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| bad_field(key, format!("field `{key}` must be a finite number"))),
     }
 }
 
@@ -171,80 +376,38 @@ pub fn parse_solve_request(body: &[u8]) -> Result<SolveRequest, RequestError> {
         "bound" => ProblemKind::Bound,
         "count" => ProblemKind::Count,
         other => {
-            return Err(bad(format!(
-                "unknown problem `{other}` (expected eval, topk, bound or count)"
-            )))
+            return Err(bad_field(
+                "problem",
+                format!("unknown problem `{other}` (expected eval, topk, bound or count)"),
+            ))
         }
     };
-    let k = match optional_u64(&root, "k")? {
-        None => 1,
-        Some(0) => return Err(bad("field `k` must be at least 1")),
-        Some(k) => usize::try_from(k).map_err(|_| bad("field `k` is too large"))?,
-    };
-    let cost = match root.get("cost") {
-        None | Some(Json::Null) => "count".to_string(),
-        Some(v) => v
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| bad("field `cost` must be a string"))?,
-    };
-    let val = match root.get("val") {
-        None | Some(Json::Null) => "count".to_string(),
-        Some(v) => v
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| bad("field `val` must be a string"))?,
-    };
-    // Validate the specs now so a bad spec is a 400 with a precise
-    // message, not a failure deep inside instance preparation.
-    parse_fn_spec(&cost)?;
-    parse_fn_spec(&val)?;
-    let budget = optional_f64(&root, "budget")?;
-    let min_val = optional_f64(&root, "min_val")?;
-    let max_size = match optional_u64(&root, "max_size")? {
-        Some(0) => return Err(bad("field `max_size` must be at least 1")),
-        other => other.map(|n| n as usize),
-    };
-    let deadline_ms = match optional_u64(&root, "deadline_ms")? {
-        Some(0) => return Err(bad("field `deadline_ms` must be at least 1")),
-        other => other,
-    };
-    let steps = match optional_u64(&root, "steps")? {
-        Some(0) => return Err(bad("field `steps` must be at least 1")),
-        other => other,
-    };
-    let jobs = match optional_u64(&root, "jobs")? {
-        None => 1,
-        Some(0) => return Err(bad("field `jobs` must be at least 1")),
-        Some(j) => usize::try_from(j).map_err(|_| bad("field `jobs` is too large"))?,
-    };
-    let approx = match root.get("approx") {
+    let mut req = SolveRequest::new(db, problem, query);
+    if let Some(k) = optional_usize(&root, "k")? {
+        req.k = k;
+    }
+    if let Some(cost) = optional_str(&root, "cost")? {
+        req.cost = cost;
+    }
+    if let Some(val) = optional_str(&root, "val")? {
+        req.val = val;
+    }
+    req.budget = optional_f64(&root, "budget")?;
+    req.min_val = optional_f64(&root, "min_val")?;
+    req.max_size = optional_usize(&root, "max_size")?;
+    req.deadline_ms = optional_u64(&root, "deadline_ms")?;
+    req.steps = optional_u64(&root, "steps")?;
+    if let Some(jobs) = optional_usize(&root, "jobs")? {
+        req.jobs = jobs;
+    }
+    req.approx = match root.get("approx") {
         None | Some(Json::Null) => false,
         Some(v) => v
             .as_bool()
-            .ok_or_else(|| bad("field `approx` must be a boolean"))?,
+            .ok_or_else(|| bad_field("approx", "field `approx` must be a boolean"))?,
     };
-    if approx && !matches!(problem, ProblemKind::TopK | ProblemKind::Bound) {
-        return Err(bad(format!(
-            "field `approx` is only supported for topk and bound (got `{}`)",
-            problem.name()
-        )));
-    }
-    Ok(SolveRequest {
-        db,
-        problem,
-        query,
-        k,
-        budget,
-        cost,
-        val,
-        min_val,
-        max_size,
-        deadline_ms,
-        steps,
-        jobs,
-        approx,
-    })
+    req.validate()?;
+    Ok(req)
 }
 
 #[cfg(test)]
@@ -348,6 +511,48 @@ mod tests {
             let e = parse_solve_request(body).expect_err(&format!("{body:?} must be rejected"));
             assert!(e.message.contains(needle), "{e} should mention {needle}");
         }
+    }
+
+    /// `count` reads as `RecInstance::new`'s defaults: `cost(∅) = ∞`
+    /// as a cost, `val(∅) = 0` as a rating.
+    #[test]
+    fn count_spec_reads_as_the_instance_defaults() {
+        let req = SolveRequest::new("d", ProblemKind::TopK, "q(x) :- item(x).");
+        let inst = req.instance(Arc::new(Database::new())).unwrap();
+        assert_eq!(inst.cost.eval(&Package::empty()), Ext::PosInf);
+        assert_eq!(inst.val.eval(&Package::empty()), Ext::Finite(0.0));
+    }
+
+    /// A hand-filled spec is held to the wire's rules before any
+    /// instance is built, so `k = 0` is an error, not a panic.
+    #[test]
+    fn hand_filled_specs_are_validated() {
+        let mut req = SolveRequest::new("d", ProblemKind::Count, "q(x) :- item(x).");
+        req.k = 0;
+        let e = req.instance(Arc::new(Database::new())).unwrap_err();
+        assert_eq!(e.field, Some("k"));
+        req.k = 1;
+        req.budget = Some(f64::NAN);
+        assert_eq!(req.validate().unwrap_err().field, Some("budget"));
+        req.budget = None;
+        req.approx = true;
+        assert_eq!(req.validate().unwrap_err().field, Some("approx"));
+    }
+
+    #[test]
+    fn options_tighten_to_the_callers_caps() {
+        let mut req = SolveRequest::new("d", ProblemKind::TopK, "q(x) :- item(x).");
+        req.jobs = 8;
+        req.steps = Some(7);
+        let unbounded = req.options(None, usize::MAX);
+        assert_eq!((unbounded.budget.timeout, unbounded.jobs), (None, 8));
+        assert_eq!(unbounded.budget.steps, Some(7));
+        let capped = req.options(Some(100), 4);
+        assert_eq!(capped.budget.timeout, Some(Duration::from_millis(100)));
+        assert_eq!(capped.jobs, 4);
+        req.deadline_ms = Some(50);
+        assert_eq!(req.options(Some(100), 4).budget.timeout, Some(Duration::from_millis(50)));
+        assert_eq!(req.options(None, 4).budget.timeout, Some(Duration::from_millis(50)));
     }
 
     #[test]

@@ -15,22 +15,16 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use pkgrec_core::problems::{cpp, frp, mbp};
-use pkgrec_core::{
-    Budget, CoreError, Ext, Interrupted, Method, Package, PreparedInstance, RecInstance,
-    SearchStats, SizeBound, SketchParams, SolveOptions,
-};
+use pkgrec_core::{CoreError, Ext, Interrupted, Method, Package, PreparedInstance, SearchStats};
 use pkgrec_data::{Database, Tuple, Value};
-use pkgrec_query::parser::{parse_fo, parse_query};
-use pkgrec_query::Query;
 use pkgrec_trace::json::write_string;
 use pkgrec_trace::window::RollingWindow;
 use pkgrec_trace::{flight, prom, timeline, Histogram, Telemetry, TraceReport};
 
 use crate::access_log::AccessLog;
-use crate::request::{parse_fn_spec, parse_solve_request, ProblemKind, SolveRequest};
+use crate::request::{load_query, parse_solve_request, Answer, RequestError, SolveRequest};
 
 /// How many recent slow or failed requests `GET /debug/slow` retains.
 const SLOW_RING_CAP: usize = 32;
@@ -434,42 +428,23 @@ impl Service {
     /// `partial:<resource>`) for the access log and slow ring.
     fn solve_rendered(&self, req: &SolveRequest) -> Result<Rendered, ServeError> {
         let prepared = self.prepared(req)?;
-        let budget = self.budget_for(req);
-        let jobs = req.jobs.min(self.config.max_jobs).max(1);
-        let mut opts = SolveOptions::with_budget(budget).with_jobs(jobs);
-        if req.approx {
-            // The SketchRefine engine; the parser already restricted
-            // `approx` to topk/bound, so every problem below either
-            // honors it or never sees it set.
-            opts = opts.with_approx(SketchParams::default());
-        }
-        let solved = match req.problem {
-            ProblemKind::Eval => Ok(render_eval(&prepared)),
-            ProblemKind::TopK => {
-                let ctx = prepared.context();
-                frp::top_k_in(&ctx, &opts).map(|out| {
-                    self.note_partial(&out);
-                    let val = prepared.instance().val.clone();
-                    render_outcome(req, out.map(|v| TopkResult { found: v, val }))
-                })
+        let opts = req.options(Some(self.config.max_deadline_ms), self.config.max_jobs);
+        Ok(match req.solve(&prepared, &opts).map_err(solve_error)? {
+            Answer::Eval => render_eval(&prepared),
+            Answer::TopK(out) => {
+                self.note_partial(&out);
+                let val = prepared.instance().val.clone();
+                render_outcome(req, out.map(|v| TopkResult { found: v, val }))
             }
-            ProblemKind::Bound => {
-                let ctx = prepared.context();
-                mbp::maximum_bound_in(&ctx, &opts).map(|out| {
-                    self.note_partial(&out);
-                    render_outcome(req, out)
-                })
+            Answer::Bound(out) => {
+                self.note_partial(&out);
+                render_outcome(req, out)
             }
-            ProblemKind::Count => {
-                let ctx = prepared.context();
-                let bound = req.min_val.map_or(Ext::NegInf, Ext::from);
-                cpp::count_valid_in(&ctx, bound, &opts).map(|out| {
-                    self.note_partial(&out);
-                    render_outcome(req, out)
-                })
+            Answer::Count(out) => {
+                self.note_partial(&out);
+                render_outcome(req, out)
             }
-        };
-        solved.map_err(solve_error)
+        })
     }
 
     /// Stamp one finished request onto every passive surface: the
@@ -566,21 +541,6 @@ impl Service {
         }
     }
 
-    /// The effective budget: the server's deadline cap, tightened by
-    /// the request's own deadline and optional step limit.
-    fn budget_for(&self, req: &SolveRequest) -> Budget {
-        let ms = req
-            .deadline_ms
-            .map_or(self.config.max_deadline_ms, |d| {
-                d.min(self.config.max_deadline_ms)
-            });
-        let budget = Budget::with_timeout(Duration::from_millis(ms));
-        match req.steps {
-            Some(s) => budget.steps(s),
-            None => budget,
-        }
-    }
-
     /// Fetch or build the prepared instance for a request.
     fn prepared(&self, req: &SolveRequest) -> Result<Arc<PreparedInstance>, ServeError> {
         let db = self.dbs.get(&req.db).ok_or_else(|| {
@@ -607,17 +567,7 @@ impl Service {
         // cache hits on other workers.
         Metrics::bump(&self.metrics.plan_cache_misses);
         pkgrec_trace::counter!("serve.plan_cache_misses");
-        let query = load_query(&req.query)?;
-        let mut inst = RecInstance::new(Arc::clone(db), query)
-            .with_cost(parse_fn_spec(&req.cost).map_err(|e| bad_request(e.message))?)
-            .with_val(parse_fn_spec(&req.val).map_err(|e| bad_request(e.message))?)
-            .with_k(req.k);
-        if let Some(budget) = req.budget {
-            inst = inst.with_budget(budget);
-        }
-        if let Some(cap) = req.max_size {
-            inst = inst.with_size_bound(SizeBound::Constant(cap));
-        }
+        let inst = req.instance(Arc::clone(db)).map_err(request_error)?;
         let prepared = Arc::new(PreparedInstance::new(inst).map_err(solve_error)?);
         let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
         if !plans.map.contains_key(&key) {
@@ -960,7 +910,7 @@ impl Service {
             );
             return (err.status, err.body());
         };
-        let query = match load_query(&query_src) {
+        let query = match load_query(&query_src).map_err(request_error) {
             Ok(q) => q,
             Err(err) => return (err.status, err.body()),
         };
@@ -1012,8 +962,14 @@ fn write_latency(out: &mut String, h: &Histogram) {
     out.push('}');
 }
 
-fn bad_request(message: impl Into<String>) -> ServeError {
-    ServeError::new(400, "bad_request", message)
+/// A spec the shared instance builder rejected: a query that does not
+/// parse is a `parse_error`, anything else a `bad_request`.
+fn request_error(e: RequestError) -> ServeError {
+    let kind = match e.field {
+        Some("query") => "parse_error",
+        _ => "bad_request",
+    };
+    ServeError::new(400, kind, e.message)
 }
 
 /// Map a solver error onto the wire: a contained worker panic keeps
@@ -1023,20 +979,6 @@ fn solve_error(e: CoreError) -> ServeError {
     match e {
         CoreError::WorkerPanic { .. } => ServeError::new(500, "worker_panic", e.to_string()),
         other => ServeError::new(422, "solve_error", other.to_string()),
-    }
-}
-
-/// Parse `Q` the way the CLI does: rule form first, FO fallback.
-fn load_query(src: &str) -> Result<Query, ServeError> {
-    match parse_query(src) {
-        Ok(q) => Ok(q),
-        Err(rule_err) => parse_fo(src).map_err(|fo_err| {
-            ServeError::new(
-                400,
-                "parse_error",
-                format!("query parses neither as rules ({rule_err}) nor as FO ({fo_err})"),
-            )
-        }),
     }
 }
 

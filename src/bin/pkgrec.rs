@@ -2,28 +2,47 @@
 //! line, no Rust required.
 //!
 //! ```text
-//! pkgrec eval  <db-file> <query>                  evaluate Q(D)
+//! pkgrec eval  <db-file> <query> [options]        evaluate Q(D)
 //! pkgrec topk  <db-file> <query> [options]        FRP: top-k packages
 //! pkgrec bound <db-file> <query> [options]        MBP: maximum rating bound
-//! pkgrec count <db-file> <query> --min-val B ...  CPP: count valid packages
-//! pkgrec items <db-file> <query> --val sum:COL --k K    top-k items
+//! pkgrec count <db-file> <query> [options]        CPP: count valid packages
+//! pkgrec items <db-file> <query> [options]        top-k items
 //! pkgrec explain <db-file> <query> [--json]       show the compiled query plan
 //! pkgrec profile <db-file> <query> [options]      profile a topk solve
 //! pkgrec chaos-sites                              list PKGREC_CHAOS fault sites
 //! pkgrec qbf   <qdimacs-file> [options]           check Theorem 4.1 encodings
 //! pkgrec serve --db NAME=PATH [...]               resident solve service
+//! ```
 //!
-//! options:
-//!   --k N              number of packages/items (default 1)
-//!   --budget C         cost budget (default unbounded)
-//!   --cost SPEC        count | sum:COL            (default count)
-//!   --val SPEC         count | sum:COL | negsum:COL (default count)
-//!   --min-val B        rating bound for `count`
-//!   --max-size N       constant package-size bound (default |D|)
-//!   --steps N          search budget: stop after N enumeration steps
-//!   --timeout-ms T     search budget: stop after T milliseconds
-//!   --jobs N           worker threads for the package search
-//!                      (default 1; 0 = $PKGREC_JOBS or 1)
+//! The solve commands are a front end to `/solve`: the flags fill a
+//! `pkgrec::serve::request::SolveRequest`, which is validated, turned
+//! into an instance and solved by the same code that answers a request
+//! to `pkgrec serve`. Each flag is a `/solve` field:
+//!
+//! | flag             | `/solve` field | default   | rule                              |
+//! |------------------|----------------|-----------|-----------------------------------|
+//! | `--k N`          | `k`            | 1         | at least 1                        |
+//! | `--budget C`     | `budget`       | unbounded | finite number                     |
+//! | `--cost SPEC`    | `cost`         | `count`   | `count`, `sum:COL`, `negsum:COL`  |
+//! | `--val SPEC`     | `val`          | `count`   | `count`, `sum:COL`, `negsum:COL`  |
+//! | `--min-val B`    | `min_val`      | `-inf`    | finite number (`count` only)      |
+//! | `--max-size N`   | `max_size`     | `|D|`     | at least 1                        |
+//! | `--steps N`      | `steps`        | none      | at least 1                        |
+//! | `--timeout-ms T` | `deadline_ms`  | none      | at least 1                        |
+//! | `--jobs N`       | `jobs`         | 1         | at least 1; `0` = `$PKGREC_JOBS`  |
+//! | `--approx`       | `approx`       | off       | `topk` and `bound` only           |
+//!
+//! As a cost, `count` is `cost(N) = |N|` with `cost(∅) = ∞`, so the
+//! empty package never fits a finite budget; as a rating it is `|N|`
+//! with `val(∅) = 0`. `--approx` runs the SketchRefine engine, whose
+//! answers are never certified optimal and print with an
+//! `approximate` marker. Only four things are the CLI's own:
+//! `--jobs 0`, `@path` queries, the `items` command (a `topk` with cost
+//! `count`, budget 1 and max size 1, whatever `--cost`, `--budget` and
+//! `--max-size` say), and the absent deadline cap — a server clamps
+//! `deadline_ms` to its `--max-deadline-ms`, the CLI applies none.
+//!
+//! telemetry options (solve commands and `qbf`):
 //!   --trace[=human|json]   collect solver metrics; print them after the
 //!                      answer (human) or as one JSONL record (json)
 //!   --trace-out PATH   append the JSONL trace record to PATH instead
@@ -35,14 +54,8 @@
 //!                      last-N-events black box
 //!   --progress         print a throttled live progress line (percent,
 //!                      units, ETA) to stderr while the search runs
-//!   --approx           solve `topk`/`bound` with the SketchRefine
-//!                      approximate engine (partition, sketch over
-//!                      representatives, refine): scales to item pools
-//!                      the exact search cannot touch, but the answer
-//!                      is never certified optimal and is printed with
-//!                      an explicit `approximate` marker
 //!
-//! profile options (plus all solve options above):
+//! profile options (plus the solve options above):
 //!   --chrome-out PATH  also write the solve's profile timeline as a
 //!                      Chrome Trace Event Format JSON file (open in
 //!                      Perfetto / chrome://tracing): one duration
@@ -79,7 +92,6 @@
 //!                         /debug/slow entry — a summary inline and,
 //!                         with --flight-dir, a Chrome-trace
 //!                         DIR/<request-id>.profile.json
-//! ```
 //!
 //! `serve` keeps databases resident, caches compiled plans per
 //! `(db, query, parameters)` key, and answers `POST /solve`
@@ -111,21 +123,17 @@
 //! `--trace` this exercises — and meters — all three solver layers.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pkgrec::core::{
-    problems::cpp, problems::frp, problems::mbp, problems::rpp, Budget, Ext, Method, PackageFn,
-    Progress, RecInstance, SizeBound, SketchParams, SolveOptions,
-};
+use pkgrec::core::{problems::rpp, Ext, Method, PreparedInstance, Progress, SolveOptions};
 use pkgrec::data::text::parse_database;
 use pkgrec::data::{tuple, Database};
 use pkgrec::logic::{parse_qdimacs, QbfFormula};
-use pkgrec::query::parser::{parse_fo, parse_query};
-use pkgrec::query::Query;
 use pkgrec::reductions::membership;
-use pkgrec::serve::request::parse_fn_spec;
+use pkgrec::serve::request::{load_query, Answer, ProblemKind, RequestError, SolveRequest};
 
 fn main() -> ExitCode {
     match run(std::env::args().skip(1).collect()) {
@@ -137,21 +145,15 @@ fn main() -> ExitCode {
     }
 }
 
-struct Options {
-    k: usize,
-    budget: Ext,
-    cost: PackageFn,
-    val: PackageFn,
-    min_val: Option<f64>,
-    max_size: Option<usize>,
-    steps: Option<u64>,
-    timeout_ms: Option<u64>,
-    jobs: Option<usize>,
+/// The CLI's own flags: telemetry and output, everything that is not
+/// part of the solve spec.
+#[derive(Default)]
+struct CliFlags {
     trace: Option<TraceFormat>,
     trace_out: Option<String>,
     flight_out: Option<String>,
     progress: bool,
-    approx: bool,
+    chrome_out: Option<String>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,93 +162,92 @@ enum TraceFormat {
     Json,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        k: 1,
-        budget: Ext::PosInf,
-        cost: PackageFn::count(),
-        val: PackageFn::cardinality(),
-        min_val: None,
-        max_size: None,
-        steps: None,
-        timeout_ms: None,
-        jobs: None,
-        trace: None,
-        trace_out: None,
-        flight_out: None,
-        progress: false,
-        approx: false,
-    };
+/// Each solve flag with the `/solve` field it fills.
+const SOLVE_FLAGS: [(&str, &str); 10] = [
+    ("--k", "k"),
+    ("--budget", "budget"),
+    ("--cost", "cost"),
+    ("--val", "val"),
+    ("--min-val", "min_val"),
+    ("--max-size", "max_size"),
+    ("--steps", "steps"),
+    ("--timeout-ms", "deadline_ms"),
+    ("--jobs", "jobs"),
+    ("--approx", "approx"),
+];
+
+/// A rejected spec, reported under the flag that set the field.
+fn flag_error(e: RequestError) -> String {
+    match SOLVE_FLAGS
+        .iter()
+        .find(|(_, field)| e.field == Some(*field))
+    {
+        Some((flag, _)) => format!("bad {flag}: {}", e.message),
+        None => e.message,
+    }
+}
+
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad {flag} value `{value}`"))
+}
+
+/// Read `cmd`'s flags into a validated solve spec for `problem` over
+/// `query`, plus the CLI's own flags.
+fn parse_args(
+    cmd: &str,
+    problem: ProblemKind,
+    query: String,
+    args: &[String],
+) -> Result<(SolveRequest, CliFlags), String> {
+    let mut req = SolveRequest::new(String::new(), problem, query);
+    let mut cli = CliFlags::default();
     let mut i = 0;
     while i < args.len() {
-        let flag = &args[i];
-        // `--trace` variants are single-token flags (no separate value).
-        if flag == "--trace" || flag == "--trace=human" {
-            opts.trace = Some(TraceFormat::Human);
-            i += 1;
-            continue;
+        // Single-token flags first.
+        match args[i].as_str() {
+            "--trace" | "--trace=human" => cli.trace = Some(TraceFormat::Human),
+            "--trace=json" => cli.trace = Some(TraceFormat::Json),
+            "--progress" => cli.progress = true,
+            "--approx" => req.approx = true,
+            flag => {
+                let value = args
+                    .get(i + 1)
+                    .ok_or_else(|| format!("flag `{flag}` needs a value"))?;
+                match flag {
+                    "--k" => req.k = number(flag, value)?,
+                    "--budget" => req.budget = Some(number(flag, value)?),
+                    "--cost" => req.cost = value.clone(),
+                    "--val" => req.val = value.clone(),
+                    "--min-val" => req.min_val = Some(number(flag, value)?),
+                    "--max-size" => req.max_size = Some(number(flag, value)?),
+                    "--steps" => req.steps = Some(number(flag, value)?),
+                    "--timeout-ms" => req.deadline_ms = Some(number(flag, value)?),
+                    "--jobs" => {
+                        req.jobs = match number(flag, value)? {
+                            0 => SolveOptions::unbounded().effective_jobs(),
+                            n => n,
+                        }
+                    }
+                    "--trace-out" => {
+                        cli.trace_out = Some(value.clone());
+                        // Writing to a file only makes sense as JSONL; a
+                        // prior explicit `--trace=human` still prints to
+                        // stdout too.
+                        cli.trace.get_or_insert(TraceFormat::Json);
+                    }
+                    "--flight-out" => cli.flight_out = Some(value.clone()),
+                    "--chrome-out" if cmd == "profile" => cli.chrome_out = Some(value.clone()),
+                    other => return Err(format!("unknown flag `{other}`")),
+                }
+                i += 1;
+            }
         }
-        if flag == "--trace=json" {
-            opts.trace = Some(TraceFormat::Json);
-            i += 1;
-            continue;
-        }
-        if flag == "--progress" {
-            opts.progress = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--approx" {
-            opts.approx = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("flag `{flag}` needs a value"))?;
-        match flag.as_str() {
-            "--k" => opts.k = value.parse().map_err(|_| "bad --k value".to_string())?,
-            "--budget" => {
-                opts.budget = Ext::Finite(
-                    value.parse().map_err(|_| "bad --budget value".to_string())?,
-                )
-            }
-            "--cost" => opts.cost = parse_fn_spec(value).map_err(|e| e.message)?,
-            "--val" => opts.val = parse_fn_spec(value).map_err(|e| e.message)?,
-            "--min-val" => {
-                opts.min_val =
-                    Some(value.parse().map_err(|_| "bad --min-val value".to_string())?)
-            }
-            "--max-size" => {
-                opts.max_size =
-                    Some(value.parse().map_err(|_| "bad --max-size value".to_string())?)
-            }
-            "--steps" => {
-                opts.steps =
-                    Some(value.parse().map_err(|_| "bad --steps value".to_string())?)
-            }
-            "--timeout-ms" => {
-                opts.timeout_ms = Some(
-                    value
-                        .parse()
-                        .map_err(|_| "bad --timeout-ms value".to_string())?,
-                )
-            }
-            "--jobs" => {
-                opts.jobs = Some(value.parse().map_err(|_| "bad --jobs value".to_string())?)
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(value.clone());
-                // Writing to a file only makes sense as JSONL; a prior
-                // explicit `--trace=human` still prints to stdout too.
-                opts.trace.get_or_insert(TraceFormat::Json);
-            }
-            "--flight-out" => opts.flight_out = Some(value.clone()),
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-        i += 2;
+        i += 1;
     }
-    Ok(opts)
+    req.validate().map_err(flag_error)?;
+    Ok((req, cli))
 }
 
 fn load_db(path: &str) -> Result<Database, String> {
@@ -255,38 +256,97 @@ fn load_db(path: &str) -> Result<Database, String> {
     parse_database(&src).map_err(|e| format!("in `{path}`: {e}"))
 }
 
-fn load_query(arg: &str) -> Result<Query, String> {
-    let text = match arg.strip_prefix('@') {
+/// The query text of a `<query>` argument: inline, or `@path` to read
+/// it from a file.
+fn read_query(arg: &str) -> Result<String, String> {
+    match arg.strip_prefix('@') {
         Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
         }
-        None => arg.to_string(),
-    };
-    // Rule form first, FO form second; report the rule-form error when
-    // both fail and the text looks like a rule.
-    match parse_query(&text) {
-        Ok(q) => Ok(q),
-        Err(rule_err) => match parse_fo(&text) {
-            Ok(q) => Ok(q),
-            Err(fo_err) => Err(if text.contains(":-") {
-                format!("query parse error: {rule_err}")
-            } else {
-                format!("query parse error: {fo_err}")
-            }),
-        },
+        None => Ok(arg.to_string()),
     }
 }
 
-fn build_instance(db: Database, query: Query, opts: &Options) -> RecInstance {
-    let mut inst = RecInstance::new(db, query)
-        .with_cost(opts.cost.clone())
-        .with_val(opts.val.clone())
-        .with_budget(opts.budget)
-        .with_k(opts.k);
-    if let Some(n) = opts.max_size {
-        inst = inst.with_size_bound(SizeBound::Constant(n));
+/// The spec's instance over `db`, prepared for solving.
+fn prepare(req: &SolveRequest, db: Arc<Database>) -> Result<PreparedInstance, String> {
+    let inst = req.instance(db).map_err(flag_error)?;
+    PreparedInstance::new(inst).map_err(|e| e.to_string())
+}
+
+/// The text rendering of a solved spec. `items` lists singleton
+/// packages as their item.
+fn render(cmd: &str, req: &SolveRequest, prepared: &PreparedInstance, answer: &Answer) -> String {
+    use std::fmt::Write as _;
+    let inst = prepared.instance();
+    let mut out = String::new();
+    match answer {
+        Answer::Eval => {
+            let ctx = prepared.context();
+            let _ = writeln!(
+                out,
+                "{} answers [{}]",
+                ctx.items().len(),
+                inst.query.language()
+            );
+            for t in ctx.items() {
+                let _ = writeln!(out, "{t}");
+            }
+        }
+        Answer::TopK(top) => {
+            if top.method == Method::Sketch {
+                out.push_str("approximate result (sketch engine; not certified optimal):\n");
+            }
+            if let Some(cut) = &top.interrupted {
+                let _ = writeln!(out, "partial result ({cut}):");
+            }
+            match &top.value {
+                None if cmd == "items" => {
+                    let _ = writeln!(out, "fewer than {} items", inst.k);
+                }
+                None => {
+                    let _ = writeln!(out, "no top-{} selection exists", inst.k);
+                }
+                Some(sel) => {
+                    for (rank, pkg) in sel.iter().enumerate() {
+                        let (rank, val) = (rank + 1, inst.val.eval(pkg));
+                        let _ = match pkg.iter().next() {
+                            Some(t) if cmd == "items" => writeln!(out, "#{rank} val={val} {t}"),
+                            _ => writeln!(
+                                out,
+                                "#{rank} val={val} cost={} {pkg}",
+                                inst.cost.eval(pkg)
+                            ),
+                        };
+                    }
+                }
+            }
+        }
+        Answer::Bound(bound) => {
+            let qualifier = match (bound.method, bound.exact, bound.interrupted) {
+                (Method::Exact, true, _) => "",
+                (Method::Exact, false, _) => " (lower bound; budget ran out)",
+                (Method::Sketch, _, None) => " (approximate; sketch engine)",
+                (Method::Sketch, _, Some(_)) => " (approximate; sketch engine, budget ran out)",
+            };
+            let _ = match bound.value {
+                None => writeln!(out, "no top-{} selection exists", inst.k),
+                Some(b) => writeln!(out, "maximum bound: {b}{qualifier}"),
+            };
+        }
+        Answer::Count(count) => {
+            let b = req.min_val.map_or(Ext::NegInf, Ext::from);
+            let (prefix, suffix) = match count.exact {
+                true => ("", ""),
+                false => ("at least ", " (budget ran out)"),
+            };
+            let _ = writeln!(
+                out,
+                "{prefix}{} valid packages with val >= {b}{suffix}",
+                count.value
+            );
+        }
     }
-    inst
+    out
 }
 
 /// Load a QDIMACS file via [`pkgrec::logic::parse_qdimacs`], prefixing
@@ -302,17 +362,10 @@ fn load_qbf(path: &str) -> Result<QbfFormula, String> {
 /// DATALOGnr and FO via the query engine, RPP top-1 membership via the
 /// package enumerator. Exercises the logic, query and core layers in
 /// one run, so `--trace` surfaces counters from all three.
-fn cmd_qbf(qbf_path: &str, opts: &Options, solver_opts: &SolveOptions) -> Result<(), String> {
+fn cmd_qbf(qbf_path: &str, solver_opts: &SolveOptions) -> Result<(), String> {
     let qbf = load_qbf(qbf_path)?;
-    let mut budget = Budget::unlimited();
-    if let Some(n) = opts.steps {
-        budget = budget.steps(n);
-    }
-    if let Some(ms) = opts.timeout_ms {
-        budget = budget.timeout(std::time::Duration::from_millis(ms));
-    }
     let direct = qbf
-        .is_true_budgeted(&budget.meter())
+        .is_true_budgeted(&solver_opts.budget.meter())
         .map_err(|e| e.to_string())?;
     println!(
         "qbf: {} vars, {} clauses: {}",
@@ -347,21 +400,52 @@ fn cmd_qbf(qbf_path: &str, opts: &Options, solver_opts: &SolveOptions) -> Result
     Ok(())
 }
 
+/// Run `f` under the telemetry `cli` asks for: a `--progress` monitor
+/// fed by the solve, and trace and flight channels scoped to it. The
+/// flight recording is written on the success *and* the error path;
+/// the trace report after `f` has printed its answer.
+fn with_telemetry(
+    cli: &CliFlags,
+    mut opts: SolveOptions,
+    f: impl FnOnce(&SolveOptions) -> Result<(), String>,
+) -> Result<(), String> {
+    let monitor = cli.progress.then(|| {
+        let progress = Arc::new(Progress::new());
+        opts.progress = Some(Arc::clone(&progress));
+        ProgressMonitor::spawn(progress)
+    });
+    let _tracing = cli.trace.map(|_| {
+        pkgrec_trace::reset();
+        pkgrec_trace::scoped()
+    });
+    let _flight = cli.flight_out.as_ref().map(|_| {
+        pkgrec_trace::flight::reset();
+        pkgrec_trace::flight::scoped()
+    });
+    let result = f(&opts);
+    if let Some(monitor) = monitor {
+        monitor.finish();
+    }
+    emit_flight(cli)?;
+    result?;
+    emit_trace(cli)
+}
+
 /// Emit the collected trace report per `--trace`/`--trace-out`.
-fn emit_trace(opts: &Options) -> Result<(), String> {
-    let Some(format) = opts.trace else {
+fn emit_trace(cli: &CliFlags) -> Result<(), String> {
+    let Some(format) = cli.trace else {
         return Ok(());
     };
     let report = pkgrec_trace::take();
     match format {
         TraceFormat::Human => print!("{}", report.render_human()),
         TraceFormat::Json => {
-            if opts.trace_out.is_none() {
+            if cli.trace_out.is_none() {
                 println!("{}", report.to_json());
             }
         }
     }
-    if let Some(path) = &opts.trace_out {
+    if let Some(path) = &cli.trace_out {
         use std::io::Write as _;
         let mut file = std::fs::OpenOptions::new()
             .create(true)
@@ -377,8 +461,8 @@ fn emit_trace(opts: &Options) -> Result<(), String> {
 /// Write the flight recording to `--flight-out` as JSONL. Called on
 /// success *and* error paths so an interrupted or failed solve still
 /// leaves its black box behind.
-fn emit_flight(opts: &Options) -> Result<(), String> {
-    let Some(path) = &opts.flight_out else {
+fn emit_flight(cli: &CliFlags) -> Result<(), String> {
+    let Some(path) = &cli.flight_out else {
         return Ok(());
     };
     let recording = pkgrec_trace::flight::take_recording();
@@ -555,7 +639,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// builtin schedule — human-readable or as JSON with `--json`.
 fn cmd_explain(db_path: &str, query_arg: &str, json: bool) -> Result<(), String> {
     let db = Arc::new(load_db(db_path)?);
-    let query = load_query(query_arg)?;
+    let query = load_query(&read_query(query_arg)?).map_err(|e| e.message)?;
     let plan = query.compile(&db).map_err(|e| e.to_string())?;
     let report = plan.explain();
     if json {
@@ -586,39 +670,8 @@ fn fmt_ns(ns: u64) -> String {
 /// and span path, plus the plan-probe and sketch/refine breakdowns.
 /// `--chrome-out PATH` additionally writes the timeline as a Chrome
 /// Trace Event Format file for Perfetto / `chrome://tracing`.
-fn cmd_profile(db_path: &str, query_arg: &str, rest: &[String]) -> Result<(), String> {
+fn cmd_profile(req: &SolveRequest, db: Arc<Database>, cli: &CliFlags) -> Result<(), String> {
     use pkgrec_trace::timeline;
-
-    // `--chrome-out` is profile-specific; everything else is the
-    // shared solve-option vocabulary.
-    let mut chrome_out: Option<String> = None;
-    let mut args: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i] == "--chrome-out" {
-            chrome_out = Some(
-                rest.get(i + 1)
-                    .ok_or("--chrome-out needs a value")?
-                    .clone(),
-            );
-            i += 2;
-        } else {
-            args.push(rest[i].clone());
-            i += 1;
-        }
-    }
-    let opts = parse_options(&args)?;
-    let db = load_db(db_path)?;
-    let query = load_query(query_arg)?;
-    let mut budget = Budget::unlimited();
-    if let Some(n) = opts.steps {
-        budget = budget.steps(n);
-    }
-    if let Some(ms) = opts.timeout_ms {
-        budget = budget.timeout(Duration::from_millis(ms));
-    }
-    let solver_opts = SolveOptions::with_budget(budget).with_jobs(opts.jobs.unwrap_or(1));
-    let solver_opts = approx_opts(&solver_opts, &opts);
 
     // Force the spans/counters (trace) and the timed records (profile)
     // on for this thread; the solve's workers inherit both.
@@ -627,37 +680,19 @@ fn cmd_profile(db_path: &str, query_arg: &str, rest: &[String]) -> Result<(), St
     let _profiling = timeline::scoped();
     let scope = timeline::begin_scope();
 
-    let inst = build_instance(db, query, &opts);
     let started = Instant::now();
-    let out = frp::top_k(&inst, &solver_opts).map_err(|e| e.to_string())?;
+    let prepared = prepare(req, db)?;
+    let answer = req
+        .solve(&prepared, &req.options(None, usize::MAX))
+        .map_err(|e| e.to_string())?;
     let wall = started.elapsed();
 
     let tl = timeline::take_scope(scope.id());
     let report = pkgrec_trace::take();
 
-    if out.method == Method::Sketch {
-        println!("approximate result (sketch engine; not certified optimal):");
-    }
-    if let Some(cut) = out.interrupted {
-        println!("partial result ({cut}):");
-    }
-    match &out.value {
-        None => println!("no top-{} selection exists", opts.k),
-        Some(sel) => {
-            for (rank, pkg) in sel.iter().enumerate() {
-                println!(
-                    "#{} val={} cost={} {}",
-                    rank + 1,
-                    inst.val.eval(pkg),
-                    inst.cost.eval(pkg),
-                    pkg
-                );
-            }
-        }
-    }
-    println!();
+    println!("{}", render("topk", req, &prepared, &answer));
 
-    if let Some(path) = &chrome_out {
+    if let Some(path) = &cli.chrome_out {
         std::fs::write(path, tl.to_chrome_json())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         println!("chrome trace written to {path}");
@@ -694,7 +729,7 @@ fn cmd_profile(db_path: &str, query_arg: &str, rest: &[String]) -> Result<(), St
         c("query.plan_probes"),
         c("query.index_builds")
     );
-    if out.method == Method::Sketch {
+    if req.approx {
         println!(
             "sketch: {} partition builds, {} sub-solves, {} refines \
              ({} improved, {} no gain), {} partitions pruned",
@@ -730,227 +765,62 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  | pkgrec qbf <qdimacs-file> [options] \
                  | pkgrec serve --db NAME=PATH [options] \
                  (see --help in the source header)";
-    let mut it = args.iter();
-    let cmd = it.next().ok_or(usage)?.as_str();
-    if cmd == "--help" || cmd == "-h" {
-        println!("{usage}");
-        return Ok(());
-    }
-    if cmd == "serve" {
-        let rest: Vec<String> = it.cloned().collect();
-        return cmd_serve(&rest);
-    }
-    if cmd == "chaos-sites" {
-        cmd_chaos_sites();
-        return Ok(());
-    }
-    if cmd == "profile" {
-        let db_path = it.next().ok_or(usage)?;
-        let query_arg = it.next().ok_or(usage)?;
-        let rest: Vec<String> = it.cloned().collect();
-        return cmd_profile(db_path, query_arg, &rest);
-    }
-    if cmd == "explain" {
-        let db_path = it.next().ok_or(usage)?;
-        let query_arg = it.next().ok_or(usage)?;
-        let rest: Vec<String> = it.cloned().collect();
-        let json = match rest.as_slice() {
-            [] => false,
-            [flag] if flag == "--json" => true,
-            other => return Err(format!("unknown explain option `{}`", other[0])),
-        };
-        return cmd_explain(db_path, query_arg, json);
-    }
-    if cmd == "qbf" {
-        let qbf_path = it.next().ok_or(usage)?;
-        let rest: Vec<String> = it.cloned().collect();
-        let opts = parse_options(&rest)?;
-        if opts.approx {
-            return Err("--approx is only supported for `topk` and `bound`".to_string());
+    let (cmd, rest) = args.split_first().ok_or(usage)?;
+    let cmd = cmd.as_str();
+    let problem = match cmd {
+        "--help" | "-h" => {
+            println!("{usage}");
+            return Ok(());
         }
-        let mut budget = Budget::unlimited();
-        if let Some(n) = opts.steps {
-            budget = budget.steps(n);
+        "serve" => return cmd_serve(rest),
+        "chaos-sites" => {
+            cmd_chaos_sites();
+            return Ok(());
         }
-        if let Some(ms) = opts.timeout_ms {
-            budget = budget.timeout(std::time::Duration::from_millis(ms));
-        }
-        // Default 1 (not env) so traced runs stay reproducible unless
-        // the user opts in with --jobs 0.
-        let mut solver_opts =
-            SolveOptions::with_budget(budget).with_jobs(opts.jobs.unwrap_or(1));
-        let monitor = if opts.progress {
-            let progress = Arc::new(Progress::new());
-            solver_opts = solver_opts.with_progress(Arc::clone(&progress));
-            Some(ProgressMonitor::spawn(progress))
-        } else {
-            None
-        };
-        let _tracing = opts.trace.map(|_| {
-            pkgrec_trace::reset();
-            pkgrec_trace::scoped()
-        });
-        let _flight = opts.flight_out.as_ref().map(|_| {
-            pkgrec_trace::flight::reset();
-            pkgrec_trace::flight::scoped()
-        });
-        let result = cmd_qbf(qbf_path, &opts, &solver_opts);
-        if let Some(monitor) = monitor {
-            monitor.finish();
-        }
-        emit_flight(&opts)?;
-        result?;
-        return emit_trace(&opts);
-    }
-    let db_path = it.next().ok_or(usage)?;
-    let query_arg = it.next().ok_or(usage)?;
-    let rest: Vec<String> = it.cloned().collect();
-    let opts = parse_options(&rest)?;
-
-    let db = load_db(db_path)?;
-    let query = load_query(query_arg)?;
-    let mut budget = Budget::unlimited();
-    if let Some(n) = opts.steps {
-        budget = budget.steps(n);
-    }
-    if let Some(ms) = opts.timeout_ms {
-        budget = budget.timeout(std::time::Duration::from_millis(ms));
-    }
-    let mut solver_opts = SolveOptions::with_budget(budget).with_jobs(opts.jobs.unwrap_or(1));
-    let monitor = if opts.progress {
-        let progress = Arc::new(Progress::new());
-        solver_opts = solver_opts.with_progress(Arc::clone(&progress));
-        Some(ProgressMonitor::spawn(progress))
-    } else {
-        None
-    };
-
-    // Collect solver metrics for this solve when asked to.
-    let _tracing = opts.trace.map(|_| {
-        pkgrec_trace::reset();
-        pkgrec_trace::scoped()
-    });
-    let _flight = opts.flight_out.as_ref().map(|_| {
-        pkgrec_trace::flight::reset();
-        pkgrec_trace::flight::scoped()
-    });
-
-    let result = run_command(cmd, db, query, &opts, &solver_opts, usage);
-    if let Some(monitor) = monitor {
-        monitor.finish();
-    }
-    emit_flight(&opts)?;
-    result?;
-    emit_trace(&opts)
-}
-
-/// Dispatch the non-qbf commands. Split out of [`run`] so the flight
-/// recording can be dumped on both the success and the error path.
-/// The solver options for one command, with the SketchRefine engine
-/// switched on when `--approx` was passed.
-fn approx_opts(solver_opts: &SolveOptions, opts: &Options) -> SolveOptions {
-    let mut solver_opts = solver_opts.clone();
-    if opts.approx {
-        solver_opts = solver_opts.with_approx(SketchParams::default());
-    }
-    solver_opts
-}
-
-fn run_command(
-    cmd: &str,
-    db: Database,
-    query: Query,
-    opts: &Options,
-    solver_opts: &SolveOptions,
-    usage: &str,
-) -> Result<(), String> {
-    if opts.approx && !matches!(cmd, "topk" | "bound") {
-        return Err(format!(
-            "--approx is only supported for `topk` and `bound`, not `{cmd}`"
-        ));
-    }
-    match cmd {
-        "eval" => {
-            let answers = query.eval(&db).map_err(|e| e.to_string())?;
-            println!("{} answers [{}]", answers.len(), query.language());
-            for t in &answers {
-                println!("{t}");
-            }
-        }
-        "topk" => {
-            let inst = build_instance(db, query, opts);
-            let solver_opts = approx_opts(solver_opts, opts);
-            let out = frp::top_k(&inst, &solver_opts).map_err(|e| e.to_string())?;
-            if out.method == Method::Sketch {
-                println!("approximate result (sketch engine; not certified optimal):");
-            }
-            if let Some(cut) = out.interrupted {
-                println!("partial result ({cut}):");
-            }
-            match out.value {
-                None => println!("no top-{} selection exists", opts.k),
-                Some(sel) => {
-                    for (rank, pkg) in sel.iter().enumerate() {
-                        println!(
-                            "#{} val={} cost={} {}",
-                            rank + 1,
-                            inst.val.eval(pkg),
-                            inst.cost.eval(pkg),
-                            pkg
-                        );
-                    }
-                }
-            }
-        }
-        "bound" => {
-            let inst = build_instance(db, query, opts);
-            let solver_opts = approx_opts(solver_opts, opts);
-            let out = mbp::maximum_bound(&inst, &solver_opts).map_err(|e| e.to_string())?;
-            let qualifier = match (out.method, out.exact, out.interrupted) {
-                (Method::Exact, true, _) => "",
-                (Method::Exact, false, _) => " (lower bound; budget ran out)",
-                (Method::Sketch, _, None) => " (approximate; sketch engine)",
-                (Method::Sketch, _, Some(_)) => {
-                    " (approximate; sketch engine, budget ran out)"
-                }
+        "explain" => {
+            let [db_path, query_arg, opts @ ..] = rest else {
+                return Err(usage.into());
             };
-            match out.value {
-                None => println!("no top-{} selection exists", opts.k),
-                Some(b) => println!("maximum bound: {b}{qualifier}"),
-            }
+            let json = match opts {
+                [] => false,
+                [flag] if flag == "--json" => true,
+                other => return Err(format!("unknown explain option `{}`", other[0])),
+            };
+            return cmd_explain(db_path, query_arg, json);
         }
-        "count" => {
-            let bound = Ext::Finite(
-                opts.min_val
-                    .ok_or("`count` requires --min-val B".to_string())?,
-            );
-            let inst = build_instance(db, query, opts);
-            let out =
-                cpp::count_valid(&inst, bound, solver_opts).map_err(|e| e.to_string())?;
-            let prefix = if out.exact { "" } else { "at least " };
-            let suffix = if out.exact { "" } else { " (budget ran out)" };
-            println!("{prefix}{} valid packages with val >= {bound}{suffix}", out.value);
+        "qbf" => {
+            let [qbf_path, opts @ ..] = rest else {
+                return Err(usage.into());
+            };
+            // `qbf` runs no solve spec, only its budget, jobs and
+            // telemetry; as an `eval` spec it rejects `--approx`.
+            let (req, cli) = parse_args(cmd, ProblemKind::Eval, String::new(), opts)?;
+            let opts = req.options(None, usize::MAX);
+            return with_telemetry(&cli, opts, |opts| cmd_qbf(qbf_path, opts));
         }
-        "items" => {
-            let inst = build_instance(db, query, opts)
-                .with_cost(PackageFn::count())
-                .with_budget(1.0)
-                .with_size_bound(SizeBound::Constant(1));
-            let out = frp::top_k(&inst, solver_opts).map_err(|e| e.to_string())?;
-            if let Some(cut) = out.interrupted {
-                println!("partial result ({cut}):");
-            }
-            match out.value {
-                None => println!("fewer than {} items", opts.k),
-                Some(sel) => {
-                    for (rank, pkg) in sel.iter().enumerate() {
-                        let t = pkg.iter().next().expect("singleton");
-                        println!("#{} val={} {}", rank + 1, inst.val.eval(pkg), t);
-                    }
-                }
-            }
-        }
+        "eval" => ProblemKind::Eval,
+        "topk" | "items" | "profile" => ProblemKind::TopK,
+        "bound" => ProblemKind::Bound,
+        "count" => ProblemKind::Count,
         other => return Err(format!("unknown command `{other}`; {usage}")),
+    };
+    let [db_path, query_arg, opts @ ..] = rest else {
+        return Err(usage.into());
+    };
+    let (mut req, cli) = parse_args(cmd, problem, read_query(query_arg)?, opts)?;
+    if cmd == "items" {
+        req.cost = "count".to_string();
+        req.budget = Some(1.0);
+        req.max_size = Some(1);
     }
-    Ok(())
+    let db = Arc::new(load_db(db_path)?);
+    if cmd == "profile" {
+        return cmd_profile(&req, db, &cli);
+    }
+    with_telemetry(&cli, req.options(None, usize::MAX), |opts| {
+        let prepared = prepare(&req, db)?;
+        let answer = req.solve(&prepared, opts).map_err(|e| e.to_string())?;
+        print!("{}", render(cmd, &req, &prepared, &answer));
+        Ok(())
+    })
 }

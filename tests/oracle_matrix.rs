@@ -26,8 +26,8 @@ use common::*;
 use pkgrec::core::problems::rpp::RppRefutation;
 use pkgrec::core::problems::{cpp, frp, mbp, rpp};
 use pkgrec::core::{
-    Constraint, Ext, Method, Outcome, Package, RecInstance, SearchStats, SizeBound, SketchParams,
-    SolveOptions, ANSWER_RELATION,
+    Constraint, Ext, Method, Outcome, Package, PackageFn, RecInstance, SearchStats, SizeBound,
+    SketchParams, SolveOptions, ANSWER_RELATION,
 };
 use pkgrec::data::{tuple, AttrType, Database, Relation, RelationSchema, Tuple};
 use pkgrec::logic::{count_pi1, count_sigma1, gen, is_satisfiable, max_weight_sat, MaximumSigma2};
@@ -435,8 +435,9 @@ struct Wire {
     name: String,
     db: Database,
     query: &'static str,
-    cost: &'static str,
-    val: &'static str,
+    /// `None` leaves the spec out: no flag, no key.
+    cost: Option<&'static str>,
+    val: Option<&'static str>,
     budget: f64,
     k: usize,
     max_size: Option<usize>,
@@ -445,14 +446,22 @@ struct Wire {
 }
 
 impl Wire {
+    /// The reference reading of the wire: a left-out spec keeps
+    /// `RecInstance::new`'s default, and `count` as a cost is
+    /// `PackageFn::count()` (`cost(∅) = ∞`).
     fn instance(&self) -> RecInstance {
         let spec = |s| pkgrec::serve::request::parse_fn_spec(s).expect("valid spec");
         let query = parse_query(self.query).or_else(|_| parse_fo(self.query)).expect("parses");
-        let inst = RecInstance::new(self.db.clone(), query)
-            .with_cost(spec(self.cost))
-            .with_val(spec(self.val))
-            .with_budget(self.budget)
-            .with_k(self.k);
+        let mut inst = RecInstance::new(self.db.clone(), query);
+        match self.cost {
+            Some("count") => inst = inst.with_cost(PackageFn::count()),
+            Some(cost) => inst = inst.with_cost(spec(cost)),
+            None => {}
+        }
+        if let Some(val) = self.val {
+            inst = inst.with_val(spec(val));
+        }
+        let inst = inst.with_budget(self.budget).with_k(self.k);
         match self.max_size {
             Some(n) => inst.with_size_bound(SizeBound::Constant(n)),
             None => inst,
@@ -471,11 +480,11 @@ fn corpus() -> Vec<Wire> {
     for (k, n) in [(1, 6), (2, 9), (3, 12)] {
         let db = item_db(&mut rng, n, 3);
         let wire = |name: String, cost, budget| Wire {
-            name, db: db.clone(), query: SP, cost, val: "sum:3", budget, k, max_size: None,
-            min_val: 100.0,
+            name, db: db.clone(), query: SP, cost, val: Some("sum:3"), budget, k,
+            max_size: None, min_val: 100.0,
         };
-        out.push(wire(format!("sp{n}"), "count", 2.0));
-        out.push(wire(format!("sp{n}_priced"), "sum:2", 150.0));
+        out.push(wire(format!("sp{n}"), Some("count"), 2.0));
+        out.push(wire(format!("sp{n}_priced"), Some("sum:2"), 150.0));
     }
     let more = [
         ("join", "count", "sum:2", 2.0, "q(i, j, g) :- item(i, g, p, s), item(j, g, q, t), i < j."),
@@ -487,10 +496,16 @@ fn corpus() -> Vec<Wire> {
     ];
     for (name, cost, val, budget, query) in more {
         out.push(Wire {
-            name: name.to_string(), db: item_db(&mut rng, 6, 2), query, cost, val, budget, k: 2,
-            max_size: Some(2), min_val: 3.0,
+            name: name.to_string(), db: item_db(&mut rng, 6, 2), query, cost: Some(cost),
+            val: Some(val), budget, k: 2, max_size: Some(2), min_val: 3.0,
         });
     }
+    // Every spec left at its default (cost and rating `count`), under a
+    // finite budget, so that `cost(∅) = ∞` decides whether `∅` counts.
+    out.push(Wire {
+        name: "defaults".to_string(), db: item_db(&mut rng, 6, 2), query: SP, cost: None,
+        val: None, budget: 2.0, k: 3, max_size: None, min_val: 0.0,
+    });
     out
 }
 
@@ -564,7 +579,28 @@ fn cli_rendering(w: &Wire, inst: &RecInstance, oracle: &Oracle) -> Vec<(&'static
     let bound = oracle.max_bound().map_or(none, |b| format!("maximum bound: {b}\n"));
     let b = Ext::Finite(w.min_val);
     let count = format!("{} valid packages with val >= {b}\n", oracle.count(b));
-    vec![("eval", eval), ("topk", topk), ("bound", bound), ("count", count)]
+    let items = items_rendering(inst);
+    vec![("eval", eval), ("topk", topk), ("bound", bound), ("count", count), ("items", items)]
+}
+
+/// `pkgrec items`: the oracle's top-k of the instance with cost
+/// `count`, budget 1 and packages of one item, one item a line.
+fn items_rendering(inst: &RecInstance) -> String {
+    let items = inst
+        .clone()
+        .with_cost(PackageFn::count())
+        .with_budget(1.0)
+        .with_size_bound(SizeBound::Constant(1));
+    let oracle = Oracle::new(&items).expect("small");
+    oracle.top_k().map_or(format!("fewer than {} items\n", inst.k), |sel| {
+        sel.iter()
+            .enumerate()
+            .map(|(r, p)| {
+                let item = p.iter().next().expect("one item");
+                format!("#{} val={} {item}\n", r + 1, inst.val.eval(p))
+            })
+            .collect()
+    })
 }
 
 fn run_cli(db: &std::path::Path, w: &Wire, problem: &str, jobs: usize) -> String {
@@ -573,7 +609,11 @@ fn run_cli(db: &std::path::Path, w: &Wire, problem: &str, jobs: usize) -> String
     if problem != "eval" {
         let (k, budget, jobs) = (w.k.to_string(), w.budget.to_string(), jobs.to_string());
         cmd.args(["--k", &k, "--budget", &budget, "--jobs", &jobs]);
-        cmd.args(["--cost", w.cost, "--val", w.val]);
+        for (flag, spec) in [("--cost", w.cost), ("--val", w.val)] {
+            if let Some(spec) = spec {
+                cmd.args([flag, spec]);
+            }
+        }
         if problem == "count" {
             cmd.args(["--min-val", &w.min_val.to_string()]);
         }
@@ -615,10 +655,16 @@ fn post_solve(server: &ServerHandle, w: &Wire, problem: &str, jobs: usize) -> js
     let mut query = String::new();
     json::write_string(&mut query, w.query);
     let max_size = w.max_size.map_or("null".to_string(), |n| n.to_string());
+    let mut specs = String::new();
+    for (key, spec) in [("cost", w.cost), ("val", w.val)] {
+        if let Some(spec) = spec {
+            specs.push_str(&format!("\"{key}\":\"{spec}\","));
+        }
+    }
     let body = format!(
         "{{\"db\":\"{}\",\"problem\":\"{problem}\",\"query\":{query},\"k\":{},\"budget\":{},\
-         \"cost\":\"{}\",\"val\":\"{}\",\"min_val\":{},\"max_size\":{max_size},\"jobs\":{jobs}}}",
-        w.name, w.k, w.budget, w.cost, w.val, w.min_val
+         {specs}\"min_val\":{},\"max_size\":{max_size},\"jobs\":{jobs}}}",
+        w.name, w.k, w.budget, w.min_val
     );
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     let request = format!(
