@@ -36,6 +36,7 @@
 //!   deterministic projection — time fields and time-only events
 //!   dropped — so the bit-identical recording contract is untouched.
 
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -660,6 +661,13 @@ struct Search<'s, 'c, R> {
     profile: bool,
 }
 
+/// What one worker walks with: its handle on the shared meter and the
+/// item pool it clones package items from.
+struct Lane<'s> {
+    meter: WorkerMeter<'s>,
+    items: Cow<'s, [Tuple]>,
+}
+
 impl<R: ValidPackageReducer> Search<'_, '_, R> {
     /// One worker: claim units off the scheduler, fold consecutive
     /// claims into runs, and return the runs with their drained ring
@@ -667,7 +675,20 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
     fn worker(&self, worker: u32) -> WorkerDone<R::Acc> {
         let _span = pkgrec_trace::span!("enumerate.dfs");
         timeline::worker_alive();
-        let meter = self.shared.worker();
+        // Cloning an item into the package and dropping it again writes
+        // its reference count, so on a shared pool every worker would
+        // write the same lines per node. Spawned workers walk a private
+        // copy; worker 0 keeps the shared pool, so `jobs = 1` copies
+        // nothing.
+        let pool = self.ctx.items();
+        let items = match worker {
+            0 => Cow::Borrowed(pool),
+            _ => Cow::Owned(pool.iter().map(|t| Tuple::new(t.values())).collect()),
+        };
+        let lane = Lane {
+            meter: self.shared.worker(),
+            items,
+        };
         let mut sink = ProgressSink::new(self.progress, self.total_nodes);
         let mut runs = Vec::new();
         let mut open: Option<Run<R::Acc>> = None;
@@ -700,7 +721,7 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
             flight::begin_unit(u as u64);
             let claimed = self.profile.then(std::time::Instant::now);
             let steps_before = run.stats.packages_enumerated;
-            let flow = self.walk_unit(&meter, run, &mut sink, u);
+            let flow = self.walk_unit(&lane, run, &mut sink, u);
             let steps = run.stats.packages_enumerated - steps_before;
             flight::end_unit(steps, flow.is_continue());
             if let Some(claimed) = claimed {
@@ -749,13 +770,13 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
     /// `enumerate.worker_panics` on catch.
     fn walk_unit(
         &self,
-        meter: &WorkerMeter<'_>,
+        lane: &Lane<'_>,
         run: &mut Run<R::Acc>,
         sink: &mut ProgressSink<'_>,
         u: usize,
     ) -> ControlFlow<UnitStop> {
-        let (mut pkg, start) = unit_seed(self.ctx.items(), self.units[u]);
-        let walk = AssertUnwindSafe(|| self.walk(meter, run, sink, u, &mut pkg, start));
+        let (mut pkg, start) = unit_seed(&lane.items, self.units[u]);
+        let walk = AssertUnwindSafe(|| self.walk(lane, run, sink, u, &mut pkg, start));
         match std::panic::catch_unwind(walk) {
             Ok(flow) => flow,
             Err(payload) => {
@@ -773,7 +794,7 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
     /// classification, attributed pruning, progress credit, descend.
     fn walk(
         &self,
-        meter: &WorkerMeter<'_>,
+        lane: &Lane<'_>,
         run: &mut Run<R::Acc>,
         sink: &mut ProgressSink<'_>,
         u: usize,
@@ -785,7 +806,7 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         if self.floor.load(Ordering::Relaxed) < u {
             return ControlFlow::Break(UnitStop::Abandoned);
         }
-        if let Err(cut) = meter.tick() {
+        if let Err(cut) = lane.meter.tick() {
             pkgrec_trace::counter!("enumerate.pruned.budget");
             return ControlFlow::Break(UnitStop::Budget(cut));
         }
@@ -832,17 +853,16 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
                     });
                 }
                 // The whole subtree below this node is decided.
-                sink.skip(count_nodes(ctx.items().len() - start, self.max_size - pkg.len()) - 1.0);
+                sink.skip(count_nodes(lane.items.len() - start, self.max_size - pkg.len()) - 1.0);
                 return ControlFlow::Continue(());
             }
         }
         if pkg.len() == self.max_size {
             return ControlFlow::Continue(());
         }
-        let items = ctx.items();
-        for (i, item) in items.iter().enumerate().skip(start) {
+        for (i, item) in lane.items.iter().enumerate().skip(start) {
             pkg.insert(item.clone());
-            let flow = self.walk(meter, run, sink, u, pkg, i + 1);
+            let flow = self.walk(lane, run, sink, u, pkg, i + 1);
             pkg.remove(item);
             if flow.is_break() {
                 return flow;

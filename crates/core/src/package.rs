@@ -1,18 +1,23 @@
-use std::collections::BTreeSet;
 use std::fmt;
 
 use pkgrec_data::Tuple;
 
 /// A package: a set of items (tuples) drawn from a query answer `Q(D)`
-/// (Section 2). Stored sorted, so packages compare and hash canonically
-/// and top-k selections are deterministic.
+/// (Section 2). Stored as a sorted, deduplicated vector, so packages
+/// compare and hash canonically (lexicographically, as a sorted set
+/// would) and top-k selections are deterministic.
+///
+/// The search inserts items in pool order — `Q(D)` is sorted — so the
+/// common `insert` is a push past the last item and the matching
+/// `remove` a pop; other positions fall back to a binary search.
 ///
 /// The empty package is representable — the paper uses it explicitly
 /// ("no recommendation is made", Theorem 4.1 proof) and excludes it from
 /// selection via `cost(∅) = ∞`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Package {
-    items: BTreeSet<Tuple>,
+    /// Strictly increasing in `Tuple` order.
+    items: Vec<Tuple>,
 }
 
 impl Package {
@@ -23,14 +28,15 @@ impl Package {
 
     /// A package over the given items.
     pub fn new(items: impl IntoIterator<Item = Tuple>) -> Package {
-        Package {
-            items: items.into_iter().collect(),
-        }
+        let mut items: Vec<Tuple> = items.into_iter().collect();
+        items.sort_unstable();
+        items.dedup();
+        Package { items }
     }
 
     /// A singleton package (an *item* in the paper's sense).
     pub fn singleton(item: Tuple) -> Package {
-        Package::new([item])
+        Package { items: vec![item] }
     }
 
     /// Number of items `|N|`.
@@ -50,27 +56,47 @@ impl Package {
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.items.contains(t)
+        self.items.binary_search(t).is_ok()
     }
 
     /// Add an item; returns whether it was new.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        self.items.insert(t)
+        if self.items.last().is_none_or(|last| *last < t) {
+            self.items.push(t);
+            return true;
+        }
+        match self.items.binary_search(&t) {
+            Ok(_) => false,
+            Err(at) => {
+                self.items.insert(at, t);
+                true
+            }
+        }
     }
 
     /// Remove an item; returns whether it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        self.items.remove(t)
+        if self.items.last() == Some(t) {
+            self.items.pop();
+            return true;
+        }
+        match self.items.binary_search(t) {
+            Ok(at) => {
+                self.items.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Whether this package is a subset of another.
     pub fn is_subset(&self, other: &Package) -> bool {
-        self.items.is_subset(&other.items)
+        self.len() <= other.len() && self.items.iter().all(|t| other.contains(t))
     }
 
     /// The items as a vector.
     pub fn to_vec(&self) -> Vec<Tuple> {
-        self.items.iter().cloned().collect()
+        self.items.clone()
     }
 }
 
@@ -82,9 +108,25 @@ impl FromIterator<Tuple> for Package {
 
 impl<'a> IntoIterator for &'a Package {
     type Item = &'a Tuple;
-    type IntoIter = std::collections::btree_set::Iter<'a, Tuple>;
+    type IntoIter = std::slice::Iter<'a, Tuple>;
     fn into_iter(self) -> Self::IntoIter {
         self.items.iter()
+    }
+}
+
+/// Set-style, as the package's items are a set:
+/// `Package { items: {Tuple([Int(1)])} }`.
+impl fmt::Debug for Package {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Items<'a>(&'a [Tuple]);
+        impl fmt::Debug for Items<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        f.debug_struct("Package")
+            .field("items", &Items(&self.items))
+            .finish()
     }
 }
 

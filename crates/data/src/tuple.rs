@@ -9,7 +9,11 @@ use crate::Value;
 /// Tuples are the items of the paper's model: a package is a set of
 /// tuples drawn from a query answer `Q(D)` (Section 2). They are shared
 /// via `Arc` because package enumeration clones tuples heavily — a clone
-/// is a pointer copy.
+/// is a pointer copy, but also an atomic read-modify-write on the
+/// shared reference count (dropping it is another), so threads cloning
+/// the same tuple contend on that count's cache line. A thread that
+/// clones a tuple per search node should clone from its own copy
+/// (`Tuple::new(t.values())`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(Arc<[Value]>);
 

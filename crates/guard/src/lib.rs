@@ -427,8 +427,13 @@ impl Meter {
 /// step limit means the same total amount of work whether the search
 /// runs on one thread or eight.
 ///
-/// Step accounting is an `AtomicU64`, exact across workers: at most
-/// `limit` ticks ever succeed globally. The expensive checks (deadline,
+/// Under a step limit, step accounting is an `AtomicU64` moved on every
+/// tick, exact across workers: at most `limit` ticks ever succeed
+/// globally. Without one, nothing needs the global count per tick, so
+/// each worker counts locally and publishes its count at its slow check
+/// and when its handle drops: no worker writes the shared line per node,
+/// and [`spent`](SharedMeter::spent) lags by less than
+/// [`CHECK_INTERVAL`] steps per live worker. The expensive checks (deadline,
 /// cancellation, and the shared stop latch) are amortized per worker
 /// via [`WorkerMeter`], so an interruption observed by one worker stops
 /// the others within [`CHECK_INTERVAL`] of their own steps. The first
@@ -445,7 +450,8 @@ pub struct SharedMeter {
 }
 
 impl SharedMeter {
-    /// Total steps spent across all workers so far.
+    /// Total steps spent across all workers so far (exact once every
+    /// worker handle has dropped; see the type docs for the lag before).
     pub fn spent(&self) -> u64 {
         self.spent.load(Ordering::Relaxed)
     }
@@ -468,6 +474,7 @@ impl SharedMeter {
         WorkerMeter {
             shared: self,
             until_check: Cell::new(CHECK_INTERVAL),
+            unpublished: Cell::new(0),
         }
     }
 
@@ -496,14 +503,18 @@ impl SharedMeter {
     }
 }
 
-/// One worker thread's handle on a [`SharedMeter`]: ticks move the
-/// shared counter, while the slow checks stay amortized with
-/// per-worker state.
+/// One worker thread's handle on a [`SharedMeter`]: under a step limit
+/// ticks move the shared counter, otherwise they are counted here and
+/// published at the slow check and on drop; the slow checks stay
+/// amortized with per-worker state.
 #[derive(Debug)]
 pub struct WorkerMeter<'a> {
     shared: &'a SharedMeter,
     /// This worker's ticks remaining until the next slow check.
     until_check: Cell<u64>,
+    /// Ticks not yet added to the shared counter (always 0 under a step
+    /// limit, which charges the counter per tick).
+    unpublished: Cell<u64>,
 }
 
 impl WorkerMeter<'_> {
@@ -513,27 +524,43 @@ impl WorkerMeter<'_> {
     /// steps.
     #[inline]
     pub fn tick(&self) -> Result<(), Interrupted> {
-        let spent = self.shared.spent.fetch_add(1, Ordering::Relaxed) + 1;
         pkgrec_trace::add_steps(1);
-        if let Some(limit) = self.shared.steps_limit {
-            if spent > limit {
-                return Err(self.shared.trip(Resource::Steps { limit }, spent));
+        let charged = match self.shared.steps_limit {
+            Some(limit) => {
+                let spent = self.shared.spent.fetch_add(1, Ordering::Relaxed) + 1;
+                if spent > limit {
+                    return Err(self.shared.trip(Resource::Steps { limit }, spent));
+                }
+                Some(spent)
             }
-        }
+            None => {
+                self.unpublished.set(self.unpublished.get() + 1);
+                None
+            }
+        };
         let left = self.until_check.get();
         if left <= 1 {
             self.until_check.set(CHECK_INTERVAL);
-            self.check_slow(spent)
+            self.check_slow(charged.unwrap_or_else(|| self.publish()))
         } else {
             self.until_check.set(left - 1);
             Ok(())
         }
     }
 
+    /// Add this worker's unpublished ticks to the shared counter and
+    /// return the shared total.
+    fn publish(&self) -> u64 {
+        match self.unpublished.replace(0) {
+            0 => self.shared.spent(),
+            n => self.shared.spent.fetch_add(n, Ordering::Relaxed) + n,
+        }
+    }
+
     /// Poll every resource immediately, bypassing the amortization
     /// window.
     pub fn check_now(&self) -> Result<(), Interrupted> {
-        let spent = self.shared.spent();
+        let spent = self.publish();
         if let Some(limit) = self.shared.steps_limit {
             if spent > limit {
                 return Err(self.shared.trip(Resource::Steps { limit }, spent));
@@ -566,6 +593,12 @@ impl WorkerMeter<'_> {
             }
         }
         Ok(())
+    }
+}
+
+impl Drop for WorkerMeter<'_> {
+    fn drop(&mut self) {
+        self.publish();
     }
 }
 
@@ -842,6 +875,61 @@ mod tests {
         flag.cancel();
         assert_eq!(w.check_now().unwrap_err().resource, Resource::Cancelled);
         assert!(shared.is_stopped());
+    }
+
+    #[test]
+    fn worker_ticks_without_a_step_limit_are_published_by_drop() {
+        for budget in [
+            Budget::unlimited(),
+            Budget::with_timeout(Duration::from_secs(3600)),
+        ] {
+            let shared = budget.shared_meter();
+            let ok = std::sync::atomic::AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let (shared, ok) = (&shared, &ok);
+                    s.spawn(move || {
+                        let w = shared.worker();
+                        // Not a multiple of the check interval, so some
+                        // ticks are still unpublished at the drop.
+                        for _ in 0..3 * CHECK_INTERVAL + 101 * t + 7 {
+                            w.tick().unwrap();
+                            ok.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            });
+            assert_eq!(shared.spent(), ok.load(Ordering::Relaxed));
+            assert!(!shared.is_stopped());
+        }
+    }
+
+    #[test]
+    fn worker_without_a_step_limit_latches_a_cancel_within_the_interval() {
+        let flag = CancelFlag::new();
+        let shared = Budget::unlimited().cancellable(&flag).shared_meter();
+        let w = shared.worker();
+        for _ in 0..100 {
+            w.tick().unwrap();
+        }
+        flag.cancel();
+        let mut ticks = 100;
+        let cut = loop {
+            ticks += 1;
+            assert!(
+                ticks <= CHECK_INTERVAL,
+                "cancel unnoticed after {ticks} ticks"
+            );
+            if let Err(cut) = w.tick() {
+                break cut;
+            }
+        };
+        assert_eq!(cut.resource, Resource::Cancelled);
+        // The slow check published every tick before reading the count.
+        assert_eq!(cut.steps, ticks);
+        assert!(shared.is_stopped());
+        assert_eq!(shared.interruption(), Some(cut));
+        assert_eq!(shared.worker().check_now().unwrap_err(), cut);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! `--max-size` say), and the absent deadline cap — a server clamps
 //! `deadline_ms` to its `--max-deadline-ms`, the CLI applies none.
 //!
-//! telemetry options (solve commands and `qbf`):
+//! telemetry options (solve commands except `profile`, and `qbf`):
 //!   --trace[=human|json]   collect solver metrics; print them after the
 //!                      answer (human) or as one JSONL record (json)
 //!   --trace-out PATH   append the JSONL trace record to PATH instead
@@ -176,6 +176,16 @@ const SOLVE_FLAGS: [(&str, &str); 10] = [
     ("--approx", "approx"),
 ];
 
+/// The telemetry flags `profile` does not take.
+const PROFILE_REJECTS: [&str; 6] = [
+    "--trace",
+    "--trace=human",
+    "--trace=json",
+    "--trace-out",
+    "--flight-out",
+    "--progress",
+];
+
 /// A rejected spec, reported under the flag that set the field.
 fn flag_error(e: RequestError) -> String {
     match SOLVE_FLAGS
@@ -205,6 +215,11 @@ fn parse_args(
     let mut cli = CliFlags::default();
     let mut i = 0;
     while i < args.len() {
+        // `profile` forces its own trace and writes no flight file or
+        // progress line, so these flags would do nothing there.
+        if cmd == "profile" && PROFILE_REJECTS.contains(&args[i].as_str()) {
+            return Err(format!("`{}` does not apply to `profile`", args[i]));
+        }
         // Single-token flags first.
         match args[i].as_str() {
             "--trace" | "--trace=human" => cli.trace = Some(TraceFormat::Human),

@@ -85,3 +85,25 @@ fn profile_prints_phase_and_worker_tables() {
         assert!(out.contains(header), "missing `{header}` in {out}");
     }
 }
+
+/// `profile` forces its own trace and writes no flight file, so the
+/// telemetry flags are rejected by name rather than silently ignored.
+#[test]
+fn profile_rejects_the_telemetry_flags() {
+    let path = std::env::temp_dir().join(format!("pkgrec-profile-{}.jsonl", std::process::id()));
+    let flight = path.to_str().expect("UTF-8 temp path");
+    for flags in [
+        &["--trace"][..],
+        &["--trace=json"],
+        &["--trace-out", flight],
+        &["--flight-out", flight],
+        &["--progress"],
+    ] {
+        let out = pkgrec(&[&["profile", TRAVEL, FLIGHTS], flags].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(flags[0]), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a report");
+    }
+    assert!(!path.exists(), "a rejected flag wrote {flight}");
+}
