@@ -4,18 +4,24 @@
 //! The workload is CPP over `N` items under an unlimited cost budget:
 //! every one of the `2^N` subsets is enumerated, so the whole search is
 //! parallel work with no early exit — the cleanest speedup measurement
-//! the engine admits. Each `--jobs` level is timed best-of-[`REPS`],
-//! and every level must return the *same* count as `--jobs 1` (the
-//! bench doubles as an equivalence check).
+//! the engine admits. The jobs levels are timed in [`ROUNDS`]
+//! interleaved rounds (jobs 1, 2, 4, then again), so a burst of host
+//! noise lands on one round's levels alike instead of on one level's
+//! whole block. Each level's speedup is the median of its per-round
+//! ratios against that round's jobs 1 time, and the report lists the
+//! min/median/max of times and ratios per level. Every run must return
+//! the *same* count as the first jobs-1 run (the bench doubles as an
+//! equivalence check).
 //!
 //! Speedup is bounded by the cores the host actually has; the report
-//! records `available_cores` — both globally and per run, since cgroup
-//! limits can shift mid-bench — so a ~1.0× result on a single-core
-//! runner reads as a host limit, not an engine regression. On hosts
-//! with ≥ 2 cores, full-size runs must clear a conservative ≥ 1.2×
-//! gate at some jobs level and the report says `"gated": true`; on a
-//! single core the gate is refused outright (`"gated": false`) rather
-//! than asserted against numbers the host cannot produce.
+//! records `available_cores` — both globally and per level (the least
+//! seen over its runs), since cgroup limits can shift mid-bench — so a
+//! ~1.0× result on a single-core runner reads as a host limit, not an
+//! engine regression. On hosts with ≥ 2 cores, full-size runs must
+//! clear a conservative ≥ 1.2× median speedup at some jobs level and
+//! the report says `"gated": true`; on a single core the gate is
+//! refused outright (`"gated": false`) rather than asserted against
+//! numbers the host cannot produce.
 //!
 //! ```sh
 //! cargo run --release -p pkgrec-bench --bin parallel_speedup -- BENCH_parallel_speedup.json
@@ -23,15 +29,16 @@
 //!
 //! `--smoke` shrinks the space to `2^14` packages for CI shape checks.
 
-use std::time::Duration;
+use std::time::Instant;
 
-use pkgrec_bench::time_best_of;
 use pkgrec_core::{problems::cpp, Ext, PackageFn, RecInstance, SolveOptions};
 use pkgrec_data::{tuple, AttrType, Database, Relation, RelationSchema};
 use pkgrec_query::{ConjunctiveQuery, Query};
 
-/// Best-of repetitions per jobs level.
-const REPS: usize = 3;
+/// Interleaved rounds; each times every jobs level once.
+const ROUNDS: usize = 5;
+/// The jobs levels of a round, in the order it times them.
+const LEVELS: [usize; 3] = [1, 2, 4];
 /// log2 of the package space: the full run covers ≥ 2^20 packages.
 const ITEMS: usize = 20;
 const ITEMS_SMOKE: usize = 14;
@@ -54,17 +61,24 @@ fn cores_now() -> usize {
     std::thread::available_parallelism().map_or(0, usize::from)
 }
 
-fn run(inst: &RecInstance, jobs: usize) -> (Duration, u128, usize) {
-    let cores = cores_now();
+/// One timed count at `jobs`: seconds and the count.
+fn run(inst: &RecInstance, jobs: usize) -> (f64, u128) {
     let opts = SolveOptions::default().with_jobs(jobs);
-    let mut count = 0;
-    let t = time_best_of(REPS, || {
-        let out = cpp::count_valid(inst, Ext::NegInf, &opts).expect("solves");
-        assert!(out.exact, "unlimited budget always finishes");
-        count = out.value;
-        count
-    });
-    (t, count, cores)
+    let start = Instant::now();
+    let out = cpp::count_valid(inst, Ext::NegInf, &opts).expect("solves");
+    let seconds = start.elapsed().as_secs_f64();
+    assert!(out.exact, "unlimited budget always finishes");
+    (seconds, out.value)
+}
+
+/// `(min, median, max)` of a non-empty sample.
+fn spread(mut xs: Vec<f64>) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    (xs[0], xs[xs.len() / 2], xs[xs.len() - 1])
+}
+
+fn spread_json((min, median, max): (f64, f64, f64), digits: usize) -> String {
+    format!("{{\"min\":{min:.digits$},\"median\":{median:.digits$},\"max\":{max:.digits$}}}")
 }
 
 fn main() {
@@ -83,15 +97,30 @@ fn main() {
     let cores = cores_now();
     let inst = instance(items);
 
-    let (base, base_count, base_cores) = run(&inst, 1);
-    let mut runs = vec![(1usize, base, 1.0f64, base_cores)];
-    for jobs in [2usize, 4] {
-        let (t, count, run_cores) = run(&inst, jobs);
-        assert_eq!(count, base_count, "jobs={jobs} must agree with jobs=1");
-        runs.push((jobs, t, base.as_secs_f64() / t.as_secs_f64(), run_cores));
+    // seconds[level][round], and the fewest cores seen per level.
+    let mut seconds = vec![Vec::with_capacity(ROUNDS); LEVELS.len()];
+    let mut level_cores = vec![usize::MAX; LEVELS.len()];
+    let mut expected = None;
+    for _ in 0..ROUNDS {
+        for (level, &jobs) in LEVELS.iter().enumerate() {
+            level_cores[level] = level_cores[level].min(cores_now());
+            let (t, count) = run(&inst, jobs);
+            let want = *expected.get_or_insert(count);
+            assert_eq!(count, want, "jobs={jobs} must agree with jobs=1");
+            seconds[level].push(t);
+        }
+    }
+    let speedups: Vec<Vec<f64>> = seconds
+        .iter()
+        .map(|times| times.iter().zip(&seconds[0]).map(|(t, base)| base / t).collect())
+        .collect();
+    let medians: Vec<f64> = speedups.iter().map(|s| spread(s.clone()).1).collect();
+    for (level, &jobs) in LEVELS.iter().enumerate().skip(1) {
+        let (min, median, max) = spread(speedups[level].clone());
         eprintln!(
-            "jobs {jobs}: {t:?} ({:.2}x vs jobs 1 {base:?}, {run_cores} cores)",
-            base.as_secs_f64() / t.as_secs_f64()
+            "jobs {jobs}: median {median:.2}x vs jobs 1 over {ROUNDS} rounds \
+(min {min:.2}x, max {max:.2}x, {} cores)",
+            level_cores[level]
         );
     }
 
@@ -100,29 +129,28 @@ fn main() {
     // instead of failing it.
     let gated = !smoke && cores >= 2;
     if gated {
-        let best = runs
-            .iter()
-            .map(|&(_, _, speedup, _)| speedup)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let best = medians.iter().skip(1).copied().fold(f64::NEG_INFINITY, f64::max);
         assert!(
             best >= 1.2,
-            "with {cores} cores some jobs level must clear 1.2x, got best {best:.2}x"
+            "with {cores} cores some jobs level must clear 1.2x, got best median {best:.2}x"
         );
     }
 
-    let runs_json: Vec<String> = runs
+    let runs_json: Vec<String> = LEVELS
         .iter()
-        .map(|(jobs, t, speedup, run_cores)| {
+        .enumerate()
+        .map(|(level, jobs)| {
             format!(
-                "{{\"jobs\":{jobs},\"seconds\":{:.6},\"speedup\":{speedup:.3},\
-\"available_cores\":{run_cores}}}",
-                t.as_secs_f64()
+                "{{\"jobs\":{jobs},\"seconds\":{},\"speedup\":{},\"available_cores\":{}}}",
+                spread_json(spread(seconds[level].clone()), 6),
+                spread_json(spread(speedups[level].clone()), 3),
+                level_cores[level]
             )
         })
         .collect();
     let json = format!(
         "{{\"bench\":\"cpp.count_valid, identity query, no pruning\",\
-\"packages\":{},\"reps\":{REPS},\"available_cores\":{cores},\"gated\":{gated},\"runs\":[{}]}}",
+\"packages\":{},\"rounds\":{ROUNDS},\"available_cores\":{cores},\"gated\":{gated},\"runs\":[{}]}}",
         1u64 << items,
         runs_json.join(",")
     );

@@ -49,7 +49,7 @@ use pkgrec_trace::flight::{self, FlightEvent, PruneReason};
 use pkgrec_trace::{timeline, Telemetry};
 
 use crate::error::CoreError;
-use crate::instance::{Classified, RecInstance, Reject, SearchContext};
+use crate::instance::{Classified, QcProbe, RecInstance, Reject, SearchContext};
 use crate::package::Package;
 use crate::progress::{count_nodes, Progress, ProgressSink};
 use crate::rating::Ext;
@@ -489,12 +489,33 @@ enum Unit {
     Subtree(usize, usize),
 }
 
-/// The seed package and descend position of a unit.
-fn unit_seed(items: &[Tuple], unit: Unit) -> (Package, usize) {
-    match unit {
-        Unit::Root => (Package::empty(), items.len()),
-        Unit::Single(i) => (Package::singleton(items[i].clone()), items.len()),
-        Unit::Subtree(i, j) => (Package::new([items[i].clone(), items[j].clone()]), j + 1),
+/// The package a walk is at, with its items' `Qc` pool rows in the
+/// order the walk added them (see [`QcProbe::Path`]). One per worker,
+/// reset at every unit.
+struct Path {
+    pkg: Package,
+    rows: Vec<u32>,
+    /// Whether `Qc` is known to have no answer over `pkg` without its
+    /// newest item. The parent sets it, and only when it classified
+    /// `Valid`: a cost- or rating-rejected parent never probed `Qc`. A
+    /// unit seed starts without it.
+    parent_qc_empty: bool,
+}
+
+impl Path {
+    /// Reset to the seed of `unit`; returns its descend position.
+    fn seed(&mut self, ctx: &SearchContext<'_>, items: &[Tuple], unit: Unit) -> usize {
+        let (seed, len, start) = match unit {
+            Unit::Root => ([0, 0], 0, items.len()),
+            Unit::Single(i) => ([i, 0], 1, items.len()),
+            Unit::Subtree(i, j) => ([i, j], 2, j + 1),
+        };
+        let seed = &seed[..len];
+        self.pkg = Package::new(seed.iter().map(|&i| items[i].clone()));
+        self.rows.clear();
+        self.rows.extend(seed.iter().map(|&i| ctx.pool_row(i)));
+        self.parent_qc_empty = false;
+        start
     }
 }
 
@@ -524,7 +545,7 @@ fn build_units(
             let skip = ctx.prune(&single)
                 || (ctx.qc_antimonotone()
                     && matches!(
-                        ctx.classify(&single, rating_bound)?,
+                        ctx.classify(&single, rating_bound, QcProbe::Full)?,
                         Classified::Rejected(Reject::Compat)
                     ));
             if skip {
@@ -689,6 +710,11 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
             meter: self.shared.worker(),
             items,
         };
+        let mut path = Path {
+            pkg: Package::empty(),
+            rows: Vec::new(),
+            parent_qc_empty: false,
+        };
         let mut sink = ProgressSink::new(self.progress, self.total_nodes);
         let mut runs = Vec::new();
         let mut open: Option<Run<R::Acc>> = None;
@@ -721,7 +747,7 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
             flight::begin_unit(u as u64);
             let claimed = self.profile.then(std::time::Instant::now);
             let steps_before = run.stats.packages_enumerated;
-            let flow = self.walk_unit(&lane, run, &mut sink, u);
+            let flow = self.walk_unit(&lane, run, &mut sink, &mut path, u);
             let steps = run.stats.packages_enumerated - steps_before;
             flight::end_unit(steps, flow.is_continue());
             if let Some(claimed) = claimed {
@@ -773,10 +799,11 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         lane: &Lane<'_>,
         run: &mut Run<R::Acc>,
         sink: &mut ProgressSink<'_>,
+        path: &mut Path,
         u: usize,
     ) -> ControlFlow<UnitStop> {
-        let (mut pkg, start) = unit_seed(&lane.items, self.units[u]);
-        let walk = AssertUnwindSafe(|| self.walk(lane, run, sink, u, &mut pkg, start));
+        let start = path.seed(self.ctx, &lane.items, self.units[u]);
+        let walk = AssertUnwindSafe(|| self.walk(lane, run, sink, u, path, start));
         match std::panic::catch_unwind(walk) {
             Ok(flow) => flow,
             Err(payload) => {
@@ -789,7 +816,7 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         }
     }
 
-    /// Depth-first walk below `pkg` within unit `u` — the one node
+    /// Depth-first walk below `path` within unit `u` — the one node
     /// loop: floor check, budget tick, counters, flight events,
     /// classification, attributed pruning, progress credit, descend.
     fn walk(
@@ -798,7 +825,7 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         run: &mut Run<R::Acc>,
         sink: &mut ProgressSink<'_>,
         u: usize,
-        pkg: &mut Package,
+        path: &mut Path,
         start: usize,
     ) -> ControlFlow<UnitStop> {
         // A monotonically decreasing floor: stale reads only delay the
@@ -813,16 +840,23 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         pkgrec_trace::counter!("enumerate.nodes");
         run.stats.packages_enumerated += 1;
         sink.node();
+        let pkg = &path.pkg;
         if self.flight {
             flight::record(FlightEvent::BranchEnter {
                 depth: pkg.len() as u32,
             });
         }
         let ctx = self.ctx;
+        let qc = QcProbe::Path {
+            rows: &path.rows,
+            parent_empty: path.parent_qc_empty,
+        };
         let mut rejected = None;
-        match ctx.classify(pkg, self.rating_bound) {
+        let mut valid = false;
+        match ctx.classify(pkg, self.rating_bound, qc) {
             Err(e) => return ControlFlow::Break(UnitStop::Error(e)),
             Ok(Classified::Valid(val)) => {
+                valid = true;
                 pkgrec_trace::counter!("enumerate.valid");
                 run.stats.valid_packages += 1;
                 if self.flight {
@@ -861,9 +895,12 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
             return ControlFlow::Continue(());
         }
         for (i, item) in lane.items.iter().enumerate().skip(start) {
-            pkg.insert(item.clone());
-            let flow = self.walk(lane, run, sink, u, pkg, i + 1);
-            pkg.remove(item);
+            path.pkg.insert(item.clone());
+            path.rows.push(ctx.pool_row(i));
+            path.parent_qc_empty = valid;
+            let flow = self.walk(lane, run, sink, u, path, i + 1);
+            path.pkg.remove(item);
+            path.rows.pop();
             if flow.is_break() {
                 return flow;
             }
@@ -1074,6 +1111,48 @@ mod tests {
         assert!(!report_pt.counters.contains_key("enumerate.pruned.compat"));
         // The anti-monotone run visits no more nodes than the opaque one.
         assert!(report_cq.counters["enumerate.nodes"] <= report_pt.counters["enumerate.nodes"]);
+    }
+
+    /// A restricted pool (`SearchContext::with_items`, as SketchRefine's
+    /// sub-solves build) probes a CQ `Qc` by the full pool's rows, in
+    /// full and delta probes alike: its valid packages are exactly the
+    /// subsets of its items that `is_valid_package` accepts.
+    #[test]
+    fn restricted_pools_probe_qc_by_their_full_pool_rows() {
+        // Items (i, i mod 4); Qc: two distinct items of one group.
+        let mut db = Database::new();
+        let r = RelationSchema::new("r", [("id", AttrType::Int), ("g", AttrType::Int)]).unwrap();
+        db.add_relation(Relation::from_tuples(r, (0..8).map(|i| tuple![i, i % 4])).unwrap())
+            .unwrap();
+        let rq = |id: &str| {
+            RelAtom::new(crate::constraints::ANSWER_RELATION, vec![Term::v(id), Term::v("g")])
+        };
+        let qc = Query::Cq(ConjunctiveQuery::new(
+            Vec::<Term>::new(),
+            vec![rq("a"), rq("b")],
+            vec![Builtin::cmp(Term::v("a"), CmpOp::Neq, Term::v("b"))],
+        ));
+        let inst = RecInstance::new(db, Query::Cq(ConjunctiveQuery::identity("r", 2)))
+            .with_budget(3.0)
+            .with_qc(Constraint::Query(qc));
+        let ctx = inst.search_context().unwrap();
+        // Ids 1, 3, 5, 7: groups 1, 3, 1, 3, at rows 1, 3, 5, 7 of the
+        // full pool (rows 0..4 would hold four distinct groups).
+        let picked: Arc<[Tuple]> = ctx.items().iter().skip(1).step_by(2).cloned().collect();
+        let sub = ctx.with_items(Arc::clone(&picked));
+        let opts = SolveOptions::default().with_jobs(1);
+        let (mut got, _) = reduce_valid_packages_in(&sub, None, &opts, &COLLECT).unwrap();
+        let mut want: Vec<Package> = (0u32..1 << picked.len())
+            .map(|mask| {
+                let picks = (0..picked.len()).filter(|i| mask >> i & 1 == 1);
+                Package::new(picks.map(|i| picked[i].clone()))
+            })
+            .filter(|p| ctx.is_valid_package(p, None).unwrap())
+            .collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+        assert_eq!(want.len(), 8, "four singletons and the four cross-group pairs");
     }
 
     #[test]

@@ -2,7 +2,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pkgrec_data::{Database, Tuple};
-use pkgrec_query::{CompiledPlan, EvalContext, MetricSet, Query};
+use pkgrec_query::{CompiledPlan, DynPool, EvalContext, MetricSet, Query};
 
 use crate::constraints::{Constraint, ANSWER_RELATION};
 use crate::error::{ColumnIssue, CoreError};
@@ -215,6 +215,30 @@ struct PreparedParts {
     qc_antimonotone: bool,
     q_plan: Arc<CompiledPlan>,
     qc_plan: Option<Arc<CompiledPlan>>,
+    qc_pool: Option<Arc<DynPool>>,
+}
+
+/// `Q(D)` interned once for a conjunctive `Qc` plan
+/// ([`CompiledPlan::intern_pool`]), and where a context's items sit in
+/// it.
+#[derive(Debug, Clone)]
+struct QcPool {
+    pool: Arc<DynPool>,
+    /// The pool row of each of the context's items; `None` when the
+    /// items are the whole pool, in pool order.
+    rows: Option<Arc<[u32]>>,
+}
+
+/// How [`SearchContext::classify`] decides `Qc(N, D) = ∅`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum QcProbe<'p> {
+    /// The full check, [`SearchContext::qc_satisfied`].
+    Full,
+    /// A package on the search path: its items' pool rows
+    /// ([`SearchContext::pool_row`]), newest last, and whether `Qc` is
+    /// known to have no answer over the package without its newest item
+    /// (the walk sets this only when that parent classified `Valid`).
+    Path { rows: &'p [u32], parent_empty: bool },
 }
 
 impl PreparedParts {
@@ -236,6 +260,11 @@ impl PreparedParts {
             }
             _ => None,
         };
+        // A CQ/UCQ `Qc` probes packages as rows of `Q(D)` interned once.
+        let qc_pool = match &qc_plan {
+            Some(plan) => plan.intern_pool(&items)?.map(Arc::new),
+            None => None,
+        };
         validate_fn_columns("cost", &inst.cost, &items)?;
         validate_fn_columns("val", &inst.val, &items)?;
         Ok(PreparedParts {
@@ -244,6 +273,7 @@ impl PreparedParts {
             qc_antimonotone: inst.qc.is_antimonotone(),
             q_plan: Arc::new(q_plan),
             qc_plan: qc_plan.map(Arc::new),
+            qc_pool,
         })
     }
 
@@ -255,6 +285,10 @@ impl PreparedParts {
             qc_antimonotone: self.qc_antimonotone,
             q_plan: Arc::clone(&self.q_plan),
             qc_plan: self.qc_plan.as_ref().map(Arc::clone),
+            qc_pool: self.qc_pool.as_ref().map(|pool| QcPool {
+                pool: Arc::clone(pool),
+                rows: None,
+            }),
         }
     }
 }
@@ -315,6 +349,9 @@ pub struct SearchContext<'a> {
     /// `Qc` compiled against `D` with the answer relation `R_Q` bound
     /// dynamically, when `Qc` is a query constraint.
     qc_plan: Option<Arc<CompiledPlan>>,
+    /// The items interned for `qc_plan`, when `Qc` is a CQ/UCQ; the
+    /// search probes packages on its path against it.
+    qc_pool: Option<QcPool>,
 }
 
 /// Why [`SearchContext::classify`] rejected a package. The search uses
@@ -355,9 +392,21 @@ impl<'a> SearchContext<'a> {
     /// sub-solves over representative pools this way. `items` must be a
     /// subset of this context's pool in canonical order; any package
     /// over a subset of `Q(D)` is a package over `Q(D)`, so every
-    /// validity probe keeps its meaning. O(1): plans and cached arity
-    /// are shared.
+    /// validity probe keeps its meaning. Plans and cached arity are
+    /// shared; with a `Qc` pool, each item is located in it (an item
+    /// outside it drops the pool, and the search falls back to the
+    /// full probe).
     pub(crate) fn with_items(&self, items: Arc<[Tuple]>) -> SearchContext<'a> {
+        let qc_pool = self.qc_pool.as_ref().and_then(|qc| {
+            let rows = items
+                .iter()
+                .map(|t| self.items.binary_search(t).ok().map(|i| self.pool_row(i)))
+                .collect::<Option<Arc<[u32]>>>()?;
+            Some(QcPool {
+                pool: Arc::clone(&qc.pool),
+                rows: Some(rows),
+            })
+        });
         SearchContext {
             inst: self.inst,
             items,
@@ -365,6 +414,16 @@ impl<'a> SearchContext<'a> {
             qc_antimonotone: self.qc_antimonotone,
             q_plan: Arc::clone(&self.q_plan),
             qc_plan: self.qc_plan.as_ref().map(Arc::clone),
+            qc_pool,
+        }
+    }
+
+    /// The `Qc` pool row of `items()[i]` (`i` itself when there is no
+    /// pool, or the items are the pool).
+    pub(crate) fn pool_row(&self, i: usize) -> u32 {
+        match self.qc_pool.as_ref().and_then(|qc| qc.rows.as_ref()) {
+            Some(rows) => rows[i],
+            None => i as u32,
         }
     }
 
@@ -450,8 +509,15 @@ impl<'a> SearchContext<'a> {
     /// Classify an enumerated package: [`Classified::Valid`] carries
     /// `val(N)`; [`Classified::Rejected`] names the first failing check
     /// (cost → rating → compatibility). Membership in `Q(D)` is already
-    /// guaranteed by enumeration from `self.items`.
-    pub(crate) fn classify(&self, pkg: &Package, rating_bound: Option<Ext>) -> Result<Classified> {
+    /// guaranteed by enumeration from `self.items`. `qc` says how to
+    /// probe `Qc`: a package on the search path is probed by pool rows,
+    /// incrementally when its parent is known compatible.
+    pub(crate) fn classify(
+        &self,
+        pkg: &Package,
+        rating_bound: Option<Ext>,
+        qc: QcProbe<'_>,
+    ) -> Result<Classified> {
         if self.inst.cost.eval(pkg) > self.inst.budget {
             return Ok(Classified::Rejected(Reject::Cost));
         }
@@ -461,10 +527,26 @@ impl<'a> SearchContext<'a> {
                 return Ok(Classified::Rejected(Reject::Rating));
             }
         }
-        if !self.qc_satisfied(pkg)? {
+        if !self.qc_satisfied_by(pkg, qc)? {
             return Ok(Classified::Rejected(Reject::Compat));
         }
         Ok(Classified::Valid(val))
+    }
+
+    /// `Qc(N, D) = ∅`, probed as `probe` says when `Qc` has a pool.
+    fn qc_satisfied_by(&self, pkg: &Package, probe: QcProbe<'_>) -> Result<bool> {
+        let (QcProbe::Path { rows, parent_empty }, Some(qc), Some(plan)) =
+            (probe, &self.qc_pool, &self.qc_plan)
+        else {
+            return self.qc_satisfied(pkg);
+        };
+        let metrics = self.inst.metrics.as_ref();
+        let found = if parent_empty {
+            plan.has_answer_delta(&qc.pool, rows, metrics, None)?
+        } else {
+            plan.has_answer_pooled(&qc.pool, rows, metrics, None)?
+        };
+        Ok(!found)
     }
 }
 

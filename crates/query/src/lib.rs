@@ -39,7 +39,7 @@ pub use eval::{EvalContext, RelProvider};
 pub use fo::{Formula, FoQuery};
 pub use language::QueryLanguage;
 pub use metric::{AbsDiff, Discrete, Metric, MetricSet, TableMetric};
-pub use plan::CompiledPlan;
+pub use plan::{CompiledPlan, DynPool};
 pub use query::Query;
 pub use term::{var, Builtin, CmpOp, Comparison, RelAtom, Term, Var};
 

@@ -33,9 +33,10 @@
 //! plan cache keys them by `(query, database)`); replace the database
 //! and you must recompile.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pkgrec_data::{
     AttrType, Database, Posting, Relation, RelationSchema, Snapshot, Table, Tuple, Value,
@@ -105,7 +106,7 @@ pub(crate) fn eval_conj_once(
     stop_on_first: bool,
 ) -> Result<BTreeSet<Tuple>> {
     let set = ConjSet::compile(disjuncts, ctx.db.snapshot(), None)?;
-    set.eval_impl(ctx, pre_bound, None, &mut set.probe_syms(), stop_on_first)
+    set.eval_impl(ctx, pre_bound, DynRows::None, &mut set.probe_syms(), stop_on_first)
 }
 
 /// The two static modes of a conjunctive plan.
@@ -205,9 +206,13 @@ impl Executor {
         stop_on_first: bool,
     ) -> Result<BTreeSet<Tuple>> {
         match &self.kind {
-            PlanKind::Conj(set) => {
-                set.eval_impl(ctx, pre_bound, None, &mut set.probe_syms(), stop_on_first)
-            }
+            PlanKind::Conj(set) => set.eval_impl(
+                ctx,
+                pre_bound,
+                DynRows::None,
+                &mut set.probe_syms(),
+                stop_on_first,
+            ),
             PlanKind::Fo(fp) => fp.eval(ctx, pre_bound),
             PlanKind::Dl(dp) => {
                 // A dynamic plan run without items binds nothing, like a
@@ -237,7 +242,7 @@ impl Executor {
             PlanKind::Conj(set) => {
                 let mut syms = set.probe_syms();
                 let table = intern_table(spec.arity, items, &mut syms);
-                set.eval_impl(ctx, None, Some(&table), &mut syms, stop_on_first)
+                set.eval_impl(ctx, None, DynRows::Table(&table), &mut syms, stop_on_first)
             }
             PlanKind::Fo(fp) => {
                 let rel = spec.materialize(items);
@@ -342,8 +347,10 @@ impl CompiledPlan {
     }
 
     /// Whether the dynamic-bound query has any answer; conjunctive
-    /// plans stop at the first witness. This is the hot probe of
-    /// compatibility-constraint checking (`Qc(N, D) = ∅`?).
+    /// plans stop at the first witness. This is the full check
+    /// `Qc(N, D) = ∅`? for one package: its items are interned per
+    /// call. A search probing packages drawn from one item pool uses
+    /// [`CompiledPlan::intern_pool`] and the pooled probes instead.
     pub fn has_answer_dynamic<'t>(
         &self,
         items: impl IntoIterator<Item = &'t Tuple>,
@@ -355,6 +362,119 @@ impl CompiledPlan {
             .exec
             .run_dynamic(self.ctx(metrics, meter), items, true)?
             .is_empty())
+    }
+
+    /// Intern `items` once as the candidate rows of the dynamic
+    /// relation, for [`has_answer_pooled`](Self::has_answer_pooled)
+    /// and [`has_answer_delta`](Self::has_answer_delta). `None` unless
+    /// this is a dynamic conjunctive (CQ/UCQ) plan: FO and Datalog
+    /// plans bind items per probe. Every item must have the dynamic
+    /// relation's arity. The pool belongs to this plan.
+    pub fn intern_pool(&self, items: &[Tuple]) -> Result<Option<DynPool>> {
+        let (PlanKind::Conj(set), Some(spec)) = (&self.exec.kind, &self.exec.dynamic) else {
+            return Ok(None);
+        };
+        let mut syms = set.probe_syms();
+        let mut cells = Vec::with_capacity(items.len() * spec.arity);
+        for t in items {
+            if t.arity() != spec.arity {
+                return Err(QueryError::AtomArityMismatch {
+                    relation: spec.name.clone(),
+                    expected: spec.arity,
+                    found: t.arity(),
+                });
+            }
+            cells.extend(t.values().iter().map(|v| syms.intern(v)));
+        }
+        Ok(Some(DynPool {
+            arity: spec.arity,
+            rows: items.len(),
+            cells,
+            ext: syms.extra.into_owned(),
+        }))
+    }
+
+    /// [`has_answer_dynamic`](Self::has_answer_dynamic) with the
+    /// dynamic relation bound to the pool rows `rows`, read by index
+    /// from the pool's cells: nothing is interned per probe.
+    pub fn has_answer_pooled(
+        &self,
+        pool: &DynPool,
+        rows: &[u32],
+        metrics: Option<&MetricSet>,
+        meter: Option<&Meter>,
+    ) -> Result<bool> {
+        pkgrec_trace::counter!("query.plan_probes");
+        self.pooled_set(pool, rows)?
+            .probe_pool(self.ctx(metrics, meter), pool, rows, None)
+    }
+
+    /// The incremental emptiness probe: given that the query has *no*
+    /// answer with the dynamic relation bound to `rows` minus its last
+    /// row `t`, whether it has one over all of `rows`. A CQ/UCQ is
+    /// monotone in the relation, so any new answer maps some dynamic
+    /// atom to `t`: only the delta plans run, each binding one dynamic
+    /// atom to `t` first while the others range over all of `rows`,
+    /// and a disjunct that reads no dynamic atom is skipped. The
+    /// precondition is the caller's; unmet, the result means nothing.
+    pub fn has_answer_delta(
+        &self,
+        pool: &DynPool,
+        rows: &[u32],
+        metrics: Option<&MetricSet>,
+        meter: Option<&Meter>,
+    ) -> Result<bool> {
+        pkgrec_trace::counter!("query.plan_probes");
+        let &newest = rows
+            .last()
+            .ok_or_else(|| QueryError::Internal("a delta probe needs its newest row".into()))?;
+        self.pooled_set(pool, rows)?
+            .probe_pool(self.ctx(metrics, meter), pool, rows, Some(newest))
+    }
+
+    /// The conjunctive plan a pooled probe runs on, once `pool` and
+    /// `rows` are checked against it.
+    fn pooled_set(&self, pool: &DynPool, rows: &[u32]) -> Result<&ConjSet> {
+        let PlanKind::Conj(set) = &self.exec.kind else {
+            return Err(QueryError::Internal("pooled probes need a conjunctive plan".into()));
+        };
+        if pool.ext.offset as usize != set.consts.end() {
+            return Err(QueryError::Internal("pool interned by another plan".into()));
+        }
+        if rows.iter().any(|&r| r as usize >= pool.rows) {
+            return Err(QueryError::Internal("pool row out of range".into()));
+        }
+        Ok(set)
+    }
+}
+
+/// A solve's item pool interned once for one dynamic conjunctive plan
+/// ([`CompiledPlan::intern_pool`]): row-major `u32` cells over the
+/// plan's ids, with values foreign to the snapshot and the plan's
+/// constants interned above both. Probes bind the dynamic relation to
+/// pool rows by index. Read-only after construction, so any number of
+/// search workers share one.
+pub struct DynPool {
+    arity: usize,
+    rows: usize,
+    cells: Vec<u32>,
+    ext: ExtSyms,
+}
+
+impl DynPool {
+    fn row(&self, row: u32) -> &[u32] {
+        let start = row as usize * self.arity;
+        &self.cells[start..start + self.arity]
+    }
+}
+
+impl fmt::Debug for DynPool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DynPool")
+            .field("rows", &self.rows)
+            .field("arity", &self.arity)
+            .field("foreign_values", &self.ext.syms.len())
+            .finish()
     }
 }
 
@@ -448,6 +568,9 @@ struct PBuiltin {
 /// `Some(var)` for a variable, `None` for a constant.
 type AtomShape = Vec<Option<usize>>;
 
+/// The shape of a builtin's two sides, as in [`AtomShape`].
+type BuiltinShape = (Option<usize>, Option<usize>);
+
 fn shape_determined(s: &Option<usize>, bound: &[bool]) -> bool {
     match s {
         None => true,
@@ -458,11 +581,23 @@ fn shape_determined(s: &Option<usize>, bound: &[bool]) -> bool {
 /// Greedy static atom order: repeatedly pick the atom with the most
 /// already-determined positions (constants or bound variables),
 /// breaking ties toward smaller relations (and, among equals, toward
-/// the last such atom — `max_by_key` keeps the last maximum).
-fn greedy_order(shapes: &[AtomShape], sizes: &[usize], initially_bound: &[bool]) -> Vec<usize> {
+/// the last such atom — `max_by_key` keeps the last maximum). A
+/// `first` atom is placed first and the rest ordered after it.
+fn greedy_order(
+    shapes: &[AtomShape],
+    sizes: &[usize],
+    initially_bound: &[bool],
+    first: Option<usize>,
+) -> Vec<usize> {
     let mut bound = initially_bound.to_vec();
-    let mut remaining: Vec<usize> = (0..shapes.len()).collect();
+    let mut remaining: Vec<usize> = (0..shapes.len()).filter(|&i| Some(i) != first).collect();
     let mut order = Vec::with_capacity(shapes.len());
+    if let Some(a) = first {
+        order.push(a);
+        for &v in shapes[a].iter().flatten() {
+            bound[v] = true;
+        }
+    }
     while !remaining.is_empty() {
         let (pos, &best) = remaining
             .iter()
@@ -544,6 +679,20 @@ struct ModePlan {
     /// which the fast path answers by intersecting the columns'
     /// postings instead of enumerating candidates.
     exist: Vec<bool>,
+    /// The variables the steps bind, in join order, each unbound
+    /// before its step (the bound set entering a depth is static):
+    /// step `d` binds `bound_vars[bound_end[d - 1]..bound_end[d]]`
+    /// (from 0 at `d = 0`). A candidate unbinds exactly its step's.
+    bound_vars: Vec<usize>,
+    bound_end: Vec<usize>,
+}
+
+impl ModePlan {
+    /// The variables step `depth` binds.
+    fn binds(&self, depth: usize) -> &[usize] {
+        let from = if depth == 0 { 0 } else { self.bound_end[depth - 1] };
+        &self.bound_vars[from..self.bound_end[depth]]
+    }
 }
 
 /// One compiled disjunct.
@@ -552,9 +701,17 @@ struct ConjPlan {
     atoms: Vec<PAtom>,
     builtins: Vec<PBuiltin>,
     nvars: usize,
+    /// Row count per atom, the greedy tie-break: a relation's rows, or
+    /// 0 for the dynamic relation (a handful of package items).
+    sizes: Vec<usize>,
     /// The static plan per [`Mode`] (indexed by `Mode as usize`); a
     /// rule firing plans only [`Mode::Eval`].
     modes: [Option<ModePlan>; 2],
+    /// One delta plan per dynamic atom, in body order: an evaluation
+    /// whose first step binds that atom to a probe's newest row (see
+    /// [`CompiledPlan::has_answer_delta`]). Empty for a disjunct that
+    /// reads no dynamic relation; see [`ConjPlan::deltas`].
+    deltas: OnceLock<Vec<ModePlan>>,
 }
 
 /// What planning a disjunct needs from its surroundings: value
@@ -594,8 +751,6 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
         Term::Const(c) => PTerm::Sym(env.intern(c)),
     };
     let head: Vec<PTerm> = d.head.iter().map(|t| pterm(t, env)).collect();
-    // Sizes drive the greedy tie-break: a relation's row count, or 0
-    // for the dynamic relation (a handful of package items per probe).
     let mut sizes = Vec::with_capacity(d.atoms.len());
     let mut atoms = Vec::with_capacity(d.atoms.len());
     for a in &d.atoms {
@@ -621,24 +776,16 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
         .collect();
     let nvars = var_ids.len();
 
-    let shapes: Vec<AtomShape> = atoms
-        .iter()
-        .map(|a| a.terms.iter().map(|t| t.shape()).collect())
-        .collect();
-    let builtin_shapes: Vec<(Option<usize>, Option<usize>)> = builtins
-        .iter()
-        .map(|b| (b.left.shape(), b.right.shape()))
-        .collect();
-
-    let plan_mode = |mode: Mode| -> Result<ModePlan> {
+    let (shapes, builtin_shapes) = static_shapes(&atoms, &builtins);
+    let mut planned = [None, None];
+    for &mode in modes {
         let mut initially_bound = vec![false; nvars];
         if mode == Mode::Membership {
             for v in head.iter().filter_map(|t| t.shape()) {
                 initially_bound[v] = true;
             }
         }
-        let order = greedy_order(&shapes, &sizes, &initially_bound);
-        let builtin_at = schedule_builtins(&shapes, &order, &builtin_shapes, &initially_bound)
+        let plan = plan_mode(&shapes, &builtin_shapes, &sizes, &atoms, initially_bound, None)
             .map_err(|unscheduled| {
                 let v = d.builtins[unscheduled]
                     .variables()
@@ -648,40 +795,96 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
                     .unwrap_or_default();
                 QueryError::UnsafeVariable(v)
             })?;
-        let probe = probe_columns(&shapes, &order, &initially_bound);
-        // Classify fully-bound existence steps by replaying the
-        // binding order the join will follow.
-        let mut bound = initially_bound;
-        let mut exist = Vec::with_capacity(order.len());
-        for (depth, &ai) in order.iter().enumerate() {
-            let all_bound = shapes[ai].iter().all(|s| s.is_none_or(|v| bound[v]));
-            exist.push(
-                matches!(atoms[ai].src, Source::Base(_))
-                    && all_bound
-                    && builtin_at[depth + 1].is_empty(),
-            );
-            for &v in shapes[ai].iter().flatten() {
-                bound[v] = true;
-            }
-        }
-        Ok(ModePlan {
-            order,
-            builtin_at,
-            probe,
-            exist,
-        })
-    };
-    let mut planned = [None, None];
-    for &mode in modes {
-        planned[mode as usize] = Some(plan_mode(mode)?);
+        planned[mode as usize] = Some(plan);
     }
     Ok(ConjPlan {
         head,
         atoms,
         builtins,
         nvars,
+        sizes,
         modes: planned,
+        deltas: OnceLock::new(),
     })
+}
+
+/// The static-planning view of a disjunct's atoms and builtins.
+fn static_shapes(
+    atoms: &[PAtom],
+    builtins: &[PBuiltin],
+) -> (Vec<AtomShape>, Vec<BuiltinShape>) {
+    let shapes = atoms
+        .iter()
+        .map(|a| a.terms.iter().map(|t| t.shape()).collect())
+        .collect();
+    let builtin_shapes = builtins
+        .iter()
+        .map(|b| (b.left.shape(), b.right.shape()))
+        .collect();
+    (shapes, builtin_shapes)
+}
+
+/// Fix one static plan: the greedy order (with `first` placed first),
+/// the builtin schedule and probe columns, and which steps are
+/// existence probes and what each binds, given the variables bound
+/// before the join. `Err(i)` names a builtin that can never be
+/// scheduled (an unsafe query).
+fn plan_mode(
+    shapes: &[AtomShape],
+    builtin_shapes: &[BuiltinShape],
+    sizes: &[usize],
+    atoms: &[PAtom],
+    initially_bound: Vec<bool>,
+    first: Option<usize>,
+) -> std::result::Result<ModePlan, usize> {
+    let order = greedy_order(shapes, sizes, &initially_bound, first);
+    let builtin_at = schedule_builtins(shapes, &order, builtin_shapes, &initially_bound)?;
+    let probe = probe_columns(shapes, &order, &initially_bound);
+    // Classify fully-bound existence steps and collect what each step
+    // binds by replaying the binding order the join will follow.
+    let mut bound = initially_bound;
+    let mut exist = Vec::with_capacity(order.len());
+    let mut bound_vars = Vec::with_capacity(bound.len());
+    let mut bound_end = Vec::with_capacity(order.len());
+    for (depth, &ai) in order.iter().enumerate() {
+        let all_bound = shapes[ai].iter().all(|s| s.is_none_or(|v| bound[v]));
+        let base = matches!(atoms[ai].src, Source::Base(_));
+        exist.push(base && all_bound && builtin_at[depth + 1].is_empty());
+        for &v in shapes[ai].iter().flatten() {
+            if !bound[v] {
+                bound[v] = true;
+                bound_vars.push(v);
+            }
+        }
+        bound_end.push(bound_vars.len());
+    }
+    Ok(ModePlan {
+        order,
+        builtin_at,
+        probe,
+        exist,
+        bound_vars,
+        bound_end,
+    })
+}
+
+impl ConjPlan {
+    /// The delta plans, one per dynamic atom in body order, planned on
+    /// first use: a search that never takes a delta probe (packages of
+    /// one item, say) never pays for them.
+    fn deltas(&self) -> &[ModePlan] {
+        self.deltas.get_or_init(|| {
+            let (shapes, builtin_shapes) = static_shapes(&self.atoms, &self.builtins);
+            (0..self.atoms.len())
+                .filter(|&ai| matches!(self.atoms[ai].src, Source::Dyn))
+                .map(|ai| {
+                    let (sizes, unbound) = (&self.sizes, vec![false; self.nvars]);
+                    plan_mode(&shapes, &builtin_shapes, sizes, &self.atoms, unbound, Some(ai))
+                        .expect("the eval mode scheduled every builtin, so every order does")
+                })
+                .collect()
+        })
+    }
 }
 
 /// The planning environment of [`ConjSet::compile`]: atoms resolve to
@@ -752,13 +955,62 @@ impl ConjSet {
         ProbeSyms::new(self.snap.symbols(), Some(&self.consts))
     }
 
+    /// Whether some disjunct has an answer with the dynamic relation
+    /// bound to `rows` of `pool`. With `pinned` (the newest row), only
+    /// the delta plans run, each with its atom bound to that row.
+    fn probe_pool(
+        &self,
+        ctx: EvalContext<'_>,
+        pool: &DynPool,
+        rows: &[u32],
+        pinned: Option<u32>,
+    ) -> Result<bool> {
+        let mut syms = ProbeSyms {
+            base: self.snap.symbols(),
+            consts: Some(&self.consts),
+            extra: Cow::Borrowed(&pool.ext),
+        };
+        let dyn_rows = DynRows::Pool { pool, rows, pinned };
+        let mut out = BTreeSet::new();
+        for plan in &self.plans {
+            let modes = match pinned {
+                Some(_) => plan.deltas(),
+                None => std::slice::from_ref(
+                    plan.modes[Mode::Eval as usize]
+                        .as_ref()
+                        .ok_or_else(|| QueryError::Internal("plan mode was not compiled".into()))?,
+                ),
+            };
+            if modes.is_empty() {
+                continue;
+            }
+            let _span = pkgrec_trace::span!("cq.eval");
+            for mode in modes {
+                let run = ConjRun {
+                    ctx,
+                    rels: self.snap.tables(),
+                    local: &[],
+                    use_bitsets: self.use_bitsets,
+                    plan,
+                    mode,
+                    dyn_rows,
+                    stop_on_first: true,
+                };
+                if run.start(None, &mut syms, &mut out)? {
+                    return Ok(true);
+                }
+            }
+        }
+        Ok(false)
+    }
+
     /// Evaluate all disjuncts. With `stop_on_first`, returns as soon as
     /// one answer is found (a singleton set).
     fn eval_impl(
         &self,
         ctx: EvalContext<'_>,
         pre_bound: Option<&Tuple>,
-        dyn_table: Option<&Table>,
+        dyn_rows: DynRows<'_>,
         syms: &mut ProbeSyms<'_>,
         stop_on_first: bool,
     ) -> Result<BTreeSet<Tuple>> {
@@ -779,7 +1031,7 @@ impl ConjSet {
                 mode: plan.modes[mode as usize]
                     .as_ref()
                     .ok_or_else(|| QueryError::Internal("plan mode was not compiled".into()))?,
-                dyn_table,
+                dyn_rows,
                 stop_on_first,
             };
             if run.start(pre_bound, syms, &mut out)? && stop_on_first {
@@ -870,7 +1122,7 @@ impl<'e> RuleRunner<'e> {
             mode: plan.modes[Mode::Eval as usize]
                 .as_ref()
                 .expect("planned above"),
-            dyn_table: None,
+            dyn_rows: DynRows::None,
             stop_on_first: false,
         };
         let mut out = BTreeSet::new();
@@ -908,6 +1160,7 @@ fn resolved_ids(b: &PBuiltin, bindings: &[Option<u32>]) -> Result<(u32, u32)> {
 
 /// A [`ValueInterner`] whose ids start at `offset`, above another
 /// interner's.
+#[derive(Clone)]
 struct ExtSyms {
     offset: u32,
     syms: ValueInterner,
@@ -943,10 +1196,11 @@ impl ExtSyms {
 /// Per-probe interner: the snapshot's ids, then the plan's constants,
 /// then values foreign to both (pre-bound tuples, dynamic package
 /// items), so a foreign value can never spuriously equal a base cell.
+/// Over a [`DynPool`] the foreign values are the pool's, borrowed.
 struct ProbeSyms<'a> {
     base: &'a ValueInterner,
     consts: Option<&'a ExtSyms>,
-    extra: ExtSyms,
+    extra: Cow<'a, ExtSyms>,
 }
 
 impl<'a> ProbeSyms<'a> {
@@ -955,7 +1209,7 @@ impl<'a> ProbeSyms<'a> {
         ProbeSyms {
             base,
             consts,
-            extra: ExtSyms::above(offset),
+            extra: Cow::Owned(ExtSyms::above(offset)),
         }
     }
 
@@ -963,7 +1217,10 @@ impl<'a> ProbeSyms<'a> {
         let known = self.base.get(v);
         match known.or_else(|| self.consts.and_then(|c| c.get(v))) {
             Some(id) => id,
-            None => self.extra.intern(v),
+            None => match self.extra.get(v) {
+                Some(id) => id,
+                None => self.extra.to_mut().intern(v),
+            },
         }
     }
 
@@ -988,8 +1245,24 @@ struct ConjRun<'r> {
     use_bitsets: bool,
     plan: &'r ConjPlan,
     mode: &'r ModePlan,
-    dyn_table: Option<&'r Table>,
+    dyn_rows: DynRows<'r>,
     stop_on_first: bool,
+}
+
+/// The rows [`Source::Dyn`] atoms range over in one run.
+#[derive(Clone, Copy)]
+enum DynRows<'r> {
+    /// Nothing bound: dynamic atoms match no row.
+    None,
+    /// A table interned for this probe.
+    Table(&'r Table),
+    /// Rows of an interned pool, by index. With `pinned`, the first
+    /// join step reads that row alone (a delta plan's pinned atom).
+    Pool {
+        pool: &'r DynPool,
+        rows: &'r [u32],
+        pinned: Option<u32>,
+    },
 }
 
 impl ConjRun<'_> {
@@ -1024,14 +1297,27 @@ impl ConjRun<'_> {
                 }
             }
         }
-        for &bi in &self.mode.builtin_at[0] {
+        if !self.builtins_hold(0, &bindings, syms)? {
+            return Ok(false);
+        }
+        self.search(0, &mut bindings, syms, out)
+    }
+
+    /// Whether the builtins scheduled at `slot` (`builtin_at`) hold.
+    fn builtins_hold(
+        &self,
+        slot: usize,
+        bindings: &[Option<u32>],
+        syms: &ProbeSyms<'_>,
+    ) -> Result<bool> {
+        for &bi in &self.mode.builtin_at[slot] {
             let b = &self.plan.builtins[bi];
-            let (l, r) = resolved_ids(b, &bindings)?;
+            let (l, r) = resolved_ids(b, bindings)?;
             if !self.ctx.eval_builtin(&b.original, syms.resolve(l), syms.resolve(r))? {
                 return Ok(false);
             }
         }
-        self.search(0, &mut bindings, syms, out)
+        Ok(true)
     }
 
     /// Returns `true` when an answer was found and the caller asked to
@@ -1039,7 +1325,7 @@ impl ConjRun<'_> {
     fn search(
         &self,
         depth: usize,
-        bindings: &mut Vec<Option<u32>>,
+        bindings: &mut [Option<u32>],
         syms: &ProbeSyms<'_>,
         out: &mut BTreeSet<Tuple>,
     ) -> Result<bool> {
@@ -1063,10 +1349,25 @@ impl ConjRun<'_> {
             Source::Dyn => {
                 // Per-probe tuples: a handful of package items, scanned
                 // linearly (no per-probe index construction).
-                if let Some(table) = self.dyn_table {
-                    for row in 0..table.rows() as u32 {
-                        if self.candidate(depth, table.row(row), bindings, syms, out)? {
-                            return Ok(true);
+                match self.dyn_rows {
+                    DynRows::None => {}
+                    DynRows::Table(table) => {
+                        for row in 0..table.rows() as u32 {
+                            if self.candidate(depth, table.row(row), bindings, syms, out)? {
+                                return Ok(true);
+                            }
+                        }
+                    }
+                    DynRows::Pool { pool, rows, pinned } => {
+                        let pinned = pinned.filter(|_| depth == 0);
+                        let rows = match &pinned {
+                            Some(row) => std::slice::from_ref(row),
+                            None => rows,
+                        };
+                        for &row in rows {
+                            if self.candidate(depth, pool.row(row), bindings, syms, out)? {
+                                return Ok(true);
+                            }
                         }
                     }
                 }
@@ -1136,66 +1437,54 @@ impl ConjRun<'_> {
         &self,
         depth: usize,
         cells: &[u32],
-        bindings: &mut Vec<Option<u32>>,
+        bindings: &mut [Option<u32>],
         syms: &ProbeSyms<'_>,
         out: &mut BTreeSet<Tuple>,
     ) -> Result<bool> {
         self.ctx.tick()?;
         pkgrec_trace::counter!("cq.join_candidates");
+        let result = self.bind_and_descend(depth, cells, bindings, syms, out);
+        // Every variable this step may have bound was unbound on entry.
+        for &v in self.mode.binds(depth) {
+            bindings[v] = None;
+        }
+        result
+    }
+
+    /// The body of [`ConjRun::candidate`]: match `cells` against the
+    /// step's atom, binding its unbound variables, check the builtins
+    /// scheduled here, and recurse. Leaves the bindings for the caller
+    /// to undo.
+    fn bind_and_descend(
+        &self,
+        depth: usize,
+        cells: &[u32],
+        bindings: &mut [Option<u32>],
+        syms: &ProbeSyms<'_>,
+        out: &mut BTreeSet<Tuple>,
+    ) -> Result<bool> {
         let atom = &self.plan.atoms[self.mode.order[depth]];
-        let mut newly_bound: Vec<usize> = Vec::new();
-        for (col, term) in atom.terms.iter().enumerate() {
-            let cell = cells[col];
+        for (term, &cell) in atom.terms.iter().zip(cells) {
             match term {
                 PTerm::Sym(id) => {
                     if *id != cell {
-                        for &v in &newly_bound {
-                            bindings[v] = None;
-                        }
                         return Ok(false);
                     }
                 }
                 PTerm::Var(v) => match bindings[*v] {
                     Some(existing) => {
                         if existing != cell {
-                            for &u in &newly_bound {
-                                bindings[u] = None;
-                            }
                             return Ok(false);
                         }
                     }
-                    None => {
-                        bindings[*v] = Some(cell);
-                        newly_bound.push(*v);
-                    }
+                    None => bindings[*v] = Some(cell),
                 },
             }
         }
-        let mut ok = true;
-        for &bi in &self.mode.builtin_at[depth + 1] {
-            let b = &self.plan.builtins[bi];
-            let (l, r) = match resolved_ids(b, bindings) {
-                Ok(pair) => pair,
-                Err(e) => {
-                    for &v in &newly_bound {
-                        bindings[v] = None;
-                    }
-                    return Err(e);
-                }
-            };
-            if !self.ctx.eval_builtin(&b.original, syms.resolve(l), syms.resolve(r))? {
-                ok = false;
-                break;
-            }
+        if !self.builtins_hold(depth + 1, bindings, syms)? {
+            return Ok(false);
         }
-        let mut stop = false;
-        if ok {
-            stop = self.search(depth + 1, bindings, syms, out)?;
-        }
-        for &v in &newly_bound {
-            bindings[v] = None;
-        }
-        Ok(stop)
+        self.search(depth + 1, bindings, syms, out)
     }
 }
 
@@ -1293,12 +1582,27 @@ pub struct DisjunctReport {
     /// The two static modes: plain evaluation and membership
     /// (head pre-bound).
     pub modes: Vec<ModeReport>,
+    /// The delta plans of a dynamic plan, one per dynamic atom in body
+    /// order (empty when the disjunct reads no dynamic relation).
+    pub deltas: Vec<DeltaReport>,
+}
+
+/// One delta plan: the incremental probe's join schedule for one
+/// dynamic atom (see [`CompiledPlan::has_answer_delta`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeltaReport {
+    /// The atom's position in the disjunct's body, from 0.
+    pub atom: usize,
+    /// The schedule, with mode `delta`; its first step is that atom,
+    /// bound to the probe's newest row (access `newest-row`).
+    pub plan: ModeReport,
 }
 
 /// One evaluation mode's join schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeReport {
-    /// `eval` (nothing pre-bound) or `membership` (head pre-bound).
+    /// `eval` (nothing pre-bound), `membership` (head pre-bound) or
+    /// `delta` (one dynamic atom bound to a probe's newest row).
     pub mode: &'static str,
     /// Builtins checked before the first join step.
     pub pre_builtins: usize,
@@ -1315,8 +1619,9 @@ pub struct JoinStepReport {
     /// rows are supplied per probe).
     pub rows: Option<usize>,
     /// Access path: `index` (probe a column's postings), `scan`
-    /// (full scan of a base relation) or `dynamic-scan` (linear scan
-    /// of the per-probe dynamic rows).
+    /// (full scan of a base relation), `dynamic-scan` (linear scan
+    /// of the per-probe dynamic rows) or `newest-row` (a delta plan's
+    /// first step, which reads the probe's newest row alone).
     pub access: &'static str,
     /// The column probed when `access` is `index`.
     pub probe_column: Option<usize>,
@@ -1361,6 +1666,7 @@ impl CompiledPlan {
                             .map(|(depth, &ai)| {
                                 let atom = &plan.atoms[ai];
                                 let probe = mode.probe[depth];
+                                let builtins_after = mode.builtin_at[depth + 1].len();
                                 match atom.src {
                                     Source::Base(ri) => JoinStepReport {
                                         relation: set.snap.name(ri).to_string(),
@@ -1368,7 +1674,7 @@ impl CompiledPlan {
                                         access: if probe.is_some() { "index" } else { "scan" },
                                         probe_column: probe,
                                         bitset: mode.exist[depth],
-                                        builtins_after: mode.builtin_at[depth + 1].len(),
+                                        builtins_after,
                                     },
                                     Source::Local(_) => {
                                         unreachable!("only rule firings bind per-run relations")
@@ -1376,10 +1682,14 @@ impl CompiledPlan {
                                     Source::Dyn => JoinStepReport {
                                         relation: dynamic.clone().unwrap_or_default(),
                                         rows: None,
-                                        access: "dynamic-scan",
+                                        access: if name == "delta" && depth == 0 {
+                                            "newest-row"
+                                        } else {
+                                            "dynamic-scan"
+                                        },
                                         probe_column: None,
                                         bitset: false,
-                                        builtins_after: mode.builtin_at[depth + 1].len(),
+                                        builtins_after,
                                     },
                                 }
                             })
@@ -1393,6 +1703,14 @@ impl CompiledPlan {
                             .into_iter()
                             .filter_map(|(m, name)| {
                                 plan.modes[m as usize].as_ref().map(|mp| mode_report(name, mp))
+                            })
+                            .collect(),
+                        deltas: plan
+                            .deltas()
+                            .iter()
+                            .map(|mp| DeltaReport {
+                                atom: mp.order[0],
+                                plan: mode_report("delta", mp),
                             })
                             .collect(),
                     });
@@ -1440,38 +1758,18 @@ impl PlanReport {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(
-                    out,
-                    "{{\"mode\":\"{}\",\"pre_builtins\":{},\"steps\":[",
-                    m.mode, m.pre_builtins
-                );
-                for (k, s) in m.steps.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"relation\":");
-                    write_string(out, &s.relation);
-                    out.push_str(",\"rows\":");
-                    match s.rows {
-                        Some(n) => {
-                            let _ = write!(out, "{n}");
-                        }
-                        None => out.push_str("null"),
-                    }
-                    let _ = write!(out, ",\"access\":\"{}\",\"probe_column\":", s.access);
-                    match s.probe_column {
-                        Some(c) => {
-                            let _ = write!(out, "{c}");
-                        }
-                        None => out.push_str("null"),
-                    }
-                    let _ = write!(
-                        out,
-                        ",\"bitset\":{},\"builtins_after\":{}}}",
-                        s.bitset, s.builtins_after
-                    );
+                out.push('{');
+                m.write_json_fields(out);
+                out.push('}');
+            }
+            out.push_str("],\"deltas\":[");
+            for (j, delta) in d.deltas.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
                 }
-                out.push_str("]}");
+                let _ = write!(out, "{{\"atom\":{},", delta.atom);
+                delta.plan.write_json_fields(out);
+                out.push('}');
             }
             out.push_str("]}");
         }
@@ -1514,8 +1812,12 @@ impl PlanReport {
                 d.builtins,
                 d.variables
             );
-            for m in &d.modes {
-                let _ = write!(out, "    {} order:", m.mode);
+            let dynamic = self.dynamic.as_deref().unwrap_or_default();
+            let deltas = d.deltas.iter().map(|delta| {
+                (format!("delta on {dynamic} atom {}", delta.atom), &delta.plan)
+            });
+            for (label, m) in d.modes.iter().map(|m| (m.mode.to_string(), m)).chain(deltas) {
+                let _ = write!(out, "    {label} order:");
                 if m.pre_builtins > 0 {
                     let _ = write!(out, " ({} builtins before the join)", m.pre_builtins);
                 }
@@ -1553,6 +1855,46 @@ impl PlanReport {
             let _ = writeln!(out, "  checked program: {n} rules");
         }
         out
+    }
+}
+
+impl ModeReport {
+    /// Write this schedule's JSON fields (no enclosing braces).
+    fn write_json_fields(&self, out: &mut String) {
+        use pkgrec_trace::json::write_string;
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
+            "\"mode\":\"{}\",\"pre_builtins\":{},\"steps\":[",
+            self.mode, self.pre_builtins
+        );
+        for (k, s) in self.steps.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"relation\":");
+            write_string(out, &s.relation);
+            out.push_str(",\"rows\":");
+            match s.rows {
+                Some(n) => {
+                    let _ = write!(out, "{n}");
+                }
+                None => out.push_str("null"),
+            }
+            let _ = write!(out, ",\"access\":\"{}\",\"probe_column\":", s.access);
+            match s.probe_column {
+                Some(c) => {
+                    let _ = write!(out, "{c}");
+                }
+                None => out.push_str("null"),
+            }
+            let _ = write!(
+                out,
+                ",\"bitset\":{},\"builtins_after\":{}}}",
+                s.bitset, s.builtins_after
+            );
+        }
+        out.push(']');
     }
 }
 
@@ -1990,6 +2332,33 @@ mod tests {
             assert_eq!(s.rows, None);
             assert_eq!(s.probe_column, None);
         }
+        // One delta plan per dynamic atom: `picked` (atom 1) bound to
+        // the newest row first, then `e` probed on the bound `x`.
+        let deltas = &report.disjuncts[0].deltas;
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].atom, 1);
+        assert_eq!(deltas[0].plan.mode, "delta");
+        let steps = &deltas[0].plan.steps;
+        assert_eq!((steps[0].relation.as_str(), steps[0].access), ("picked", "newest-row"));
+        assert_eq!((steps[1].relation.as_str(), steps[1].access), ("e", "index"));
+        assert_eq!(steps[1].probe_column, Some(0));
+        let human = report.render_human();
+        assert!(
+            human.contains("  delta on picked atom 1 order:\n      1. picked [dynamic] newest-row\n"),
+            "{human}"
+        );
+        let json = pkgrec_trace::json::parse(&report.to_json()).expect("explain JSON parses");
+        let disjunct = &json.get("disjuncts").and_then(|v| v.as_array()).unwrap()[0];
+        let deltas = disjunct.get("deltas").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].get("atom").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(deltas[0].get("mode").and_then(|v| v.as_str()), Some("delta"));
+        // A plan without a dynamic relation has no delta plans.
+        let plain = q.compile(&db);
+        assert!(plain.is_err(), "`picked` is not a base relation");
+        let report = path2().compile(&db).unwrap().explain();
+        assert!(report.disjuncts.iter().all(|d| d.deltas.is_empty()));
+        assert!(!report.render_human().contains("delta"));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use pkgrec::core::{Constraint, PackageFn, RecInstance, ANSWER_RELATION};
 use pkgrec::data::text::parse_database;
 use pkgrec::data::{tuple, AttrType, Database, Relation, RelationSchema};
 use pkgrec::query::parser::parse_query;
-use pkgrec::query::{Builtin, CmpOp, ConjunctiveQuery, Query, RelAtom, Term};
+use pkgrec::query::{Builtin, CmpOp, ConjunctiveQuery, Query, RelAtom, Term, UnionQuery};
 
 /// A database over r(a, b) and s(a).
 pub fn rs_db(r_rows: BTreeSet<(i64, i64)>, s_rows: BTreeSet<i64>) -> Database {
@@ -130,6 +130,46 @@ pub fn dyn_cq_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     let conflict = cq("qc() :- RQ(x1, c1), RQ(x2, c2), r(c1, c2).");
     let banned = cq("qc() :- RQ(c1, c2), r(c1, c2).");
     prop_oneof![random, Just(conflict), Just(banned)]
+}
+
+/// `Qc`s over the binary `RQ` for packages of several items: a random
+/// [`dyn_cq_strategy`] CQ, the museum-cap shape of Example 1.1 (three
+/// `RQ` atoms on one shared value, pairwise distinct names: no three
+/// items with the same `b`), and a UCQ of a random dynamic CQ with a
+/// random base CQ that reads no `RQ` (both made Boolean, so the
+/// arities agree).
+pub fn deep_qc_strategy() -> impl Strategy<Value = Query> {
+    let museum_cap = cq("qc() :- RQ(n1, c), RQ(n2, c), RQ(n3, c), n1 != n2, n1 != n3, n2 != n3.");
+    let boolean =
+        |q: ConjunctiveQuery| ConjunctiveQuery::new(Vec::<Term>::new(), q.atoms, q.builtins);
+    let ucq = (dyn_cq_strategy(), cq_strategy()).prop_map(move |(with_rq, base)| {
+        let u = UnionQuery::new(vec![boolean(with_rq), boolean(base)]).expect("both Boolean");
+        Query::Ucq(u)
+    });
+    prop_oneof![
+        dyn_cq_strategy().prop_map(Query::Cq),
+        Just(Query::Cq(museum_cap)),
+        ucq,
+    ]
+}
+
+/// A random r/s database (values 0..4) with 4–9 rows in `r`.
+pub fn deep_db_strategy() -> impl Strategy<Value = Database> {
+    let r_rows = prop::collection::btree_set((0i64..4, 0i64..4), 4..10);
+    let s_rows = prop::collection::btree_set(0i64..4, 0..4);
+    (r_rows, s_rows).prop_map(|(r_rows, s_rows)| rs_db(r_rows, s_rows))
+}
+
+/// Items `Q(D) = r`, packages of up to 4 items (cost `count`, budget
+/// 4), val = total `b`, `k` and the query constraint `qc`: deep enough
+/// that the search probes children of compatible parents
+/// incrementally.
+pub fn deep_instance(db: Database, qc: Query, k: usize) -> RecInstance {
+    RecInstance::new(db, Query::Cq(cq("q(a, b) :- r(a, b).")))
+        .with_val(PackageFn::sum_col(1, true))
+        .with_budget(4.0)
+        .with_k(k)
+        .with_qc(Constraint::Query(qc))
 }
 
 /// Which compatibility constraint an item instance carries.

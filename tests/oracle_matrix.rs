@@ -342,7 +342,8 @@ fn check_query(db: &Arc<Database>, q: &Query) {
 /// Dynamic probes with `RQ` bound to `items`, against evaluating over
 /// `D` with `RQ` materialized: a plan's `eval_dynamic` and
 /// `has_answer_dynamic` (postings on and off), `has_answer_with`, and
-/// `Constraint::satisfied`, for the CQ and its FO and Datalog forms.
+/// `Constraint::satisfied`, for the CQ and its FO and Datalog forms;
+/// then the CQ plan's pooled and delta probes (see `check_pooled`).
 fn check_dynamic(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
     let with_rq = db.with_relation(relation(ANSWER_RELATION, 2, items));
     let pkg = Package::new(items.iter().cloned());
@@ -359,6 +360,39 @@ fn check_dynamic(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
         assert_eq!(one_shot.unwrap(), !want.is_empty(), "one-shot on {q}");
         let qc = Constraint::Query(q);
         assert_eq!(qc.satisfied(&pkg, db, 2, None).unwrap(), want.is_empty(), "{qc:?}");
+    }
+    check_pooled(db, cq, items);
+}
+
+/// A pool of `items` plus rows foreign to the snapshot and to the
+/// plan's constants, interned once, postings on and off. Over every
+/// subset `N` of the pool, the pooled probe equals
+/// `has_answer_dynamic`; and for every `t ∈ N` with no answer over
+/// `N − {t}`, so does the delta probe on `N` with `t` newest.
+fn check_pooled(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
+    let pool_items: Vec<Tuple> =
+        items.iter().cloned().chain([tuple![99, 98], tuple![0, 97]]).collect();
+    let n = pool_items.len() as u32;
+    for bitsets in [true, false] {
+        let plan = Query::Cq(cq.clone()).compile_with_dynamic(db, ANSWER_RELATION, 2).unwrap();
+        let plan = plan.with_bitsets(bitsets);
+        let pool = plan.intern_pool(&pool_items).unwrap().expect("a CQ plan interns a pool");
+        for mask in 0u32..1 << n {
+            let rows: Vec<u32> = (0..n).filter(|r| mask >> r & 1 == 1).collect();
+            let tuples = rows.iter().map(|&r| &pool_items[r as usize]);
+            let full = plan.has_answer_dynamic(tuples, None, None).unwrap();
+            let pooled = plan.has_answer_pooled(&pool, &rows, None, None).unwrap();
+            assert_eq!(pooled, full, "pooled rows {rows:?} on {cq}");
+            for &t in &rows {
+                let mut path: Vec<u32> = rows.iter().copied().filter(|&r| r != t).collect();
+                if plan.has_answer_pooled(&pool, &path, None, None).unwrap() {
+                    continue;
+                }
+                path.push(t);
+                let delta = plan.has_answer_delta(&pool, &path, None, None).unwrap();
+                assert_eq!(delta, full, "delta rows {path:?} on {cq}");
+            }
+        }
     }
 }
 
@@ -415,6 +449,25 @@ proptest! {
         let inst = item_instance(&scores, qc, k);
         let oracle = Oracle::new(&inst).expect("small");
         check_library(&inst, &oracle, &[Ext::NegInf, Ext::Finite(10.0)]);
+        check_sketch(&inst, &oracle);
+    }
+
+    /// Packages of up to four items under a random dynamic CQ, the
+    /// museum-cap shape or a UCQ with a disjunct that reads no `RQ`:
+    /// below each unit's seed pair the search probes a compatible
+    /// parent's children with delta plans, and CPP's finite rating
+    /// bound leaves rating-rejected parents whose children take the
+    /// full probe. SketchRefine's sub-solves probe the same way over
+    /// restricted pools.
+    #[test]
+    fn solvers_match_the_oracle_on_deep_packages(
+        db in deep_db_strategy(),
+        qc in deep_qc_strategy(),
+        k in 1usize..4,
+    ) {
+        let inst = deep_instance(db, qc, k);
+        let oracle = Oracle::new(&inst).expect("small");
+        check_library(&inst, &oracle, &[Ext::NegInf, Ext::Finite(4.0)]);
         check_sketch(&inst, &oracle);
     }
 
