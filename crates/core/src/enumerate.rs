@@ -49,7 +49,7 @@ use pkgrec_trace::flight::{self, FlightEvent, PruneReason};
 use pkgrec_trace::{timeline, Telemetry};
 
 use crate::error::CoreError;
-use crate::instance::{Classified, QcProbe, RecInstance, Reject, SearchContext};
+use crate::instance::{Classified, RecInstance, Reject, SearchContext};
 use crate::package::Package;
 use crate::progress::{count_nodes, Progress, ProgressSink};
 use crate::rating::Ext;
@@ -490,8 +490,8 @@ enum Unit {
 }
 
 /// The package a walk is at, with its items' `Qc` pool rows in the
-/// order the walk added them (see [`QcProbe::Path`]). One per worker,
-/// reset at every unit.
+/// order the walk added them (see [`SearchContext::classify`]). One
+/// per worker, reset at every unit.
 struct Path {
     pkg: Package,
     rows: Vec<u32>,
@@ -545,7 +545,7 @@ fn build_units(
             let skip = ctx.prune(&single)
                 || (ctx.qc_antimonotone()
                     && matches!(
-                        ctx.classify(&single, rating_bound, QcProbe::Full)?,
+                        ctx.classify(&single, rating_bound, &[ctx.pool_row(i)], false)?,
                         Classified::Rejected(Reject::Compat)
                     ));
             if skip {
@@ -847,13 +847,9 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
             });
         }
         let ctx = self.ctx;
-        let qc = QcProbe::Path {
-            rows: &path.rows,
-            parent_empty: path.parent_qc_empty,
-        };
         let mut rejected = None;
         let mut valid = false;
-        match ctx.classify(pkg, self.rating_bound, qc) {
+        match ctx.classify(pkg, self.rating_bound, &path.rows, path.parent_qc_empty) {
             Err(e) => return ControlFlow::Break(UnitStop::Error(e)),
             Ok(Classified::Valid(val)) => {
                 valid = true;

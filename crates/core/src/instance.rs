@@ -229,18 +229,6 @@ struct QcPool {
     rows: Option<Arc<[u32]>>,
 }
 
-/// How [`SearchContext::classify`] decides `Qc(N, D) = ∅`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum QcProbe<'p> {
-    /// The full check, [`SearchContext::qc_satisfied`].
-    Full,
-    /// A package on the search path: its items' pool rows
-    /// ([`SearchContext::pool_row`]), newest last, and whether `Qc` is
-    /// known to have no answer over the package without its newest item
-    /// (the walk sets this only when that parent classified `Valid`).
-    Path { rows: &'p [u32], parent_empty: bool },
-}
-
 impl PreparedParts {
     fn build(inst: &RecInstance) -> Result<PreparedParts> {
         // Profiler phase: plan compilation + item materialization is
@@ -393,19 +381,23 @@ impl<'a> SearchContext<'a> {
     /// subset of this context's pool in canonical order; any package
     /// over a subset of `Q(D)` is a package over `Q(D)`, so every
     /// validity probe keeps its meaning. Plans and cached arity are
-    /// shared; with a `Qc` pool, each item is located in it (an item
-    /// outside it drops the pool, and the search falls back to the
-    /// full probe).
+    /// shared; with a `Qc` pool, each item is located in it.
     pub(crate) fn with_items(&self, items: Arc<[Tuple]>) -> SearchContext<'a> {
-        let qc_pool = self.qc_pool.as_ref().and_then(|qc| {
+        let qc_pool = self.qc_pool.as_ref().map(|qc| {
             let rows = items
                 .iter()
-                .map(|t| self.items.binary_search(t).ok().map(|i| self.pool_row(i)))
-                .collect::<Option<Arc<[u32]>>>()?;
-            Some(QcPool {
+                .map(|t| {
+                    let i = self
+                        .items
+                        .binary_search(t)
+                        .expect("with_items takes a subset of the pool");
+                    self.pool_row(i)
+                })
+                .collect();
+            QcPool {
                 pool: Arc::clone(&qc.pool),
                 rows: Some(rows),
-            })
+            }
         });
         SearchContext {
             inst: self.inst,
@@ -509,14 +501,17 @@ impl<'a> SearchContext<'a> {
     /// Classify an enumerated package: [`Classified::Valid`] carries
     /// `val(N)`; [`Classified::Rejected`] names the first failing check
     /// (cost → rating → compatibility). Membership in `Q(D)` is already
-    /// guaranteed by enumeration from `self.items`. `qc` says how to
-    /// probe `Qc`: a package on the search path is probed by pool rows,
-    /// incrementally when its parent is known compatible.
+    /// guaranteed by enumeration from `self.items`. `rows` are the
+    /// package items' pool rows ([`SearchContext::pool_row`]), newest
+    /// last; `parent_empty` says `Qc` is known to have no answer over
+    /// the package without its newest item (the walk sets it only when
+    /// that parent classified `Valid`), so the probe may be incremental.
     pub(crate) fn classify(
         &self,
         pkg: &Package,
         rating_bound: Option<Ext>,
-        qc: QcProbe<'_>,
+        rows: &[u32],
+        parent_empty: bool,
     ) -> Result<Classified> {
         if self.inst.cost.eval(pkg) > self.inst.budget {
             return Ok(Classified::Rejected(Reject::Cost));
@@ -527,17 +522,16 @@ impl<'a> SearchContext<'a> {
                 return Ok(Classified::Rejected(Reject::Rating));
             }
         }
-        if !self.qc_satisfied_by(pkg, qc)? {
+        if !self.qc_satisfied_by(pkg, rows, parent_empty)? {
             return Ok(Classified::Rejected(Reject::Compat));
         }
         Ok(Classified::Valid(val))
     }
 
-    /// `Qc(N, D) = ∅`, probed as `probe` says when `Qc` has a pool.
-    fn qc_satisfied_by(&self, pkg: &Package, probe: QcProbe<'_>) -> Result<bool> {
-        let (QcProbe::Path { rows, parent_empty }, Some(qc), Some(plan)) =
-            (probe, &self.qc_pool, &self.qc_plan)
-        else {
+    /// `Qc(N, D) = ∅`, probed by pool rows when `Qc` has a pool and by
+    /// the full check otherwise.
+    fn qc_satisfied_by(&self, pkg: &Package, rows: &[u32], parent_empty: bool) -> Result<bool> {
+        let (Some(qc), Some(plan)) = (&self.qc_pool, &self.qc_plan) else {
             return self.qc_satisfied(pkg);
         };
         let metrics = self.inst.metrics.as_ref();

@@ -36,6 +36,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use pkgrec_data::{
@@ -106,7 +107,7 @@ pub(crate) fn eval_conj_once(
     stop_on_first: bool,
 ) -> Result<BTreeSet<Tuple>> {
     let set = ConjSet::compile(disjuncts, ctx.db.snapshot(), None)?;
-    set.eval_impl(ctx, pre_bound, DynRows::None, &mut set.probe_syms(), stop_on_first)
+    set.eval_impl(ctx, pre_bound, None, &mut set.probe_syms(), stop_on_first)
 }
 
 /// The two static modes of a conjunctive plan.
@@ -209,7 +210,7 @@ impl Executor {
             PlanKind::Conj(set) => set.eval_impl(
                 ctx,
                 pre_bound,
-                DynRows::None,
+                None,
                 &mut set.probe_syms(),
                 stop_on_first,
             ),
@@ -240,9 +241,14 @@ impl Executor {
             .ok_or_else(|| QueryError::Internal("plan compiled without a dynamic relation".into()))?;
         match &self.kind {
             PlanKind::Conj(set) => {
-                let mut syms = set.probe_syms();
-                let table = intern_table(spec.arity, items, &mut syms);
-                set.eval_impl(ctx, None, DynRows::Table(&table), &mut syms, stop_on_first)
+                let pool = set.intern_pool(spec, items)?;
+                let rows: Vec<u32> = (0..pool.rows as u32).collect();
+                let dyn_rows = Some(DynRows {
+                    pool: &pool,
+                    rows: &rows,
+                    pinned: None,
+                });
+                set.eval_impl(ctx, None, dyn_rows, &mut set.pool_syms(&pool), stop_on_first)
             }
             PlanKind::Fo(fp) => {
                 let rel = spec.materialize(items);
@@ -371,27 +377,10 @@ impl CompiledPlan {
     /// plans bind items per probe. Every item must have the dynamic
     /// relation's arity. The pool belongs to this plan.
     pub fn intern_pool(&self, items: &[Tuple]) -> Result<Option<DynPool>> {
-        let (PlanKind::Conj(set), Some(spec)) = (&self.exec.kind, &self.exec.dynamic) else {
-            return Ok(None);
-        };
-        let mut syms = set.probe_syms();
-        let mut cells = Vec::with_capacity(items.len() * spec.arity);
-        for t in items {
-            if t.arity() != spec.arity {
-                return Err(QueryError::AtomArityMismatch {
-                    relation: spec.name.clone(),
-                    expected: spec.arity,
-                    found: t.arity(),
-                });
-            }
-            cells.extend(t.values().iter().map(|v| syms.intern(v)));
+        match (&self.exec.kind, &self.exec.dynamic) {
+            (PlanKind::Conj(set), Some(spec)) => Ok(Some(set.intern_pool(spec, items)?)),
+            _ => Ok(None),
         }
-        Ok(Some(DynPool {
-            arity: spec.arity,
-            rows: items.len(),
-            cells,
-            ext: syms.extra.into_owned(),
-        }))
     }
 
     /// [`has_answer_dynamic`](Self::has_answer_dynamic) with the
@@ -405,8 +394,16 @@ impl CompiledPlan {
         meter: Option<&Meter>,
     ) -> Result<bool> {
         pkgrec_trace::counter!("query.plan_probes");
-        self.pooled_set(pool, rows)?
-            .probe_pool(self.ctx(metrics, meter), pool, rows, None)
+        let set = self.pooled_set(pool, rows)?;
+        let dyn_rows = Some(DynRows {
+            pool,
+            rows,
+            pinned: None,
+        });
+        let ctx = self.ctx(metrics, meter);
+        Ok(!set
+            .eval_impl(ctx, None, dyn_rows, &mut set.pool_syms(pool), true)?
+            .is_empty())
     }
 
     /// The incremental emptiness probe: given that the query has *no*
@@ -429,7 +426,7 @@ impl CompiledPlan {
             .last()
             .ok_or_else(|| QueryError::Internal("a delta probe needs its newest row".into()))?;
         self.pooled_set(pool, rows)?
-            .probe_pool(self.ctx(metrics, meter), pool, rows, Some(newest))
+            .probe_delta(self.ctx(metrics, meter), pool, rows, newest)
     }
 
     /// The conjunctive plan a pooled probe runs on, once `pool` and
@@ -438,7 +435,7 @@ impl CompiledPlan {
         let PlanKind::Conj(set) = &self.exec.kind else {
             return Err(QueryError::Internal("pooled probes need a conjunctive plan".into()));
         };
-        if pool.ext.offset as usize != set.consts.end() {
+        if pool.plan != set.id {
             return Err(QueryError::Internal("pool interned by another plan".into()));
         }
         if rows.iter().any(|&r| r as usize >= pool.rows) {
@@ -455,6 +452,8 @@ impl CompiledPlan {
 /// pool rows by index. Read-only after construction, so any number of
 /// search workers share one.
 pub struct DynPool {
+    /// The [`ConjSet::id`] of the plan that interned it.
+    plan: u64,
     arity: usize,
     rows: usize,
     cells: Vec<u32>,
@@ -490,6 +489,9 @@ impl DynSpec {
 
 /// A compiled union of conjunctions over one database snapshot.
 struct ConjSet {
+    /// Unique per compiled set: a [`DynPool`] is only valid for the
+    /// set that interned it, since its ids extend that set's constants.
+    id: u64,
     snap: Arc<Snapshot>,
     /// Query constants absent from the snapshot, with ids above its.
     consts: ExtSyms,
@@ -500,8 +502,8 @@ struct ConjSet {
     use_bitsets: bool,
 }
 
-/// Intern tuples bound for one run — package items, IDB facts —
-/// through the run's interner extension.
+/// Intern tuples bound for one rule run — IDB facts, a Datalog plan's
+/// dynamic relation — through the run's interner extension.
 fn intern_table<'t>(
     arity: usize,
     tuples: impl IntoIterator<Item = &'t Tuple>,
@@ -941,7 +943,9 @@ impl ConjSet {
             .iter()
             .map(|d| plan_disjunct(d, &mut env, &[Mode::Eval, Mode::Membership]))
             .collect::<Result<_>>()?;
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Ok(ConjSet {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             snap: Arc::clone(snap),
             consts: env.consts,
             plans,
@@ -955,37 +959,69 @@ impl ConjSet {
         ProbeSyms::new(self.snap.symbols(), Some(&self.consts))
     }
 
-    /// Whether some disjunct has an answer with the dynamic relation
-    /// bound to `rows` of `pool`. With `pinned` (the newest row), only
-    /// the delta plans run, each with its atom bound to that row.
-    fn probe_pool(
+    /// Intern `items` as the rows of the dynamic relation `spec`, with
+    /// values foreign to the snapshot and the plan's constants interned
+    /// above both. Every item must have the relation's arity.
+    fn intern_pool<'t>(
+        &self,
+        spec: &DynSpec,
+        items: impl IntoIterator<Item = &'t Tuple>,
+    ) -> Result<DynPool> {
+        let mut syms = self.probe_syms();
+        let mut cells = Vec::new();
+        let mut rows = 0;
+        for t in items {
+            if t.arity() != spec.arity {
+                return Err(QueryError::AtomArityMismatch {
+                    relation: spec.name.clone(),
+                    expected: spec.arity,
+                    found: t.arity(),
+                });
+            }
+            cells.extend(t.values().iter().map(|v| syms.intern(v)));
+            rows += 1;
+        }
+        Ok(DynPool {
+            plan: self.id,
+            arity: spec.arity,
+            rows,
+            cells,
+            ext: syms.extra.into_owned(),
+        })
+    }
+
+    /// The interner of a run over `pool`: its foreign values, borrowed.
+    fn pool_syms<'p>(&'p self, pool: &'p DynPool) -> ProbeSyms<'p> {
+        ProbeSyms {
+            base: self.snap.symbols(),
+            consts: Some(&self.consts),
+            extra: Cow::Borrowed(&pool.ext),
+        }
+    }
+
+    /// Whether some delta plan has an answer with the dynamic relation
+    /// bound to `rows` of `pool` and its atom bound to `newest` alone.
+    fn probe_delta(
         &self,
         ctx: EvalContext<'_>,
         pool: &DynPool,
         rows: &[u32],
-        pinned: Option<u32>,
+        newest: u32,
     ) -> Result<bool> {
-        let mut syms = ProbeSyms {
-            base: self.snap.symbols(),
-            consts: Some(&self.consts),
-            extra: Cow::Borrowed(&pool.ext),
-        };
-        let dyn_rows = DynRows::Pool { pool, rows, pinned };
+        let mut syms = self.pool_syms(pool);
+        let dyn_rows = Some(DynRows {
+            pool,
+            rows,
+            pinned: Some(newest),
+        });
         let mut out = BTreeSet::new();
         for plan in &self.plans {
-            let modes = match pinned {
-                Some(_) => plan.deltas(),
-                None => std::slice::from_ref(
-                    plan.modes[Mode::Eval as usize]
-                        .as_ref()
-                        .ok_or_else(|| QueryError::Internal("plan mode was not compiled".into()))?,
-                ),
-            };
-            if modes.is_empty() {
+            let deltas = plan.deltas();
+            if deltas.is_empty() {
                 continue;
             }
             let _span = pkgrec_trace::span!("cq.eval");
-            for mode in modes {
+            for mode in deltas {
                 let run = ConjRun {
                     ctx,
                     rels: self.snap.tables(),
@@ -1010,7 +1046,7 @@ impl ConjSet {
         &self,
         ctx: EvalContext<'_>,
         pre_bound: Option<&Tuple>,
-        dyn_rows: DynRows<'_>,
+        dyn_rows: Option<DynRows<'_>>,
         syms: &mut ProbeSyms<'_>,
         stop_on_first: bool,
     ) -> Result<BTreeSet<Tuple>> {
@@ -1122,7 +1158,7 @@ impl<'e> RuleRunner<'e> {
             mode: plan.modes[Mode::Eval as usize]
                 .as_ref()
                 .expect("planned above"),
-            dyn_rows: DynRows::None,
+            dyn_rows: None,
             stop_on_first: false,
         };
         let mut out = BTreeSet::new();
@@ -1245,24 +1281,19 @@ struct ConjRun<'r> {
     use_bitsets: bool,
     plan: &'r ConjPlan,
     mode: &'r ModePlan,
-    dyn_rows: DynRows<'r>,
+    /// What dynamic atoms range over; `None` matches no row.
+    dyn_rows: Option<DynRows<'r>>,
     stop_on_first: bool,
 }
 
-/// The rows [`Source::Dyn`] atoms range over in one run.
+/// The rows [`Source::Dyn`] atoms range over in one run: rows of an
+/// interned pool, by index. With `pinned`, the first join step reads
+/// that row alone (a delta plan's pinned atom).
 #[derive(Clone, Copy)]
-enum DynRows<'r> {
-    /// Nothing bound: dynamic atoms match no row.
-    None,
-    /// A table interned for this probe.
-    Table(&'r Table),
-    /// Rows of an interned pool, by index. With `pinned`, the first
-    /// join step reads that row alone (a delta plan's pinned atom).
-    Pool {
-        pool: &'r DynPool,
-        rows: &'r [u32],
-        pinned: Option<u32>,
-    },
+struct DynRows<'r> {
+    pool: &'r DynPool,
+    rows: &'r [u32],
+    pinned: Option<u32>,
 }
 
 impl ConjRun<'_> {
@@ -1347,27 +1378,17 @@ impl ConjRun<'_> {
             Source::Base(ri) => &self.rels[ri],
             Source::Local(li) => &self.local[li],
             Source::Dyn => {
-                // Per-probe tuples: a handful of package items, scanned
-                // linearly (no per-probe index construction).
-                match self.dyn_rows {
-                    DynRows::None => {}
-                    DynRows::Table(table) => {
-                        for row in 0..table.rows() as u32 {
-                            if self.candidate(depth, table.row(row), bindings, syms, out)? {
-                                return Ok(true);
-                            }
-                        }
-                    }
-                    DynRows::Pool { pool, rows, pinned } => {
-                        let pinned = pinned.filter(|_| depth == 0);
-                        let rows = match &pinned {
-                            Some(row) => std::slice::from_ref(row),
-                            None => rows,
-                        };
-                        for &row in rows {
-                            if self.candidate(depth, pool.row(row), bindings, syms, out)? {
-                                return Ok(true);
-                            }
+                // A handful of package items, scanned linearly (no
+                // per-probe index construction).
+                if let Some(DynRows { pool, rows, pinned }) = self.dyn_rows {
+                    let pinned = pinned.filter(|_| depth == 0);
+                    let rows = match &pinned {
+                        Some(row) => std::slice::from_ref(row),
+                        None => rows,
+                    };
+                    for &row in rows {
+                        if self.candidate(depth, pool.row(row), bindings, syms, out)? {
+                            return Ok(true);
                         }
                     }
                 }
@@ -2204,6 +2225,32 @@ mod tests {
         let plan = q.compile(&db).unwrap();
         assert!(matches!(
             plan.eval_dynamic([], None, None),
+            Err(QueryError::Internal(_))
+        ));
+    }
+
+    #[test]
+    fn pooled_probes_reject_a_pool_of_another_plan() {
+        // Two compiles of one query over one snapshot: same constants,
+        // so only the pool's owner tells them apart.
+        let db = db();
+        let q = Query::Cq(ConjunctiveQuery::new(
+            Vec::<Term>::new(),
+            vec![RelAtom::new("p", vec![Term::v("x"), Term::c(9)])],
+            vec![],
+        ));
+        let plan = q.compile_with_dynamic(&db, "p", 2).unwrap();
+        let other = q.compile_with_dynamic(&db, "p", 2).unwrap();
+        let items = [tuple![1, 9]];
+        let pool = plan.intern_pool(&items).unwrap().expect("a CQ plan interns a pool");
+        assert!(plan.has_answer_pooled(&pool, &[0], None, None).unwrap());
+        assert!(plan.has_answer_delta(&pool, &[0], None, None).unwrap());
+        assert!(matches!(
+            other.has_answer_pooled(&pool, &[0], None, None),
+            Err(QueryError::Internal(_))
+        ));
+        assert!(matches!(
+            other.has_answer_delta(&pool, &[0], None, None),
             Err(QueryError::Internal(_))
         ));
     }
