@@ -489,17 +489,11 @@ enum Unit {
     Subtree(usize, usize),
 }
 
-/// The package a walk is at, with its items' `Qc` pool rows in the
-/// order the walk added them (see [`SearchContext::classify`]). One
-/// per worker, reset at every unit.
+/// The package a walk is at, with its items' `Qc` pool rows (see
+/// [`SearchContext::classify`]). One per worker, reset at every unit.
 struct Path {
     pkg: Package,
     rows: Vec<u32>,
-    /// Whether `Qc` is known to have no answer over `pkg` without its
-    /// newest item. The parent sets it, and only when it classified
-    /// `Valid`: a cost- or rating-rejected parent never probed `Qc`. A
-    /// unit seed starts without it.
-    parent_qc_empty: bool,
 }
 
 impl Path {
@@ -514,7 +508,6 @@ impl Path {
         self.pkg = Package::new(seed.iter().map(|&i| items[i].clone()));
         self.rows.clear();
         self.rows.extend(seed.iter().map(|&i| ctx.pool_row(i)));
-        self.parent_qc_empty = false;
         start
     }
 }
@@ -545,7 +538,7 @@ fn build_units(
             let skip = ctx.prune(&single)
                 || (ctx.qc_antimonotone()
                     && matches!(
-                        ctx.classify(&single, rating_bound, &[ctx.pool_row(i)], false)?,
+                        ctx.classify(&single, rating_bound, &[ctx.pool_row(i)])?,
                         Classified::Rejected(Reject::Compat)
                     ));
             if skip {
@@ -713,7 +706,6 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         let mut path = Path {
             pkg: Package::empty(),
             rows: Vec::new(),
-            parent_qc_empty: false,
         };
         let mut sink = ProgressSink::new(self.progress, self.total_nodes);
         let mut runs = Vec::new();
@@ -848,11 +840,9 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         }
         let ctx = self.ctx;
         let mut rejected = None;
-        let mut valid = false;
-        match ctx.classify(pkg, self.rating_bound, &path.rows, path.parent_qc_empty) {
+        match ctx.classify(pkg, self.rating_bound, &path.rows) {
             Err(e) => return ControlFlow::Break(UnitStop::Error(e)),
             Ok(Classified::Valid(val)) => {
-                valid = true;
                 pkgrec_trace::counter!("enumerate.valid");
                 run.stats.valid_packages += 1;
                 if self.flight {
@@ -893,7 +883,6 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         for (i, item) in lane.items.iter().enumerate().skip(start) {
             path.pkg.insert(item.clone());
             path.rows.push(ctx.pool_row(i));
-            path.parent_qc_empty = valid;
             let flow = self.walk(lane, run, sink, u, path, i + 1);
             path.pkg.remove(item);
             path.rows.pop();
@@ -1110,9 +1099,9 @@ mod tests {
     }
 
     /// A restricted pool (`SearchContext::with_items`, as SketchRefine's
-    /// sub-solves build) probes a CQ `Qc` by the full pool's rows, in
-    /// full and delta probes alike: its valid packages are exactly the
-    /// subsets of its items that `is_valid_package` accepts.
+    /// sub-solves build) probes a CQ `Qc` by the full pool's rows: its
+    /// valid packages are exactly the subsets of its items that
+    /// `is_valid_package` accepts.
     #[test]
     fn restricted_pools_probe_qc_by_their_full_pool_rows() {
         // Items (i, i mod 4); Qc: two distinct items of one group.

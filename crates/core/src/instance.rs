@@ -1,8 +1,8 @@
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pkgrec_data::{Database, Tuple};
-use pkgrec_query::{CompiledPlan, DynPool, EvalContext, MetricSet, Query};
+use pkgrec_query::{CompiledPlan, ConflictHypergraph, DynPool, EvalContext, MetricSet, Query};
 
 use crate::constraints::{Constraint, ANSWER_RELATION};
 use crate::error::{ColumnIssue, CoreError};
@@ -215,15 +215,27 @@ struct PreparedParts {
     qc_antimonotone: bool,
     q_plan: Arc<CompiledPlan>,
     qc_plan: Option<Arc<CompiledPlan>>,
-    qc_pool: Option<Arc<DynPool>>,
+    /// A query `Qc`'s [`PoolProbe`], built on first use
+    /// ([`SearchContext::pool_probe`]) and shared by every context
+    /// stamped from these parts. `None` once built means the full
+    /// probe: an FO or Datalog `Qc`.
+    qc_probe: Option<Arc<OnceLock<Option<PoolProbe>>>>,
 }
 
-/// `Q(D)` interned once for a conjunctive `Qc` plan
-/// ([`CompiledPlan::intern_pool`]), and where a context's items sit in
-/// it.
+/// How the search answers a CQ/UCQ `Qc` from a package's rows of
+/// `Q(D)`: the conflict hypergraph ([`Query::conflict_hypergraph`]),
+/// or over its cap the pool interned for the plan
+/// ([`CompiledPlan::intern_pool`]) and one pooled probe per package.
+#[derive(Debug)]
+enum PoolProbe {
+    Hypergraph(ConflictHypergraph),
+    Pooled(DynPool),
+}
+
+/// A context's [`PoolProbe`], and where its items sit in `Q(D)`.
 #[derive(Debug, Clone)]
 struct QcPool {
-    pool: Arc<DynPool>,
+    probe: Arc<OnceLock<Option<PoolProbe>>>,
     /// The pool row of each of the context's items; `None` when the
     /// items are the whole pool, in pool order.
     rows: Option<Arc<[u32]>>,
@@ -248,11 +260,6 @@ impl PreparedParts {
             }
             _ => None,
         };
-        // A CQ/UCQ `Qc` probes packages as rows of `Q(D)` interned once.
-        let qc_pool = match &qc_plan {
-            Some(plan) => plan.intern_pool(&items)?.map(Arc::new),
-            None => None,
-        };
         validate_fn_columns("cost", &inst.cost, &items)?;
         validate_fn_columns("val", &inst.val, &items)?;
         Ok(PreparedParts {
@@ -260,8 +267,8 @@ impl PreparedParts {
             answer_arity,
             qc_antimonotone: inst.qc.is_antimonotone(),
             q_plan: Arc::new(q_plan),
+            qc_probe: qc_plan.as_ref().map(|_| Arc::default()),
             qc_plan: qc_plan.map(Arc::new),
-            qc_pool,
         })
     }
 
@@ -273,8 +280,8 @@ impl PreparedParts {
             qc_antimonotone: self.qc_antimonotone,
             q_plan: Arc::clone(&self.q_plan),
             qc_plan: self.qc_plan.as_ref().map(Arc::clone),
-            qc_pool: self.qc_pool.as_ref().map(|pool| QcPool {
-                pool: Arc::clone(pool),
+            qc_pool: self.qc_probe.as_ref().map(|probe| QcPool {
+                probe: Arc::clone(probe),
                 rows: None,
             }),
         }
@@ -337,8 +344,8 @@ pub struct SearchContext<'a> {
     /// `Qc` compiled against `D` with the answer relation `R_Q` bound
     /// dynamically, when `Qc` is a query constraint.
     qc_plan: Option<Arc<CompiledPlan>>,
-    /// The items interned for `qc_plan`, when `Qc` is a CQ/UCQ; the
-    /// search probes packages on its path against it.
+    /// How the search probes a CQ/UCQ `Qc` by the rows of the
+    /// packages on its path.
     qc_pool: Option<QcPool>,
 }
 
@@ -384,6 +391,11 @@ impl<'a> SearchContext<'a> {
     /// shared; with a `Qc` pool, each item is located in it.
     pub(crate) fn with_items(&self, items: Arc<[Tuple]>) -> SearchContext<'a> {
         let qc_pool = self.qc_pool.as_ref().map(|qc| {
+            // The probe indexes all of `Q(D)`: build it while the
+            // context's items still are.
+            if let Some(plan) = &self.qc_plan {
+                qc.probe.get_or_init(|| self.pool_probe(plan));
+            }
             let rows = items
                 .iter()
                 .map(|t| {
@@ -395,7 +407,7 @@ impl<'a> SearchContext<'a> {
                 })
                 .collect();
             QcPool {
-                pool: Arc::clone(&qc.pool),
+                probe: Arc::clone(&qc.probe),
                 rows: Some(rows),
             }
         });
@@ -502,16 +514,12 @@ impl<'a> SearchContext<'a> {
     /// `val(N)`; [`Classified::Rejected`] names the first failing check
     /// (cost → rating → compatibility). Membership in `Q(D)` is already
     /// guaranteed by enumeration from `self.items`. `rows` are the
-    /// package items' pool rows ([`SearchContext::pool_row`]), newest
-    /// last; `parent_empty` says `Qc` is known to have no answer over
-    /// the package without its newest item (the walk sets it only when
-    /// that parent classified `Valid`), so the probe may be incremental.
+    /// package items' pool rows ([`SearchContext::pool_row`]).
     pub(crate) fn classify(
         &self,
         pkg: &Package,
         rating_bound: Option<Ext>,
         rows: &[u32],
-        parent_empty: bool,
     ) -> Result<Classified> {
         if self.inst.cost.eval(pkg) > self.inst.budget {
             return Ok(Classified::Rejected(Reject::Cost));
@@ -522,25 +530,46 @@ impl<'a> SearchContext<'a> {
                 return Ok(Classified::Rejected(Reject::Rating));
             }
         }
-        if !self.qc_satisfied_by(pkg, rows, parent_empty)? {
+        if !self.qc_satisfied_by(pkg, rows)? {
             return Ok(Classified::Rejected(Reject::Compat));
         }
         Ok(Classified::Valid(val))
     }
 
-    /// `Qc(N, D) = ∅`, probed by pool rows when `Qc` has a pool and by
-    /// the full check otherwise.
-    fn qc_satisfied_by(&self, pkg: &Package, rows: &[u32], parent_empty: bool) -> Result<bool> {
+    /// `Qc(N, D) = ∅`, answered from pool rows when `Qc` is a CQ/UCQ
+    /// and by the full check otherwise.
+    fn qc_satisfied_by(&self, pkg: &Package, rows: &[u32]) -> Result<bool> {
         let (Some(qc), Some(plan)) = (&self.qc_pool, &self.qc_plan) else {
             return self.qc_satisfied(pkg);
         };
-        let metrics = self.inst.metrics.as_ref();
-        let found = if parent_empty {
-            plan.has_answer_delta(&qc.pool, rows, metrics, None)?
-        } else {
-            plan.has_answer_pooled(&qc.pool, rows, metrics, None)?
+        match qc.probe.get_or_init(|| self.pool_probe(plan)) {
+            Some(PoolProbe::Hypergraph(graph)) => {
+                pkgrec_trace::counter!("core.hypergraph_checks");
+                Ok(!graph.hits(rows))
+            }
+            Some(PoolProbe::Pooled(pool)) => {
+                Ok(!plan.has_answer_pooled(pool, rows, self.inst.metrics.as_ref(), None)?)
+            }
+            None => self.qc_satisfied(pkg),
+        }
+    }
+
+    /// Build the [`PoolProbe`] of the query `Qc` compiled as `plan`
+    /// over this context's items, which are all of `Q(D)`: a restricted
+    /// context ([`SearchContext::with_items`]) finds it built. It is the
+    /// conflict hypergraph, or the pool interned for `plan`; `None` for
+    /// an FO or Datalog `Qc`, and when interning fails (the full probe
+    /// then reports the error).
+    fn pool_probe(&self, plan: &CompiledPlan) -> Option<PoolProbe> {
+        let pool = &self.items[..];
+        let Constraint::Query(qc) = &self.inst.qc else {
+            return None;
         };
-        Ok(!found)
+        let (db, metrics) = (&self.inst.db, self.inst.metrics.as_ref());
+        match qc.conflict_hypergraph(db, ANSWER_RELATION, self.answer_arity, pool, metrics) {
+            Some(graph) => Some(PoolProbe::Hypergraph(graph)),
+            None => plan.intern_pool(pool).ok()?.map(PoolProbe::Pooled),
+        }
     }
 }
 

@@ -24,6 +24,7 @@ mod datalog;
 mod error;
 pub mod eval;
 mod fo;
+mod hypergraph;
 mod language;
 mod metric;
 pub mod parser;
@@ -37,6 +38,7 @@ pub use datalog::{BodyLiteral, DatalogProgram, Rule};
 pub use error::QueryError;
 pub use eval::{EvalContext, RelProvider};
 pub use fo::{Formula, FoQuery};
+pub use hypergraph::ConflictHypergraph;
 pub use language::QueryLanguage;
 pub use metric::{AbsDiff, Discrete, Metric, MetricSet, TableMetric};
 pub use plan::{CompiledPlan, DynPool};

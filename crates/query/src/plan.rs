@@ -37,7 +37,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use pkgrec_data::{
     AttrType, Database, Posting, Relation, RelationSchema, Snapshot, Table, Tuple, Value,
@@ -243,11 +243,7 @@ impl Executor {
             PlanKind::Conj(set) => {
                 let pool = set.intern_pool(spec, items)?;
                 let rows: Vec<u32> = (0..pool.rows as u32).collect();
-                let dyn_rows = Some(DynRows {
-                    pool: &pool,
-                    rows: &rows,
-                    pinned: None,
-                });
+                let dyn_rows = Some((&pool, &rows[..]));
                 set.eval_impl(ctx, None, dyn_rows, &mut set.pool_syms(&pool), stop_on_first)
             }
             PlanKind::Fo(fp) => {
@@ -356,7 +352,7 @@ impl CompiledPlan {
     /// plans stop at the first witness. This is the full check
     /// `Qc(N, D) = ∅`? for one package: its items are interned per
     /// call. A search probing packages drawn from one item pool uses
-    /// [`CompiledPlan::intern_pool`] and the pooled probes instead.
+    /// [`CompiledPlan::intern_pool`] and the pooled probe instead.
     pub fn has_answer_dynamic<'t>(
         &self,
         items: impl IntoIterator<Item = &'t Tuple>,
@@ -371,11 +367,10 @@ impl CompiledPlan {
     }
 
     /// Intern `items` once as the candidate rows of the dynamic
-    /// relation, for [`has_answer_pooled`](Self::has_answer_pooled)
-    /// and [`has_answer_delta`](Self::has_answer_delta). `None` unless
-    /// this is a dynamic conjunctive (CQ/UCQ) plan: FO and Datalog
-    /// plans bind items per probe. Every item must have the dynamic
-    /// relation's arity. The pool belongs to this plan.
+    /// relation, for [`has_answer_pooled`](Self::has_answer_pooled).
+    /// `None` unless this is a dynamic conjunctive (CQ/UCQ) plan: FO
+    /// and Datalog plans bind items per probe. Every item must have the
+    /// dynamic relation's arity. The pool belongs to this plan.
     pub fn intern_pool(&self, items: &[Tuple]) -> Result<Option<DynPool>> {
         match (&self.exec.kind, &self.exec.dynamic) {
             (PlanKind::Conj(set), Some(spec)) => Ok(Some(set.intern_pool(spec, items)?)),
@@ -394,44 +389,6 @@ impl CompiledPlan {
         meter: Option<&Meter>,
     ) -> Result<bool> {
         pkgrec_trace::counter!("query.plan_probes");
-        let set = self.pooled_set(pool, rows)?;
-        let dyn_rows = Some(DynRows {
-            pool,
-            rows,
-            pinned: None,
-        });
-        let ctx = self.ctx(metrics, meter);
-        Ok(!set
-            .eval_impl(ctx, None, dyn_rows, &mut set.pool_syms(pool), true)?
-            .is_empty())
-    }
-
-    /// The incremental emptiness probe: given that the query has *no*
-    /// answer with the dynamic relation bound to `rows` minus its last
-    /// row `t`, whether it has one over all of `rows`. A CQ/UCQ is
-    /// monotone in the relation, so any new answer maps some dynamic
-    /// atom to `t`: only the delta plans run, each binding one dynamic
-    /// atom to `t` first while the others range over all of `rows`,
-    /// and a disjunct that reads no dynamic atom is skipped. The
-    /// precondition is the caller's; unmet, the result means nothing.
-    pub fn has_answer_delta(
-        &self,
-        pool: &DynPool,
-        rows: &[u32],
-        metrics: Option<&MetricSet>,
-        meter: Option<&Meter>,
-    ) -> Result<bool> {
-        pkgrec_trace::counter!("query.plan_probes");
-        let &newest = rows
-            .last()
-            .ok_or_else(|| QueryError::Internal("a delta probe needs its newest row".into()))?;
-        self.pooled_set(pool, rows)?
-            .probe_delta(self.ctx(metrics, meter), pool, rows, newest)
-    }
-
-    /// The conjunctive plan a pooled probe runs on, once `pool` and
-    /// `rows` are checked against it.
-    fn pooled_set(&self, pool: &DynPool, rows: &[u32]) -> Result<&ConjSet> {
         let PlanKind::Conj(set) = &self.exec.kind else {
             return Err(QueryError::Internal("pooled probes need a conjunctive plan".into()));
         };
@@ -441,7 +398,11 @@ impl CompiledPlan {
         if rows.iter().any(|&r| r as usize >= pool.rows) {
             return Err(QueryError::Internal("pool row out of range".into()));
         }
-        Ok(set)
+        let dyn_rows = Some((pool, rows));
+        let ctx = self.ctx(metrics, meter);
+        Ok(!set
+            .eval_impl(ctx, None, dyn_rows, &mut set.pool_syms(pool), true)?
+            .is_empty())
     }
 }
 
@@ -583,23 +544,11 @@ fn shape_determined(s: &Option<usize>, bound: &[bool]) -> bool {
 /// Greedy static atom order: repeatedly pick the atom with the most
 /// already-determined positions (constants or bound variables),
 /// breaking ties toward smaller relations (and, among equals, toward
-/// the last such atom — `max_by_key` keeps the last maximum). A
-/// `first` atom is placed first and the rest ordered after it.
-fn greedy_order(
-    shapes: &[AtomShape],
-    sizes: &[usize],
-    initially_bound: &[bool],
-    first: Option<usize>,
-) -> Vec<usize> {
+/// the last such atom — `max_by_key` keeps the last maximum).
+fn greedy_order(shapes: &[AtomShape], sizes: &[usize], initially_bound: &[bool]) -> Vec<usize> {
     let mut bound = initially_bound.to_vec();
-    let mut remaining: Vec<usize> = (0..shapes.len()).filter(|&i| Some(i) != first).collect();
+    let mut remaining: Vec<usize> = (0..shapes.len()).collect();
     let mut order = Vec::with_capacity(shapes.len());
-    if let Some(a) = first {
-        order.push(a);
-        for &v in shapes[a].iter().flatten() {
-            bound[v] = true;
-        }
-    }
     while !remaining.is_empty() {
         let (pos, &best) = remaining
             .iter()
@@ -703,17 +652,9 @@ struct ConjPlan {
     atoms: Vec<PAtom>,
     builtins: Vec<PBuiltin>,
     nvars: usize,
-    /// Row count per atom, the greedy tie-break: a relation's rows, or
-    /// 0 for the dynamic relation (a handful of package items).
-    sizes: Vec<usize>,
     /// The static plan per [`Mode`] (indexed by `Mode as usize`); a
     /// rule firing plans only [`Mode::Eval`].
     modes: [Option<ModePlan>; 2],
-    /// One delta plan per dynamic atom, in body order: an evaluation
-    /// whose first step binds that atom to a probe's newest row (see
-    /// [`CompiledPlan::has_answer_delta`]). Empty for a disjunct that
-    /// reads no dynamic relation; see [`ConjPlan::deltas`].
-    deltas: OnceLock<Vec<ModePlan>>,
 }
 
 /// What planning a disjunct needs from its surroundings: value
@@ -778,7 +719,14 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
         .collect();
     let nvars = var_ids.len();
 
-    let (shapes, builtin_shapes) = static_shapes(&atoms, &builtins);
+    let shapes: Vec<AtomShape> = atoms
+        .iter()
+        .map(|a| a.terms.iter().map(|t| t.shape()).collect())
+        .collect();
+    let builtin_shapes: Vec<BuiltinShape> = builtins
+        .iter()
+        .map(|b| (b.left.shape(), b.right.shape()))
+        .collect();
     let mut planned = [None, None];
     for &mode in modes {
         let mut initially_bound = vec![false; nvars];
@@ -787,7 +735,7 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
                 initially_bound[v] = true;
             }
         }
-        let plan = plan_mode(&shapes, &builtin_shapes, &sizes, &atoms, initially_bound, None)
+        let plan = plan_mode(&shapes, &builtin_shapes, &sizes, &atoms, initially_bound)
             .map_err(|unscheduled| {
                 let v = d.builtins[unscheduled]
                     .variables()
@@ -804,42 +752,22 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
         atoms,
         builtins,
         nvars,
-        sizes,
         modes: planned,
-        deltas: OnceLock::new(),
     })
 }
 
-/// The static-planning view of a disjunct's atoms and builtins.
-fn static_shapes(
-    atoms: &[PAtom],
-    builtins: &[PBuiltin],
-) -> (Vec<AtomShape>, Vec<BuiltinShape>) {
-    let shapes = atoms
-        .iter()
-        .map(|a| a.terms.iter().map(|t| t.shape()).collect())
-        .collect();
-    let builtin_shapes = builtins
-        .iter()
-        .map(|b| (b.left.shape(), b.right.shape()))
-        .collect();
-    (shapes, builtin_shapes)
-}
-
-/// Fix one static plan: the greedy order (with `first` placed first),
-/// the builtin schedule and probe columns, and which steps are
-/// existence probes and what each binds, given the variables bound
-/// before the join. `Err(i)` names a builtin that can never be
-/// scheduled (an unsafe query).
+/// Fix one static plan: the greedy order, the builtin schedule and
+/// probe columns, and which steps are existence probes and what each
+/// binds, given the variables bound before the join. `Err(i)` names a
+/// builtin that can never be scheduled (an unsafe query).
 fn plan_mode(
     shapes: &[AtomShape],
     builtin_shapes: &[BuiltinShape],
     sizes: &[usize],
     atoms: &[PAtom],
     initially_bound: Vec<bool>,
-    first: Option<usize>,
 ) -> std::result::Result<ModePlan, usize> {
-    let order = greedy_order(shapes, sizes, &initially_bound, first);
+    let order = greedy_order(shapes, sizes, &initially_bound);
     let builtin_at = schedule_builtins(shapes, &order, builtin_shapes, &initially_bound)?;
     let probe = probe_columns(shapes, &order, &initially_bound);
     // Classify fully-bound existence steps and collect what each step
@@ -868,25 +796,6 @@ fn plan_mode(
         bound_vars,
         bound_end,
     })
-}
-
-impl ConjPlan {
-    /// The delta plans, one per dynamic atom in body order, planned on
-    /// first use: a search that never takes a delta probe (packages of
-    /// one item, say) never pays for them.
-    fn deltas(&self) -> &[ModePlan] {
-        self.deltas.get_or_init(|| {
-            let (shapes, builtin_shapes) = static_shapes(&self.atoms, &self.builtins);
-            (0..self.atoms.len())
-                .filter(|&ai| matches!(self.atoms[ai].src, Source::Dyn))
-                .map(|ai| {
-                    let (sizes, unbound) = (&self.sizes, vec![false; self.nvars]);
-                    plan_mode(&shapes, &builtin_shapes, sizes, &self.atoms, unbound, Some(ai))
-                        .expect("the eval mode scheduled every builtin, so every order does")
-                })
-                .collect()
-        })
-    }
 }
 
 /// The planning environment of [`ConjSet::compile`]: atoms resolve to
@@ -997,47 +906,6 @@ impl ConjSet {
             consts: Some(&self.consts),
             extra: Cow::Borrowed(&pool.ext),
         }
-    }
-
-    /// Whether some delta plan has an answer with the dynamic relation
-    /// bound to `rows` of `pool` and its atom bound to `newest` alone.
-    fn probe_delta(
-        &self,
-        ctx: EvalContext<'_>,
-        pool: &DynPool,
-        rows: &[u32],
-        newest: u32,
-    ) -> Result<bool> {
-        let mut syms = self.pool_syms(pool);
-        let dyn_rows = Some(DynRows {
-            pool,
-            rows,
-            pinned: Some(newest),
-        });
-        let mut out = BTreeSet::new();
-        for plan in &self.plans {
-            let deltas = plan.deltas();
-            if deltas.is_empty() {
-                continue;
-            }
-            let _span = pkgrec_trace::span!("cq.eval");
-            for mode in deltas {
-                let run = ConjRun {
-                    ctx,
-                    rels: self.snap.tables(),
-                    local: &[],
-                    use_bitsets: self.use_bitsets,
-                    plan,
-                    mode,
-                    dyn_rows,
-                    stop_on_first: true,
-                };
-                if run.start(None, &mut syms, &mut out)? {
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
     }
 
     /// Evaluate all disjuncts. With `stop_on_first`, returns as soon as
@@ -1287,14 +1155,8 @@ struct ConjRun<'r> {
 }
 
 /// The rows [`Source::Dyn`] atoms range over in one run: rows of an
-/// interned pool, by index. With `pinned`, the first join step reads
-/// that row alone (a delta plan's pinned atom).
-#[derive(Clone, Copy)]
-struct DynRows<'r> {
-    pool: &'r DynPool,
-    rows: &'r [u32],
-    pinned: Option<u32>,
-}
+/// interned pool, by index.
+type DynRows<'r> = (&'r DynPool, &'r [u32]);
 
 impl ConjRun<'_> {
     /// Bind the head to `pre_bound` (when given), check the builtins
@@ -1380,12 +1242,7 @@ impl ConjRun<'_> {
             Source::Dyn => {
                 // A handful of package items, scanned linearly (no
                 // per-probe index construction).
-                if let Some(DynRows { pool, rows, pinned }) = self.dyn_rows {
-                    let pinned = pinned.filter(|_| depth == 0);
-                    let rows = match &pinned {
-                        Some(row) => std::slice::from_ref(row),
-                        None => rows,
-                    };
+                if let Some((pool, rows)) = self.dyn_rows {
                     for &row in rows {
                         if self.candidate(depth, pool.row(row), bindings, syms, out)? {
                             return Ok(true);
@@ -1603,27 +1460,12 @@ pub struct DisjunctReport {
     /// The two static modes: plain evaluation and membership
     /// (head pre-bound).
     pub modes: Vec<ModeReport>,
-    /// The delta plans of a dynamic plan, one per dynamic atom in body
-    /// order (empty when the disjunct reads no dynamic relation).
-    pub deltas: Vec<DeltaReport>,
-}
-
-/// One delta plan: the incremental probe's join schedule for one
-/// dynamic atom (see [`CompiledPlan::has_answer_delta`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaReport {
-    /// The atom's position in the disjunct's body, from 0.
-    pub atom: usize,
-    /// The schedule, with mode `delta`; its first step is that atom,
-    /// bound to the probe's newest row (access `newest-row`).
-    pub plan: ModeReport,
 }
 
 /// One evaluation mode's join schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeReport {
-    /// `eval` (nothing pre-bound), `membership` (head pre-bound) or
-    /// `delta` (one dynamic atom bound to a probe's newest row).
+    /// `eval` (nothing pre-bound) or `membership` (head pre-bound).
     pub mode: &'static str,
     /// Builtins checked before the first join step.
     pub pre_builtins: usize,
@@ -1640,9 +1482,8 @@ pub struct JoinStepReport {
     /// rows are supplied per probe).
     pub rows: Option<usize>,
     /// Access path: `index` (probe a column's postings), `scan`
-    /// (full scan of a base relation), `dynamic-scan` (linear scan
-    /// of the per-probe dynamic rows) or `newest-row` (a delta plan's
-    /// first step, which reads the probe's newest row alone).
+    /// (full scan of a base relation) or `dynamic-scan` (linear scan
+    /// of the per-probe dynamic rows).
     pub access: &'static str,
     /// The column probed when `access` is `index`.
     pub probe_column: Option<usize>,
@@ -1687,7 +1528,6 @@ impl CompiledPlan {
                             .map(|(depth, &ai)| {
                                 let atom = &plan.atoms[ai];
                                 let probe = mode.probe[depth];
-                                let builtins_after = mode.builtin_at[depth + 1].len();
                                 match atom.src {
                                     Source::Base(ri) => JoinStepReport {
                                         relation: set.snap.name(ri).to_string(),
@@ -1695,7 +1535,7 @@ impl CompiledPlan {
                                         access: if probe.is_some() { "index" } else { "scan" },
                                         probe_column: probe,
                                         bitset: mode.exist[depth],
-                                        builtins_after,
+                                        builtins_after: mode.builtin_at[depth + 1].len(),
                                     },
                                     Source::Local(_) => {
                                         unreachable!("only rule firings bind per-run relations")
@@ -1703,14 +1543,10 @@ impl CompiledPlan {
                                     Source::Dyn => JoinStepReport {
                                         relation: dynamic.clone().unwrap_or_default(),
                                         rows: None,
-                                        access: if name == "delta" && depth == 0 {
-                                            "newest-row"
-                                        } else {
-                                            "dynamic-scan"
-                                        },
+                                        access: "dynamic-scan",
                                         probe_column: None,
                                         bitset: false,
-                                        builtins_after,
+                                        builtins_after: mode.builtin_at[depth + 1].len(),
                                     },
                                 }
                             })
@@ -1724,14 +1560,6 @@ impl CompiledPlan {
                             .into_iter()
                             .filter_map(|(m, name)| {
                                 plan.modes[m as usize].as_ref().map(|mp| mode_report(name, mp))
-                            })
-                            .collect(),
-                        deltas: plan
-                            .deltas()
-                            .iter()
-                            .map(|mp| DeltaReport {
-                                atom: mp.order[0],
-                                plan: mode_report("delta", mp),
                             })
                             .collect(),
                     });
@@ -1779,18 +1607,38 @@ impl PlanReport {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push('{');
-                m.write_json_fields(out);
-                out.push('}');
-            }
-            out.push_str("],\"deltas\":[");
-            for (j, delta) in d.deltas.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+                let _ = write!(
+                    out,
+                    "{{\"mode\":\"{}\",\"pre_builtins\":{},\"steps\":[",
+                    m.mode, m.pre_builtins
+                );
+                for (k, s) in m.steps.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("{\"relation\":");
+                    write_string(out, &s.relation);
+                    out.push_str(",\"rows\":");
+                    match s.rows {
+                        Some(n) => {
+                            let _ = write!(out, "{n}");
+                        }
+                        None => out.push_str("null"),
+                    }
+                    let _ = write!(out, ",\"access\":\"{}\",\"probe_column\":", s.access);
+                    match s.probe_column {
+                        Some(c) => {
+                            let _ = write!(out, "{c}");
+                        }
+                        None => out.push_str("null"),
+                    }
+                    let _ = write!(
+                        out,
+                        ",\"bitset\":{},\"builtins_after\":{}}}",
+                        s.bitset, s.builtins_after
+                    );
                 }
-                let _ = write!(out, "{{\"atom\":{},", delta.atom);
-                delta.plan.write_json_fields(out);
-                out.push('}');
+                out.push_str("]}");
             }
             out.push_str("]}");
         }
@@ -1833,12 +1681,8 @@ impl PlanReport {
                 d.builtins,
                 d.variables
             );
-            let dynamic = self.dynamic.as_deref().unwrap_or_default();
-            let deltas = d.deltas.iter().map(|delta| {
-                (format!("delta on {dynamic} atom {}", delta.atom), &delta.plan)
-            });
-            for (label, m) in d.modes.iter().map(|m| (m.mode.to_string(), m)).chain(deltas) {
-                let _ = write!(out, "    {label} order:");
+            for m in &d.modes {
+                let _ = write!(out, "    {} order:", m.mode);
                 if m.pre_builtins > 0 {
                     let _ = write!(out, " ({} builtins before the join)", m.pre_builtins);
                 }
@@ -1876,46 +1720,6 @@ impl PlanReport {
             let _ = writeln!(out, "  checked program: {n} rules");
         }
         out
-    }
-}
-
-impl ModeReport {
-    /// Write this schedule's JSON fields (no enclosing braces).
-    fn write_json_fields(&self, out: &mut String) {
-        use pkgrec_trace::json::write_string;
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "\"mode\":\"{}\",\"pre_builtins\":{},\"steps\":[",
-            self.mode, self.pre_builtins
-        );
-        for (k, s) in self.steps.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"relation\":");
-            write_string(out, &s.relation);
-            out.push_str(",\"rows\":");
-            match s.rows {
-                Some(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(out, ",\"access\":\"{}\",\"probe_column\":", s.access);
-            match s.probe_column {
-                Some(c) => {
-                    let _ = write!(out, "{c}");
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(
-                out,
-                ",\"bitset\":{},\"builtins_after\":{}}}",
-                s.bitset, s.builtins_after
-            );
-        }
-        out.push(']');
     }
 }
 
@@ -2244,13 +2048,8 @@ mod tests {
         let items = [tuple![1, 9]];
         let pool = plan.intern_pool(&items).unwrap().expect("a CQ plan interns a pool");
         assert!(plan.has_answer_pooled(&pool, &[0], None, None).unwrap());
-        assert!(plan.has_answer_delta(&pool, &[0], None, None).unwrap());
         assert!(matches!(
             other.has_answer_pooled(&pool, &[0], None, None),
-            Err(QueryError::Internal(_))
-        ));
-        assert!(matches!(
-            other.has_answer_delta(&pool, &[0], None, None),
             Err(QueryError::Internal(_))
         ));
     }
@@ -2379,33 +2178,6 @@ mod tests {
             assert_eq!(s.rows, None);
             assert_eq!(s.probe_column, None);
         }
-        // One delta plan per dynamic atom: `picked` (atom 1) bound to
-        // the newest row first, then `e` probed on the bound `x`.
-        let deltas = &report.disjuncts[0].deltas;
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].atom, 1);
-        assert_eq!(deltas[0].plan.mode, "delta");
-        let steps = &deltas[0].plan.steps;
-        assert_eq!((steps[0].relation.as_str(), steps[0].access), ("picked", "newest-row"));
-        assert_eq!((steps[1].relation.as_str(), steps[1].access), ("e", "index"));
-        assert_eq!(steps[1].probe_column, Some(0));
-        let human = report.render_human();
-        assert!(
-            human.contains("  delta on picked atom 1 order:\n      1. picked [dynamic] newest-row\n"),
-            "{human}"
-        );
-        let json = pkgrec_trace::json::parse(&report.to_json()).expect("explain JSON parses");
-        let disjunct = &json.get("disjuncts").and_then(|v| v.as_array()).unwrap()[0];
-        let deltas = disjunct.get("deltas").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].get("atom").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(deltas[0].get("mode").and_then(|v| v.as_str()), Some("delta"));
-        // A plan without a dynamic relation has no delta plans.
-        let plain = q.compile(&db);
-        assert!(plain.is_err(), "`picked` is not a base relation");
-        let report = path2().compile(&db).unwrap().explain();
-        assert!(report.disjuncts.iter().all(|d| d.deltas.is_empty()));
-        assert!(!report.render_human().contains("delta"));
     }
 
     #[test]

@@ -57,6 +57,11 @@
 //! | `query.plan_probes` | query | compiled-plan evaluations / membership probes |
 //! | `query.index_builds` | query | column postings built (snapshot columns, once per epoch; per-run IDB tables) |
 //! | `query.bitset_probes` | query | fully-bound existence steps answered by posting intersection |
+//! | `query.hypergraph_edges.size0` | query | empty conflict-hypergraph edges: `Qc` rejects every package |
+//! | `query.hypergraph_edges.size1` | query | one-row conflict-hypergraph edges: pool rows no package may hold |
+//! | `query.hypergraph_edges.size2` | query | two-row conflict-hypergraph edges: conflicting pool-row pairs |
+//! | `query.hypergraph_edges.size3plus` | query | conflict-hypergraph edges of three or more pool rows |
+//! | `query.hypergraph_fallbacks` | query | CQ/UCQ `Qc`s over the conflict hypergraph's cap, probed per package instead |
 //! | `fo.assignments` | query | active-domain rows enumerated |
 //! | `rewrite.steps` | query | language-lattice rewrite steps |
 //! | `enumerate.nodes` | core | package-space DFS nodes visited |
@@ -67,6 +72,7 @@
 //! | `enumerate.valid` | core | packages passing all validity checks |
 //! | `enumerate.worker_panics` | core | search-unit panics caught and converted to typed errors |
 //! | `core.arity_derivations` | core | query answer-arity derivations (O(1) per search) |
+//! | `core.hypergraph_checks` | core | package compatibility checks answered by the conflict hypergraph |
 //! | `frp.candidate_inserts` | core | top-k working-set insertions |
 //! | `sketch.partition_builds` | core | partition indexes built for approximate solves |
 //! | `sketch.sub_solves` | core | exact sub-solves run by the sketch/refine loop |
@@ -136,6 +142,11 @@ pub const COUNTER_REGISTRY: &[CounterInfo] = &[
     CounterInfo { name: "query.plan_probes", layer: "query", help: "compiled-plan evaluations / membership probes" },
     CounterInfo { name: "query.index_builds", layer: "query", help: "column postings built (snapshot columns, once per epoch; per-run IDB tables)" },
     CounterInfo { name: "query.bitset_probes", layer: "query", help: "fully-bound existence steps answered by posting intersection" },
+    CounterInfo { name: "query.hypergraph_edges.size0", layer: "query", help: "empty conflict-hypergraph edges: `Qc` rejects every package" },
+    CounterInfo { name: "query.hypergraph_edges.size1", layer: "query", help: "one-row conflict-hypergraph edges: pool rows no package may hold" },
+    CounterInfo { name: "query.hypergraph_edges.size2", layer: "query", help: "two-row conflict-hypergraph edges: conflicting pool-row pairs" },
+    CounterInfo { name: "query.hypergraph_edges.size3plus", layer: "query", help: "conflict-hypergraph edges of three or more pool rows" },
+    CounterInfo { name: "query.hypergraph_fallbacks", layer: "query", help: "CQ/UCQ `Qc`s over the conflict hypergraph's cap, probed per package instead" },
     CounterInfo { name: "fo.assignments", layer: "query", help: "active-domain rows enumerated" },
     CounterInfo { name: "rewrite.steps", layer: "query", help: "language-lattice rewrite steps" },
     CounterInfo { name: "enumerate.nodes", layer: "core", help: "package-space DFS nodes visited" },
@@ -146,6 +157,7 @@ pub const COUNTER_REGISTRY: &[CounterInfo] = &[
     CounterInfo { name: "enumerate.valid", layer: "core", help: "packages passing all validity checks" },
     CounterInfo { name: "enumerate.worker_panics", layer: "core", help: "search-unit panics caught and converted to typed errors" },
     CounterInfo { name: "core.arity_derivations", layer: "core", help: "query answer-arity derivations (O(1) per search)" },
+    CounterInfo { name: "core.hypergraph_checks", layer: "core", help: "package compatibility checks answered by the conflict hypergraph" },
     CounterInfo { name: "frp.candidate_inserts", layer: "core", help: "top-k working-set insertions" },
     CounterInfo { name: "sketch.partition_builds", layer: "core", help: "partition indexes built for approximate solves" },
     CounterInfo { name: "sketch.sub_solves", layer: "core", help: "exact sub-solves run by the sketch/refine loop" },

@@ -29,7 +29,9 @@ use pkgrec::core::{
     Constraint, Ext, Method, Outcome, Package, PackageFn, RecInstance, SearchStats, SizeBound,
     SketchParams, SolveOptions, ANSWER_RELATION,
 };
-use pkgrec::data::{tuple, AttrType, Database, Relation, RelationSchema, Tuple};
+use pkgrec::data::{
+    tuple, AttrType, Database, PartitionIndex, PartitionParams, Relation, RelationSchema, Tuple,
+};
 use pkgrec::logic::{count_pi1, count_sigma1, gen, is_satisfiable, max_weight_sat, MaximumSigma2};
 use pkgrec::query::parser::{parse_fo, parse_query};
 use pkgrec::query::rewrite::{cq_to_datalog, cq_to_fo, posfo_to_ucq, ucq_to_datalog, ucq_to_fo};
@@ -295,6 +297,40 @@ fn check_sketch(inst: &RecInstance, oracle: &Oracle) {
         selections.push(top.value);
     }
     assert_eq!(selections[1], selections[2], "pruning changed the sketch answer on {inst}");
+    check_sketch_pool(inst, oracle);
+}
+
+/// The sketch solve alone (`refine_cap: 0`) is one exact sub-solve over
+/// a restricted pool, the small partition tree's top-level
+/// representatives (all of `Q(D)` when the tree is one leaf): its
+/// answer is the oracle's top-k among the packages drawn from that
+/// pool. The end-to-end checks above cannot see a sub-solve that
+/// rejects valid packages, for instance one that probes `Qc` with its
+/// items at the wrong rows of `Q(D)`: verification only drops invalid
+/// ones.
+fn check_sketch_pool(inst: &RecInstance, oracle: &Oracle) {
+    let params = SketchParams { fanout: 3, leaf_cap: 3, refine_cap: 0, ..SketchParams::default() };
+    let mut columns: Vec<usize> =
+        inst.cost.numeric_columns().iter().chain(inst.val.numeric_columns()).copied().collect();
+    columns.sort_unstable();
+    columns.dedup();
+    let tree = PartitionParams { fanout: 3, leaf_cap: 3, seed: params.seed, columns };
+    let index = PartitionIndex::build(&oracle.items, &tree);
+    let root = index.node(index.root());
+    let pool: BTreeSet<&Tuple> = match root.children.is_empty() || oracle.items.len() <= 3 {
+        true => oracle.items.iter().collect(),
+        false => root.children.iter().map(|&c| &oracle.items[index.node(c).rep]).collect(),
+    };
+    let drawn: Vec<Package> = oracle
+        .packages()
+        .into_iter()
+        .filter(|p| p.iter().all(|t| pool.contains(t)))
+        .take(oracle.k)
+        .collect();
+    let want = (drawn.len() == oracle.k).then_some(drawn);
+    let opts = SolveOptions::unbounded().with_jobs(1).with_approx(params);
+    let got = frp::top_k(inst, &opts).unwrap().value;
+    assert_eq!(got, want, "sketch solve over {pool:?} on {inst}");
 }
 
 /// The query forms checked per random CQ pair: the CQ, its UCQ with
@@ -343,7 +379,8 @@ fn check_query(db: &Arc<Database>, q: &Query) {
 /// `D` with `RQ` materialized: a plan's `eval_dynamic` and
 /// `has_answer_dynamic` (postings on and off), `has_answer_with`, and
 /// `Constraint::satisfied`, for the CQ and its FO and Datalog forms;
-/// then the CQ plan's pooled and delta probes (see `check_pooled`).
+/// then the CQ plan's pooled probe and its conflict hypergraph (see
+/// `check_pooled`).
 fn check_dynamic(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
     let with_rq = db.with_relation(relation(ANSWER_RELATION, 2, items));
     let pkg = Package::new(items.iter().cloned());
@@ -367,12 +404,19 @@ fn check_dynamic(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
 /// A pool of `items` plus rows foreign to the snapshot and to the
 /// plan's constants, interned once, postings on and off. Over every
 /// subset `N` of the pool, the pooled probe equals
-/// `has_answer_dynamic`; and for every `t ∈ N` with no answer over
-/// `N − {t}`, so does the delta probe on `N` with `t` newest.
+/// `has_answer_dynamic`, and so does "`N` contains an edge of the
+/// conflict hypergraph" (whose edges have at most as many rows as the
+/// CQ has `RQ` atoms).
 fn check_pooled(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
     let pool_items: Vec<Tuple> =
         items.iter().cloned().chain([tuple![99, 98], tuple![0, 97]]).collect();
     let n = pool_items.len() as u32;
+    let graph = Query::Cq(cq.clone())
+        .conflict_hypergraph(db, ANSWER_RELATION, 2, &pool_items, None)
+        .expect("at most two `RQ` atoms fit the cap");
+    let width = cq.atoms.iter().filter(|a| &*a.relation == ANSWER_RELATION).count();
+    let counts = graph.edge_counts();
+    assert!(counts[width + 1..].iter().all(|&c| c == 0), "{counts:?} on {cq}");
     for bitsets in [true, false] {
         let plan = Query::Cq(cq.clone()).compile_with_dynamic(db, ANSWER_RELATION, 2).unwrap();
         let plan = plan.with_bitsets(bitsets);
@@ -383,17 +427,51 @@ fn check_pooled(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
             let full = plan.has_answer_dynamic(tuples, None, None).unwrap();
             let pooled = plan.has_answer_pooled(&pool, &rows, None, None).unwrap();
             assert_eq!(pooled, full, "pooled rows {rows:?} on {cq}");
-            for &t in &rows {
-                let mut path: Vec<u32> = rows.iter().copied().filter(|&r| r != t).collect();
-                if plan.has_answer_pooled(&pool, &path, None, None).unwrap() {
-                    continue;
-                }
-                path.push(t);
-                let delta = plan.has_answer_delta(&pool, &path, None, None).unwrap();
-                assert_eq!(delta, full, "delta rows {path:?} on {cq}");
-            }
+            assert_eq!(graph.hits(&rows), full, "hypergraph on rows {rows:?} on {cq}");
         }
     }
+}
+
+/// Each edge size of the conflict hypergraph against
+/// `has_answer_dynamic` over every subset of a pool: a UCQ whose
+/// `RQ`-free disjunct holds on `D` (one size-0 edge, so even `∅` is
+/// incompatible), two `RQ` atoms that one row can satisfy alone (size
+/// 1), two that need distinct rows (size 2), the museum-cap shape
+/// (size 3), and a CQ over the cap (no hypergraph), whose instance the
+/// solvers still answer as the oracle does.
+#[test]
+fn conflict_hypergraphs_cover_every_edge_size_and_the_cap() {
+    let r = [(0, 1), (1, 1), (2, 1), (3, 0), (1, 0)];
+    let db = Arc::new(rs_db(r.into_iter().collect(), [2].into_iter().collect()));
+    let items: Vec<Tuple> = r[..4].iter().map(|&(a, b)| tuple![a, b]).collect();
+    let ucq = UnionQuery::new(vec![cq("qc() :- RQ(x, y), r(y, x)."), cq("qc() :- s(z).")]);
+    let museum = [0, 0, 0, 1];
+    let cases = [
+        (Query::Ucq(ucq.unwrap()), [1, 0, 0, 0]),
+        (Query::Cq(cq("qc() :- RQ(x1, c), RQ(x2, c).")), [0, 4, 0, 0]),
+        (Query::Cq(cq("qc() :- RQ(x1, c), RQ(x2, c), x1 != x2.")), [0, 0, 3, 0]),
+        (Query::Cq(cq("qc() :- RQ(x, c), RQ(y, c), RQ(z, c), x != y, x != z, y != z.")), museum),
+    ];
+    for (qc, counts) in cases {
+        let graph = qc.conflict_hypergraph(&db, ANSWER_RELATION, 2, &items, None);
+        let graph = graph.expect("within the cap");
+        assert_eq!(graph.edge_counts(), counts, "{qc}");
+        let plan = qc.compile_with_dynamic(&db, ANSWER_RELATION, 2).unwrap();
+        for mask in 0u32..1 << items.len() {
+            let rows: Vec<u32> = (0..items.len() as u32).filter(|r| mask >> r & 1 == 1).collect();
+            let tuples = rows.iter().map(|&r| &items[r as usize]);
+            let full = plan.has_answer_dynamic(tuples, None, None).unwrap();
+            assert_eq!(graph.hits(&rows), full, "rows {rows:?} on {qc}");
+        }
+    }
+    // A closed walk of five steps through the package's items: one
+    // more `RQ` atom than the cap, so the search probes the pool.
+    let capped = Query::Cq(cq("qc() :- RQ(a, b), RQ(b, c), RQ(c, d), RQ(d, e), RQ(e, a)."));
+    assert!(capped.conflict_hypergraph(&db, ANSWER_RELATION, 2, &items, None).is_none());
+    let inst = deep_instance((*db).clone(), capped, 2);
+    let oracle = Oracle::new(&inst).expect("small");
+    check_library(&inst, &oracle, &[Ext::NegInf, Ext::Finite(4.0)]);
+    check_sketch(&inst, &oracle);
 }
 
 fn item_set(a: i64, b: i64) -> impl Strategy<Value = Vec<Tuple>> {
