@@ -2,7 +2,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use pkgrec_data::{Database, Tuple};
-use pkgrec_query::{CompiledPlan, ConflictHypergraph, DynPool, EvalContext, MetricSet, Query};
+use pkgrec_query::{CompiledPlan, ConflictHypergraph, EvalContext, MetricSet, Query};
 
 use crate::constraints::{Constraint, ANSWER_RELATION};
 use crate::error::{ColumnIssue, CoreError};
@@ -215,27 +215,21 @@ struct PreparedParts {
     qc_antimonotone: bool,
     q_plan: Arc<CompiledPlan>,
     qc_plan: Option<Arc<CompiledPlan>>,
-    /// A query `Qc`'s [`PoolProbe`], built on first use
-    /// ([`SearchContext::pool_probe`]) and shared by every context
-    /// stamped from these parts. `None` once built means the full
-    /// probe: an FO or Datalog `Qc`.
-    qc_probe: Option<Arc<OnceLock<Option<PoolProbe>>>>,
+    /// A CQ/UCQ `Qc`'s conflict hypergraph, built on first use
+    /// ([`SearchContext::hypergraph`]) and shared by every context
+    /// stamped from these parts.
+    qc_graph: Option<LazyGraph>,
 }
 
-/// How the search answers a CQ/UCQ `Qc` from a package's rows of
-/// `Q(D)`: the conflict hypergraph ([`Query::conflict_hypergraph`]),
-/// or over its cap the pool interned for the plan
-/// ([`CompiledPlan::intern_pool`]) and one pooled probe per package.
-#[derive(Debug)]
-enum PoolProbe {
-    Hypergraph(ConflictHypergraph),
-    Pooled(DynPool),
-}
+/// A conflict hypergraph ([`Query::conflict_hypergraph`]) built once on
+/// demand; `None` inside when the build is over its cap, so the search
+/// probes `Qc` in full.
+type LazyGraph = Arc<OnceLock<Option<ConflictHypergraph>>>;
 
-/// A context's [`PoolProbe`], and where its items sit in `Q(D)`.
+/// A context's [`LazyGraph`], and where its items sit in `Q(D)`.
 #[derive(Debug, Clone)]
 struct QcPool {
-    probe: Arc<OnceLock<Option<PoolProbe>>>,
+    graph: LazyGraph,
     /// The pool row of each of the context's items; `None` when the
     /// items are the whole pool, in pool order.
     rows: Option<Arc<[u32]>>,
@@ -267,7 +261,8 @@ impl PreparedParts {
             answer_arity,
             qc_antimonotone: inst.qc.is_antimonotone(),
             q_plan: Arc::new(q_plan),
-            qc_probe: qc_plan.as_ref().map(|_| Arc::default()),
+            qc_graph: matches!(inst.qc, Constraint::Query(Query::Cq(_) | Query::Ucq(_)))
+                .then(Arc::default),
             qc_plan: qc_plan.map(Arc::new),
         })
     }
@@ -280,8 +275,8 @@ impl PreparedParts {
             qc_antimonotone: self.qc_antimonotone,
             q_plan: Arc::clone(&self.q_plan),
             qc_plan: self.qc_plan.as_ref().map(Arc::clone),
-            qc_pool: self.qc_probe.as_ref().map(|probe| QcPool {
-                probe: Arc::clone(probe),
+            qc_pool: self.qc_graph.as_ref().map(|graph| QcPool {
+                graph: Arc::clone(graph),
                 rows: None,
             }),
         }
@@ -344,8 +339,8 @@ pub struct SearchContext<'a> {
     /// `Qc` compiled against `D` with the answer relation `R_Q` bound
     /// dynamically, when `Qc` is a query constraint.
     qc_plan: Option<Arc<CompiledPlan>>,
-    /// How the search probes a CQ/UCQ `Qc` by the rows of the
-    /// packages on its path.
+    /// The conflict hypergraph of a CQ/UCQ `Qc`, which the search
+    /// probes by the pool rows of the packages on its path.
     qc_pool: Option<QcPool>,
 }
 
@@ -391,11 +386,9 @@ impl<'a> SearchContext<'a> {
     /// shared; with a `Qc` pool, each item is located in it.
     pub(crate) fn with_items(&self, items: Arc<[Tuple]>) -> SearchContext<'a> {
         let qc_pool = self.qc_pool.as_ref().map(|qc| {
-            // The probe indexes all of `Q(D)`: build it while the
+            // The hypergraph indexes all of `Q(D)`: build it while the
             // context's items still are.
-            if let Some(plan) = &self.qc_plan {
-                qc.probe.get_or_init(|| self.pool_probe(plan));
-            }
+            qc.graph.get_or_init(|| self.hypergraph());
             let rows = items
                 .iter()
                 .map(|t| {
@@ -407,7 +400,7 @@ impl<'a> SearchContext<'a> {
                 })
                 .collect();
             QcPool {
-                probe: Arc::clone(&qc.probe),
+                graph: Arc::clone(&qc.graph),
                 rows: Some(rows),
             }
         });
@@ -536,40 +529,31 @@ impl<'a> SearchContext<'a> {
         Ok(Classified::Valid(val))
     }
 
-    /// `Qc(N, D) = ∅`, answered from pool rows when `Qc` is a CQ/UCQ
-    /// and by the full check otherwise.
+    /// `Qc(N, D) = ∅`, answered from pool rows by the conflict
+    /// hypergraph when `Qc` has one and by the full check otherwise.
     fn qc_satisfied_by(&self, pkg: &Package, rows: &[u32]) -> Result<bool> {
-        let (Some(qc), Some(plan)) = (&self.qc_pool, &self.qc_plan) else {
-            return self.qc_satisfied(pkg);
-        };
-        match qc.probe.get_or_init(|| self.pool_probe(plan)) {
-            Some(PoolProbe::Hypergraph(graph)) => {
+        match self
+            .qc_pool
+            .as_ref()
+            .and_then(|qc| qc.graph.get_or_init(|| self.hypergraph()).as_ref())
+        {
+            Some(graph) => {
                 pkgrec_trace::counter!("core.hypergraph_checks");
                 Ok(!graph.hits(rows))
-            }
-            Some(PoolProbe::Pooled(pool)) => {
-                Ok(!plan.has_answer_pooled(pool, rows, self.inst.metrics.as_ref(), None)?)
             }
             None => self.qc_satisfied(pkg),
         }
     }
 
-    /// Build the [`PoolProbe`] of the query `Qc` compiled as `plan`
-    /// over this context's items, which are all of `Q(D)`: a restricted
-    /// context ([`SearchContext::with_items`]) finds it built. It is the
-    /// conflict hypergraph, or the pool interned for `plan`; `None` for
-    /// an FO or Datalog `Qc`, and when interning fails (the full probe
-    /// then reports the error).
-    fn pool_probe(&self, plan: &CompiledPlan) -> Option<PoolProbe> {
-        let pool = &self.items[..];
-        let Constraint::Query(qc) = &self.inst.qc else {
+    /// The conflict hypergraph of the CQ/UCQ `Qc` over this context's
+    /// items, which are all of `Q(D)`: a restricted context
+    /// ([`SearchContext::with_items`]) finds it built. `None` over the
+    /// build's cap.
+    fn hypergraph(&self) -> Option<ConflictHypergraph> {
+        let (Constraint::Query(qc), Some(plan)) = (&self.inst.qc, &self.qc_plan) else {
             return None;
         };
-        let (db, metrics) = (&self.inst.db, self.inst.metrics.as_ref());
-        match qc.conflict_hypergraph(db, ANSWER_RELATION, self.answer_arity, pool, metrics) {
-            Some(graph) => Some(PoolProbe::Hypergraph(graph)),
-            None => plan.intern_pool(pool).ok()?.map(PoolProbe::Pooled),
-        }
+        qc.conflict_hypergraph(plan, &self.items, self.inst.metrics.as_ref())
     }
 }
 

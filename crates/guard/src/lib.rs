@@ -199,6 +199,19 @@ impl Budget {
             deadline: self.effective_deadline(),
             spent: Cell::new(0),
             next_check: Cell::new(CHECK_INTERVAL),
+            observed: true,
+        }
+    }
+
+    /// A meter for a work cap internal to a solver step, not the
+    /// caller's budget: it enforces the same limits, but its steps are
+    /// not added to the open trace span, and running out is no
+    /// interruption of the search (no `guard.interrupted`, no flight
+    /// event). The caller handles the error itself.
+    pub fn unobserved_meter(&self) -> Meter {
+        Meter {
+            observed: false,
+            ..self.meter()
         }
     }
 
@@ -328,6 +341,9 @@ pub struct Meter {
     deadline: Option<Instant>,
     spent: Cell<u64>,
     next_check: Cell<u64>,
+    /// Whether steps and interruptions are reported to `pkgrec_trace`
+    /// (see [`Budget::unobserved_meter`]).
+    observed: bool,
 }
 
 impl Meter {
@@ -349,7 +365,9 @@ impl Meter {
     pub fn tick(&self) -> Result<(), Interrupted> {
         let spent = self.spent.get() + 1;
         self.spent.set(spent);
-        pkgrec_trace::add_steps(1);
+        if self.observed {
+            pkgrec_trace::add_steps(1);
+        }
         if let Some(limit) = self.budget.steps {
             if spent > limit {
                 return Err(self.interrupted(Resource::Steps { limit }));
@@ -369,7 +387,9 @@ impl Meter {
     pub fn tick_n(&self, n: u64) -> Result<(), Interrupted> {
         let spent = self.spent.get() + n;
         self.spent.set(spent);
-        pkgrec_trace::add_steps(n);
+        if self.observed {
+            pkgrec_trace::add_steps(n);
+        }
         if let Some(limit) = self.budget.steps {
             if spent > limit {
                 return Err(self.interrupted(Resource::Steps { limit }));
@@ -410,13 +430,15 @@ impl Meter {
     }
 
     fn interrupted(&self, resource: Resource) -> Interrupted {
-        pkgrec_trace::counter!("guard.interrupted");
         let cut = Interrupted {
             resource,
             steps: self.spent.get(),
             span: pkgrec_trace::current_span_name(),
         };
-        flight_interrupted(&cut);
+        if self.observed {
+            pkgrec_trace::counter!("guard.interrupted");
+            flight_interrupted(&cut);
+        }
         cut
     }
 }
@@ -1005,6 +1027,25 @@ mod tests {
         // 1 + 2 + the interrupting tick, all attributed to the span.
         assert_eq!(report.spans["guard.test"].steps, 4);
         assert_eq!(report.counters["guard.interrupted"], 1);
+    }
+
+    #[test]
+    fn unobserved_meters_enforce_limits_without_reporting() {
+        let _on = pkgrec_trace::scoped();
+        let _fl = pkgrec_trace::flight::scoped();
+        pkgrec_trace::reset();
+        pkgrec_trace::flight::reset();
+        let m = Budget::with_steps(2).unobserved_meter();
+        let err = {
+            let _s = pkgrec_trace::span!("guard.test");
+            m.tick_n(2).unwrap();
+            m.tick().unwrap_err()
+        };
+        assert_eq!((err.resource, err.steps), (Resource::Steps { limit: 2 }, 3));
+        let report = pkgrec_trace::take();
+        assert_eq!(report.spans["guard.test"].steps, 0);
+        assert!(!report.counters.contains_key("guard.interrupted"));
+        assert!(pkgrec_trace::flight::take_recording().events.is_empty());
     }
 
     #[test]

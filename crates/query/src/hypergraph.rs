@@ -7,14 +7,11 @@
 //! and UCQ, not FO or recursive Datalog. The witness query can have up
 //! to `|pool|^m` answers, so the build is capped.
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
-
-use pkgrec_data::{Database, Tuple, Value};
+use pkgrec_data::{Tuple, Value};
 use pkgrec_guard::Budget;
 
 use crate::metric::MetricSet;
-use crate::{ConjunctiveQuery, Query, RelAtom, Term, UnionQuery};
+use crate::{CompiledPlan, ConjunctiveQuery, Query, RelAtom, Term, UnionQuery};
 
 /// The most `RQ` atoms one disjunct may have.
 const MAX_RQ_ATOMS: usize = 4;
@@ -55,16 +52,16 @@ fn set_bit(words: &mut [u64], row: u32) {
 
 impl Query {
     /// This CQ/UCQ `Qc`'s conflict hypergraph over `items`, the rows of
-    /// the dynamic relation `name` (arity `arity`), by their index in
-    /// `items`. `None` for FO and Datalog; also over the build's cap
-    /// and when the witness query fails to compile or run, counted as
-    /// `query.hypergraph_fallbacks` (a per-package probe of `Qc` then
-    /// reports any genuine error). Compiles one plan and runs one probe.
+    /// the dynamic relation of `plan` (this query compiled by
+    /// [`Query::compile_with_dynamic`]), by their index in `items`.
+    /// `None` for FO and Datalog; also over the build's cap and when a
+    /// probe fails, counted as `query.hypergraph_fallbacks` (a
+    /// per-package probe of `Qc` then reports any genuine error). With
+    /// at most one `RQ` atom per disjunct, `plan` probes `∅` and each
+    /// row alone; otherwise one witness query is compiled and run once.
     pub fn conflict_hypergraph(
         &self,
-        db: &Arc<Database>,
-        name: &str,
-        arity: usize,
+        plan: &CompiledPlan,
         items: &[Tuple],
         metrics: Option<&MetricSet>,
     ) -> Option<ConflictHypergraph> {
@@ -77,58 +74,22 @@ impl Query {
             pkgrec_trace::counter!("query.hypergraph_fallbacks");
             None
         };
-        let is_rq = |a: &RelAtom| *a.relation == *name;
+        let (name, _) = plan.dynamic()?;
         let width = disjuncts
             .iter()
-            .map(|d| d.atoms.iter().filter(|a| is_rq(a)).count());
-        let width = width.max().unwrap_or(0);
-        if width > MAX_RQ_ATOMS {
-            return fallback();
-        }
-        let witness = disjuncts.iter().map(|d| {
-            let mut head = Vec::with_capacity(width);
-            let atoms: Vec<RelAtom> = d
-                .atoms
-                .iter()
-                .map(|a| match is_rq(a) {
-                    false => a.clone(),
-                    true => {
-                        let row = Term::v(format!("#row{}", head.len()));
-                        head.push(row.clone());
-                        let terms: Vec<Term> =
-                            std::iter::once(row).chain(a.terms.clone()).collect();
-                        RelAtom::new(name, terms)
-                    }
-                })
-                .collect();
-            head.resize(width, Term::c(NO_ROW));
-            ConjunctiveQuery::new(head, atoms, d.builtins.clone())
-        });
-        let witness = UnionQuery::new(witness.collect::<Vec<_>>()).map(Query::Ucq);
-        let Ok(plan) = witness.and_then(|w| w.compile_with_dynamic(db, name, arity + 1)) else {
+            .map(|d| d.atoms.iter().filter(|a| *a.relation == *name).count());
+        let edges = match width.max().unwrap_or(0) {
+            0 | 1 => row_edges(plan, items, metrics),
+            width @ 2..=MAX_RQ_ATOMS => witness_edges(disjuncts, plan, width, items, metrics),
+            _ => None,
+        };
+        let Some(mut edges) = edges else {
             return fallback();
         };
-        let rows: Vec<Tuple> = (0i64..)
-            .zip(items)
-            .map(|(i, t)| {
-                std::iter::once(Value::Int(i))
-                    .chain(t.values().iter().cloned())
-                    .collect()
-            })
-            .collect();
-        let meter = Budget::with_steps(BUILD_STEPS).meter();
-        let Ok(answers) = plan.eval_dynamic(&rows, metrics, Some(&meter)) else {
-            return fallback();
-        };
-        // Each answer's row set (the padding is no row), smallest first.
-        let edges: BTreeSet<(usize, Vec<u32>)> = answers
-            .iter()
-            .map(|t| {
-                let row = |v: &Value| v.as_int()?.try_into().ok();
-                let e: BTreeSet<u32> = t.values().iter().filter_map(row).collect();
-                (e.len(), e.into_iter().collect())
-            })
-            .collect();
+        // Smallest first, so that every proper subset of an edge comes
+        // before it.
+        edges.sort_unstable_by(|a, b| (a.len(), a).cmp(&(b.len(), b)));
+        edges.dedup();
         let Some(graph) = ConflictHypergraph::minimal(items.len(), &edges) else {
             return fallback();
         };
@@ -145,11 +106,84 @@ impl Query {
     }
 }
 
+/// The edges of a `Qc` with at most one `RQ` atom per disjunct: `∅`
+/// when `plan` has an answer with no row, else each row it has an
+/// answer over alone.
+fn row_edges(
+    plan: &CompiledPlan,
+    items: &[Tuple],
+    metrics: Option<&MetricSet>,
+) -> Option<Vec<Vec<u32>>> {
+    if plan.has_answer_dynamic(std::iter::empty(), metrics, None).ok()? {
+        return Some(vec![Vec::new()]);
+    }
+    let mut edges = Vec::new();
+    for (row, t) in (0..).zip(items) {
+        if plan.has_answer_dynamic([t], metrics, None).ok()? {
+            edges.push(vec![row]);
+        }
+    }
+    Some(edges)
+}
+
+/// The row sets of the witness query's answers, each sorted: every
+/// `RQ` atom of `disjuncts` gains a leading row column bound to a fresh
+/// variable, the head becomes those variables (padded with [`NO_ROW`]
+/// to `width`), and the rewrite runs once over `items` with their row
+/// ids prepended, within [`BUILD_STEPS`] join candidates.
+fn witness_edges(
+    disjuncts: &[ConjunctiveQuery],
+    plan: &CompiledPlan,
+    width: usize,
+    items: &[Tuple],
+    metrics: Option<&MetricSet>,
+) -> Option<Vec<Vec<u32>>> {
+    let (name, arity) = plan.dynamic()?;
+    let witness = disjuncts.iter().map(|d| {
+        let mut head = Vec::with_capacity(width);
+        let atoms: Vec<RelAtom> = d
+            .atoms
+            .iter()
+            .map(|a| match *a.relation == *name {
+                false => a.clone(),
+                true => {
+                    let row = Term::v(format!("#row{}", head.len()));
+                    head.push(row.clone());
+                    let terms: Vec<Term> = std::iter::once(row).chain(a.terms.clone()).collect();
+                    RelAtom::new(name, terms)
+                }
+            })
+            .collect();
+        head.resize(width, Term::c(NO_ROW));
+        ConjunctiveQuery::new(head, atoms, d.builtins.clone())
+    });
+    let witness = UnionQuery::new(witness.collect::<Vec<_>>()).ok()?;
+    let witness = Query::Ucq(witness).compile_with_dynamic(plan.db(), name, arity + 1).ok()?;
+    let rows: Vec<Tuple> = (0i64..)
+        .zip(items)
+        .map(|(i, t)| {
+            std::iter::once(Value::Int(i))
+                .chain(t.values().iter().cloned())
+                .collect()
+        })
+        .collect();
+    let meter = Budget::with_steps(BUILD_STEPS).unobserved_meter();
+    let answers = witness.eval_dynamic(&rows, metrics, Some(&meter)).ok()?;
+    let row = |v: &Value| v.as_int()?.try_into().ok();
+    let edges = answers.iter().map(|t| {
+        let mut e: Vec<u32> = t.values().iter().filter_map(row).collect();
+        e.sort_unstable();
+        e.dedup();
+        e
+    });
+    Some(edges.collect())
+}
+
 impl ConflictHypergraph {
-    /// The hypergraph of the minimal sets among `edges`, each keyed by
-    /// its size so that every proper subset of an edge comes before it.
-    /// `None` when the pairwise matrix would exceed [`MAX_PAIR_WORDS`].
-    fn minimal(rows: usize, edges: &BTreeSet<(usize, Vec<u32>)>) -> Option<ConflictHypergraph> {
+    /// The hypergraph of the minimal sets among `edges`, sorted so that
+    /// every proper subset of an edge comes before it. `None` when the
+    /// pairwise matrix would exceed [`MAX_PAIR_WORDS`].
+    fn minimal(rows: usize, edges: &[Vec<u32>]) -> Option<ConflictHypergraph> {
         let words = rows.div_ceil(64);
         let mut graph = ConflictHypergraph {
             reject_all: false,
@@ -159,7 +193,7 @@ impl ConflictHypergraph {
             wide: Vec::new(),
             counts: [0; 4],
         };
-        for (_, e) in edges {
+        for e in edges {
             // An edge that contains a kept one is not minimal.
             if graph.hits(e) {
                 continue;
@@ -215,7 +249,8 @@ impl ConflictHypergraph {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use pkgrec_data::{tuple, AttrType, Relation, RelationSchema};
+    use pkgrec_data::{tuple, AttrType, Database, Relation, RelationSchema};
+    use std::sync::Arc;
 
     fn db() -> Arc<Database> {
         let mut db = Database::new();
@@ -235,19 +270,15 @@ mod tests {
         let db = db();
         // Over 24^4 join candidates > BUILD_STEPS.
         let any4 = parse_query("q() :- RQ(a, b), RQ(c, d), RQ(e, f), RQ(g, h).").unwrap();
+        let plan = any4.compile_with_dynamic(&db, "RQ", 2).unwrap();
         let items: Vec<Tuple> = (0..24).map(|i| tuple![i, i]).collect();
-        assert!(any4
-            .conflict_hypergraph(&db, "RQ", 2, &items, None)
-            .is_none());
+        assert!(any4.conflict_hypergraph(&plan, &items, None).is_none());
         // One pair edge over 2,100 rows: 2,100 × 33 words > MAX_PAIR_WORDS.
         let pair = parse_query("q() :- RQ(0, x), RQ(1, x).").unwrap();
+        let plan = pair.compile_with_dynamic(&db, "RQ", 2).unwrap();
         let items: Vec<Tuple> = (0..2_100).map(|i| tuple![i, 5]).collect();
-        assert!(pair
-            .conflict_hypergraph(&db, "RQ", 2, &items, None)
-            .is_none());
-        let graph = pair
-            .conflict_hypergraph(&db, "RQ", 2, &items[..64], None)
-            .unwrap();
+        assert!(pair.conflict_hypergraph(&plan, &items, None).is_none());
+        let graph = pair.conflict_hypergraph(&plan, &items[..64], None).unwrap();
         assert_eq!(graph.edge_counts(), [0, 0, 1, 0]);
         assert!(graph.hits(&[1, 7, 0]) && !graph.hits(&[0, 2]));
         let report = pkgrec_trace::take();

@@ -41,7 +41,7 @@ pub use fo::{Formula, FoQuery};
 pub use hypergraph::ConflictHypergraph;
 pub use language::QueryLanguage;
 pub use metric::{AbsDiff, Discrete, Metric, MetricSet, TableMetric};
-pub use plan::{CompiledPlan, DynPool};
+pub use plan::CompiledPlan;
 pub use query::Query;
 pub use term::{var, Builtin, CmpOp, Comparison, RelAtom, Term, Var};
 

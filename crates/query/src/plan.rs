@@ -23,7 +23,8 @@
 //! reuse. The join reads a posting's rows in ascending order and
 //! charges one budget tick per candidate row, so the same query makes
 //! the same charges on every path; an unmetered existence step instead
-//! intersects its postings ([`Posting::intersects_all`]). A Datalog
+//! intersects its postings ([`Posting::intersects_all`]). Once the
+//! head is bound, the join stops at the first witness. A Datalog
 //! fixpoint plans each rule firing against the snapshot and the
 //! round's IDB facts ([`RuleRunner`]).
 //!
@@ -33,10 +34,8 @@
 //! plan cache keys them by `(query, database)`); replace the database
 //! and you must recompile.
 
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pkgrec_data::{
@@ -241,10 +240,24 @@ impl Executor {
             .ok_or_else(|| QueryError::Internal("plan compiled without a dynamic relation".into()))?;
         match &self.kind {
             PlanKind::Conj(set) => {
-                let pool = set.intern_pool(spec, items)?;
-                let rows: Vec<u32> = (0..pool.rows as u32).collect();
-                let dyn_rows = Some((&pool, &rows[..]));
-                set.eval_impl(ctx, None, dyn_rows, &mut set.pool_syms(&pool), stop_on_first)
+                let mut syms = set.probe_syms();
+                let mut found = None;
+                let items = items.into_iter().filter(|t| {
+                    let fits = t.arity() == spec.arity;
+                    if !fits {
+                        found.get_or_insert(t.arity());
+                    }
+                    fits
+                });
+                let rel = intern_table(spec.arity, items, &mut syms);
+                if let Some(found) = found {
+                    return Err(QueryError::AtomArityMismatch {
+                        relation: spec.name.clone(),
+                        expected: spec.arity,
+                        found,
+                    });
+                }
+                set.eval_impl(ctx, None, Some(&rel), &mut syms, stop_on_first)
             }
             PlanKind::Fo(fp) => {
                 let rel = spec.materialize(items);
@@ -280,6 +293,16 @@ impl CompiledPlan {
         self.exec.arity
     }
 
+    /// The database this plan was compiled against.
+    pub(crate) fn db(&self) -> &Arc<Database> {
+        &self.db
+    }
+
+    /// The dynamic relation's name and arity, when it has one.
+    pub(crate) fn dynamic(&self) -> Option<(&str, usize)> {
+        self.exec.dynamic.as_ref().map(|d| (d.name.as_str(), d.arity))
+    }
+
     /// Enable or disable the posting-intersection fast path for
     /// fully-bound existence steps (conjunctive plans only; on by
     /// default). With it off — or whenever a budget meter is attached —
@@ -312,7 +335,7 @@ impl CompiledPlan {
     }
 
     /// Evaluate with the head pre-bound to `t`: the answers restricted
-    /// to `{t}`. Enumerates every consistent tableau (no early exit).
+    /// to `{t}`.
     pub fn eval_pre_bound(
         &self,
         t: &Tuple,
@@ -351,8 +374,7 @@ impl CompiledPlan {
     /// Whether the dynamic-bound query has any answer; conjunctive
     /// plans stop at the first witness. This is the full check
     /// `Qc(N, D) = ∅`? for one package: its items are interned per
-    /// call. A search probing packages drawn from one item pool uses
-    /// [`CompiledPlan::intern_pool`] and the pooled probe instead.
+    /// call.
     pub fn has_answer_dynamic<'t>(
         &self,
         items: impl IntoIterator<Item = &'t Tuple>,
@@ -364,77 +386,6 @@ impl CompiledPlan {
             .exec
             .run_dynamic(self.ctx(metrics, meter), items, true)?
             .is_empty())
-    }
-
-    /// Intern `items` once as the candidate rows of the dynamic
-    /// relation, for [`has_answer_pooled`](Self::has_answer_pooled).
-    /// `None` unless this is a dynamic conjunctive (CQ/UCQ) plan: FO
-    /// and Datalog plans bind items per probe. Every item must have the
-    /// dynamic relation's arity. The pool belongs to this plan.
-    pub fn intern_pool(&self, items: &[Tuple]) -> Result<Option<DynPool>> {
-        match (&self.exec.kind, &self.exec.dynamic) {
-            (PlanKind::Conj(set), Some(spec)) => Ok(Some(set.intern_pool(spec, items)?)),
-            _ => Ok(None),
-        }
-    }
-
-    /// [`has_answer_dynamic`](Self::has_answer_dynamic) with the
-    /// dynamic relation bound to the pool rows `rows`, read by index
-    /// from the pool's cells: nothing is interned per probe.
-    pub fn has_answer_pooled(
-        &self,
-        pool: &DynPool,
-        rows: &[u32],
-        metrics: Option<&MetricSet>,
-        meter: Option<&Meter>,
-    ) -> Result<bool> {
-        pkgrec_trace::counter!("query.plan_probes");
-        let PlanKind::Conj(set) = &self.exec.kind else {
-            return Err(QueryError::Internal("pooled probes need a conjunctive plan".into()));
-        };
-        if pool.plan != set.id {
-            return Err(QueryError::Internal("pool interned by another plan".into()));
-        }
-        if rows.iter().any(|&r| r as usize >= pool.rows) {
-            return Err(QueryError::Internal("pool row out of range".into()));
-        }
-        let dyn_rows = Some((pool, rows));
-        let ctx = self.ctx(metrics, meter);
-        Ok(!set
-            .eval_impl(ctx, None, dyn_rows, &mut set.pool_syms(pool), true)?
-            .is_empty())
-    }
-}
-
-/// A solve's item pool interned once for one dynamic conjunctive plan
-/// ([`CompiledPlan::intern_pool`]): row-major `u32` cells over the
-/// plan's ids, with values foreign to the snapshot and the plan's
-/// constants interned above both. Probes bind the dynamic relation to
-/// pool rows by index. Read-only after construction, so any number of
-/// search workers share one.
-pub struct DynPool {
-    /// The [`ConjSet::id`] of the plan that interned it.
-    plan: u64,
-    arity: usize,
-    rows: usize,
-    cells: Vec<u32>,
-    ext: ExtSyms,
-}
-
-impl DynPool {
-    fn row(&self, row: u32) -> &[u32] {
-        let start = row as usize * self.arity;
-        &self.cells[start..start + self.arity]
-    }
-}
-
-impl fmt::Debug for DynPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DynPool")
-            .field("rows", &self.rows)
-            .field("arity", &self.arity)
-            .field("foreign_values", &self.ext.syms.len())
-            .finish()
     }
 }
 
@@ -450,9 +401,6 @@ impl DynSpec {
 
 /// A compiled union of conjunctions over one database snapshot.
 struct ConjSet {
-    /// Unique per compiled set: a [`DynPool`] is only valid for the
-    /// set that interned it, since its ids extend that set's constants.
-    id: u64,
     snap: Arc<Snapshot>,
     /// Query constants absent from the snapshot, with ids above its.
     consts: ExtSyms,
@@ -463,8 +411,8 @@ struct ConjSet {
     use_bitsets: bool,
 }
 
-/// Intern tuples bound for one rule run — IDB facts, a Datalog plan's
-/// dynamic relation — through the run's interner extension.
+/// Intern tuples bound for one run — IDB facts, a plan's dynamic
+/// relation — through the run's interner extension.
 fn intern_table<'t>(
     arity: usize,
     tuples: impl IntoIterator<Item = &'t Tuple>,
@@ -636,6 +584,10 @@ struct ModePlan {
     /// (from 0 at `d = 0`). A candidate unbinds exactly its step's.
     bound_vars: Vec<usize>,
     bound_end: Vec<usize>,
+    /// The first depth at which every head variable is bound: from
+    /// there one completion settles the answer, so a run takes the
+    /// first and backtracks.
+    head_at: usize,
 }
 
 impl ModePlan {
@@ -735,7 +687,7 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
                 initially_bound[v] = true;
             }
         }
-        let plan = plan_mode(&shapes, &builtin_shapes, &sizes, &atoms, initially_bound)
+        let plan = plan_mode(&shapes, &builtin_shapes, &sizes, &atoms, &head, initially_bound)
             .map_err(|unscheduled| {
                 let v = d.builtins[unscheduled]
                     .variables()
@@ -758,13 +710,15 @@ fn plan_disjunct(d: &ConjunctiveQuery, env: &mut dyn PlanEnv, modes: &[Mode]) ->
 
 /// Fix one static plan: the greedy order, the builtin schedule and
 /// probe columns, and which steps are existence probes and what each
-/// binds, given the variables bound before the join. `Err(i)` names a
-/// builtin that can never be scheduled (an unsafe query).
+/// binds, and where the head is bound, given the variables bound
+/// before the join. `Err(i)` names a builtin that can never be
+/// scheduled (an unsafe query).
 fn plan_mode(
     shapes: &[AtomShape],
     builtin_shapes: &[BuiltinShape],
     sizes: &[usize],
     atoms: &[PAtom],
+    head: &[PTerm],
     initially_bound: Vec<bool>,
 ) -> std::result::Result<ModePlan, usize> {
     let order = greedy_order(shapes, sizes, &initially_bound);
@@ -776,7 +730,12 @@ fn plan_mode(
     let mut exist = Vec::with_capacity(order.len());
     let mut bound_vars = Vec::with_capacity(bound.len());
     let mut bound_end = Vec::with_capacity(order.len());
+    let head_bound = |bound: &[bool]| head.iter().filter_map(|t| t.shape()).all(|v| bound[v]);
+    let mut head_at = order.len();
     for (depth, &ai) in order.iter().enumerate() {
+        if head_at == order.len() && head_bound(&bound) {
+            head_at = depth;
+        }
         let all_bound = shapes[ai].iter().all(|s| s.is_none_or(|v| bound[v]));
         let base = matches!(atoms[ai].src, Source::Base(_));
         exist.push(base && all_bound && builtin_at[depth + 1].is_empty());
@@ -795,6 +754,7 @@ fn plan_mode(
         exist,
         bound_vars,
         bound_end,
+        head_at,
     })
 }
 
@@ -852,9 +812,7 @@ impl ConjSet {
             .iter()
             .map(|d| plan_disjunct(d, &mut env, &[Mode::Eval, Mode::Membership]))
             .collect::<Result<_>>()?;
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Ok(ConjSet {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             snap: Arc::clone(snap),
             consts: env.consts,
             plans,
@@ -868,53 +826,13 @@ impl ConjSet {
         ProbeSyms::new(self.snap.symbols(), Some(&self.consts))
     }
 
-    /// Intern `items` as the rows of the dynamic relation `spec`, with
-    /// values foreign to the snapshot and the plan's constants interned
-    /// above both. Every item must have the relation's arity.
-    fn intern_pool<'t>(
-        &self,
-        spec: &DynSpec,
-        items: impl IntoIterator<Item = &'t Tuple>,
-    ) -> Result<DynPool> {
-        let mut syms = self.probe_syms();
-        let mut cells = Vec::new();
-        let mut rows = 0;
-        for t in items {
-            if t.arity() != spec.arity {
-                return Err(QueryError::AtomArityMismatch {
-                    relation: spec.name.clone(),
-                    expected: spec.arity,
-                    found: t.arity(),
-                });
-            }
-            cells.extend(t.values().iter().map(|v| syms.intern(v)));
-            rows += 1;
-        }
-        Ok(DynPool {
-            plan: self.id,
-            arity: spec.arity,
-            rows,
-            cells,
-            ext: syms.extra.into_owned(),
-        })
-    }
-
-    /// The interner of a run over `pool`: its foreign values, borrowed.
-    fn pool_syms<'p>(&'p self, pool: &'p DynPool) -> ProbeSyms<'p> {
-        ProbeSyms {
-            base: self.snap.symbols(),
-            consts: Some(&self.consts),
-            extra: Cow::Borrowed(&pool.ext),
-        }
-    }
-
     /// Evaluate all disjuncts. With `stop_on_first`, returns as soon as
     /// one answer is found (a singleton set).
     fn eval_impl(
         &self,
         ctx: EvalContext<'_>,
         pre_bound: Option<&Tuple>,
-        dyn_rows: Option<DynRows<'_>>,
+        dyn_rel: Option<&Table>,
         syms: &mut ProbeSyms<'_>,
         stop_on_first: bool,
     ) -> Result<BTreeSet<Tuple>> {
@@ -935,7 +853,7 @@ impl ConjSet {
                 mode: plan.modes[mode as usize]
                     .as_ref()
                     .ok_or_else(|| QueryError::Internal("plan mode was not compiled".into()))?,
-                dyn_rows,
+                dyn_rel,
                 stop_on_first,
             };
             if run.start(pre_bound, syms, &mut out)? && stop_on_first {
@@ -1026,7 +944,7 @@ impl<'e> RuleRunner<'e> {
             mode: plan.modes[Mode::Eval as usize]
                 .as_ref()
                 .expect("planned above"),
-            dyn_rows: None,
+            dyn_rel: None,
             stop_on_first: false,
         };
         let mut out = BTreeSet::new();
@@ -1064,7 +982,6 @@ fn resolved_ids(b: &PBuiltin, bindings: &[Option<u32>]) -> Result<(u32, u32)> {
 
 /// A [`ValueInterner`] whose ids start at `offset`, above another
 /// interner's.
-#[derive(Clone)]
 struct ExtSyms {
     offset: u32,
     syms: ValueInterner,
@@ -1100,11 +1017,10 @@ impl ExtSyms {
 /// Per-probe interner: the snapshot's ids, then the plan's constants,
 /// then values foreign to both (pre-bound tuples, dynamic package
 /// items), so a foreign value can never spuriously equal a base cell.
-/// Over a [`DynPool`] the foreign values are the pool's, borrowed.
 struct ProbeSyms<'a> {
     base: &'a ValueInterner,
     consts: Option<&'a ExtSyms>,
-    extra: Cow<'a, ExtSyms>,
+    extra: ExtSyms,
 }
 
 impl<'a> ProbeSyms<'a> {
@@ -1113,7 +1029,7 @@ impl<'a> ProbeSyms<'a> {
         ProbeSyms {
             base,
             consts,
-            extra: Cow::Owned(ExtSyms::above(offset)),
+            extra: ExtSyms::above(offset),
         }
     }
 
@@ -1123,7 +1039,7 @@ impl<'a> ProbeSyms<'a> {
             Some(id) => id,
             None => match self.extra.get(v) {
                 Some(id) => id,
-                None => self.extra.to_mut().intern(v),
+                None => self.extra.intern(v),
             },
         }
     }
@@ -1149,14 +1065,10 @@ struct ConjRun<'r> {
     use_bitsets: bool,
     plan: &'r ConjPlan,
     mode: &'r ModePlan,
-    /// What dynamic atoms range over; `None` matches no row.
-    dyn_rows: Option<DynRows<'r>>,
+    /// The rows [`Source::Dyn`] atoms range over; `None` matches no row.
+    dyn_rel: Option<&'r Table>,
     stop_on_first: bool,
 }
-
-/// The rows [`Source::Dyn`] atoms range over in one run: rows of an
-/// interned pool, by index.
-type DynRows<'r> = (&'r DynPool, &'r [u32]);
 
 impl ConjRun<'_> {
     /// Bind the head to `pre_bound` (when given), check the builtins
@@ -1233,6 +1145,13 @@ impl ConjRun<'_> {
             out.insert(Tuple::new(values));
             return Ok(self.stop_on_first);
         }
+        if depth == self.mode.head_at && !self.stop_on_first {
+            // The head is bound: the rest only decides whether it is an
+            // answer, so stop at its first witness.
+            let first = ConjRun { stop_on_first: true, ..*self };
+            first.search(depth, bindings, syms, out)?;
+            return Ok(false);
+        }
 
         let ai = self.mode.order[depth];
         let atom = &self.plan.atoms[ai];
@@ -1240,11 +1159,10 @@ impl ConjRun<'_> {
             Source::Base(ri) => &self.rels[ri],
             Source::Local(li) => &self.local[li],
             Source::Dyn => {
-                // A handful of package items, scanned linearly (no
-                // per-probe index construction).
-                if let Some((pool, rows)) = self.dyn_rows {
-                    for &row in rows {
-                        if self.candidate(depth, pool.row(row), bindings, syms, out)? {
+                // Scanned linearly: no per-run index construction.
+                if let Some(rel) = self.dyn_rel {
+                    for row in 0..rel.rows() as u32 {
+                        if self.candidate(depth, rel.row(row), bindings, syms, out)? {
                             return Ok(true);
                         }
                     }
@@ -2022,6 +1940,29 @@ mod tests {
         assert!(report.counters.get("query.index_builds").copied() >= Some(1));
     }
 
+    /// Once the head is bound, the join stops at the first witness:
+    /// `q(a) :- RQ(a), e(a, d)` binds `a` from `RQ` (the dynamic atom
+    /// goes first) and then needs one row of `e` per `a`, though
+    /// `a = 1` has two.
+    #[test]
+    fn joins_stop_at_the_first_witness_once_the_head_is_bound() {
+        let q = Query::Cq(ConjunctiveQuery::new(
+            vec![Term::v("a")],
+            vec![
+                RelAtom::new("RQ", vec![Term::v("a")]),
+                RelAtom::new("e", vec![Term::v("a"), Term::v("d")]),
+            ],
+            vec![],
+        ));
+        let plan = q.compile_with_dynamic(&db(), "RQ", 1).unwrap();
+        let meter = Meter::unlimited();
+        let items = [tuple![1], tuple![2]];
+        let answers = plan.eval_dynamic(&items, None, Some(&meter)).unwrap();
+        assert_eq!(answers, BTreeSet::from([tuple![1], tuple![2]]));
+        // Two `RQ` rows, then one `e` row for each.
+        assert_eq!(meter.spent(), 4);
+    }
+
     #[test]
     fn dynamic_plan_without_items_api_misuse() {
         let db = db();
@@ -2029,27 +1970,6 @@ mod tests {
         let plan = q.compile(&db).unwrap();
         assert!(matches!(
             plan.eval_dynamic([], None, None),
-            Err(QueryError::Internal(_))
-        ));
-    }
-
-    #[test]
-    fn pooled_probes_reject_a_pool_of_another_plan() {
-        // Two compiles of one query over one snapshot: same constants,
-        // so only the pool's owner tells them apart.
-        let db = db();
-        let q = Query::Cq(ConjunctiveQuery::new(
-            Vec::<Term>::new(),
-            vec![RelAtom::new("p", vec![Term::v("x"), Term::c(9)])],
-            vec![],
-        ));
-        let plan = q.compile_with_dynamic(&db, "p", 2).unwrap();
-        let other = q.compile_with_dynamic(&db, "p", 2).unwrap();
-        let items = [tuple![1, 9]];
-        let pool = plan.intern_pool(&items).unwrap().expect("a CQ plan interns a pool");
-        assert!(plan.has_answer_pooled(&pool, &[0], None, None).unwrap());
-        assert!(matches!(
-            other.has_answer_pooled(&pool, &[0], None, None),
             Err(QueryError::Internal(_))
         ));
     }

@@ -12,8 +12,11 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{item_instance, Qc};
-use pkgrec::core::{problems::cpp, problems::frp, Ext, Progress, RecInstance, SolveOptions};
+use common::{cq, item_instance, Qc};
+use pkgrec::core::{
+    problems::cpp, problems::frp, Constraint, Ext, Progress, RecInstance, SolveOptions,
+};
+use pkgrec::query::Query;
 use pkgrec_trace::flight::{self, FlightEvent};
 
 const JOBS_LEVELS: [usize; 3] = [2, 4, 8];
@@ -78,6 +81,50 @@ fn interrupted_recordings_end_with_the_tripping_event() {
             .filter(|r| matches!(r.event, FlightEvent::Interrupted { .. }))
             .count();
         assert_eq!(cuts, 1, "jobs {jobs}");
+    }
+}
+
+/// A `Qc` whose conflict-hypergraph build runs over its internal step
+/// cap falls back to the full probe without reporting an interruption:
+/// a complete solve records none, and a step-limited one ends its
+/// recording with exactly the search's own.
+#[test]
+fn a_capped_hypergraph_build_is_not_an_interruption() {
+    let _on = flight::scoped();
+    let _trace = pkgrec_trace::scoped();
+    // Four items with rising scores: about 4 × 10^5 witness candidates
+    // over 40 items, past the build's cap.
+    let scores: Vec<(i64, i64)> = (0..40).map(|i| (i % 3, i)).collect();
+    let qc = "qc() :- RQ(a, g1, s1), RQ(b, g2, s2), RQ(c, g3, s3), RQ(d, g4, s4), \
+              s1 < s2, s2 < s3, s3 < s4.";
+    let inst = instance(&scores, Qc::Absent).with_qc(Constraint::Query(Query::Cq(cq(qc))));
+    for (steps, jobs) in [(None, 1), (Some(3), 1), (Some(3), 2), (Some(3), 4)] {
+        flight::reset();
+        pkgrec_trace::reset();
+        let opts = match steps {
+            Some(n) => SolveOptions::limited(n),
+            None => SolveOptions::default(),
+        };
+        let out = frp::top_k(&inst, &opts.with_jobs(jobs)).unwrap();
+        let report = pkgrec_trace::take();
+        let rec = flight::take_recording();
+        assert_eq!(report.counters["query.hypergraph_fallbacks"], 1, "jobs {jobs}");
+        let cuts = rec
+            .events
+            .iter()
+            .filter(|r| matches!(r.event, FlightEvent::Interrupted { .. }))
+            .count();
+        let interrupted = report.counters.get("guard.interrupted").copied().unwrap_or(0);
+        let want = if steps.is_some() { (true, 1, 1) } else { (false, 0, 0) };
+        assert_eq!(
+            (out.interrupted.is_some(), cuts, interrupted),
+            want,
+            "steps {steps:?}, jobs {jobs}"
+        );
+        if steps.is_some() {
+            let last = rec.events.last().expect("events were recorded").event;
+            assert!(matches!(last, FlightEvent::Interrupted { resource: "steps", .. }));
+        }
     }
 }
 

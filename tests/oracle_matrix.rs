@@ -398,44 +398,42 @@ fn check_dynamic(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
         let qc = Constraint::Query(q);
         assert_eq!(qc.satisfied(&pkg, db, 2, None).unwrap(), want.is_empty(), "{qc:?}");
     }
-    check_pooled(db, cq, items);
+    check_hypergraph(db, cq, items);
 }
 
 /// A pool of `items` plus rows foreign to the snapshot and to the
-/// plan's constants, interned once, postings on and off. Over every
-/// subset `N` of the pool, the pooled probe equals
-/// `has_answer_dynamic`, and so does "`N` contains an edge of the
-/// conflict hypergraph" (whose edges have at most as many rows as the
-/// CQ has `RQ` atoms).
-fn check_pooled(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
+/// plan's constants. Over every subset `N` of the pool, "`N` contains
+/// an edge of the conflict hypergraph" (whose edges have at most as
+/// many rows as the CQ has `RQ` atoms) equals `has_answer_dynamic`,
+/// postings on and off.
+fn check_hypergraph(db: &Arc<Database>, cq: &ConjunctiveQuery, items: &[Tuple]) {
     let pool_items: Vec<Tuple> =
         items.iter().cloned().chain([tuple![99, 98], tuple![0, 97]]).collect();
     let n = pool_items.len() as u32;
-    let graph = Query::Cq(cq.clone())
-        .conflict_hypergraph(db, ANSWER_RELATION, 2, &pool_items, None)
-        .expect("at most two `RQ` atoms fit the cap");
+    let q = Query::Cq(cq.clone());
+    let plan = q.compile_with_dynamic(db, ANSWER_RELATION, 2).unwrap();
+    let graph = q.conflict_hypergraph(&plan, &pool_items, None);
+    let graph = graph.expect("at most two `RQ` atoms fit the cap");
     let width = cq.atoms.iter().filter(|a| &*a.relation == ANSWER_RELATION).count();
     let counts = graph.edge_counts();
     assert!(counts[width + 1..].iter().all(|&c| c == 0), "{counts:?} on {cq}");
     for bitsets in [true, false] {
-        let plan = Query::Cq(cq.clone()).compile_with_dynamic(db, ANSWER_RELATION, 2).unwrap();
-        let plan = plan.with_bitsets(bitsets);
-        let pool = plan.intern_pool(&pool_items).unwrap().expect("a CQ plan interns a pool");
+        let plan = q.compile_with_dynamic(db, ANSWER_RELATION, 2).unwrap().with_bitsets(bitsets);
         for mask in 0u32..1 << n {
             let rows: Vec<u32> = (0..n).filter(|r| mask >> r & 1 == 1).collect();
             let tuples = rows.iter().map(|&r| &pool_items[r as usize]);
             let full = plan.has_answer_dynamic(tuples, None, None).unwrap();
-            let pooled = plan.has_answer_pooled(&pool, &rows, None, None).unwrap();
-            assert_eq!(pooled, full, "pooled rows {rows:?} on {cq}");
             assert_eq!(graph.hits(&rows), full, "hypergraph on rows {rows:?} on {cq}");
         }
     }
 }
 
 /// Each edge size of the conflict hypergraph against
-/// `has_answer_dynamic` over every subset of a pool: a UCQ whose
+/// `has_answer_dynamic` over every subset of a pool: two UCQs whose
 /// `RQ`-free disjunct holds on `D` (one size-0 edge, so even `∅` is
-/// incompatible), two `RQ` atoms that one row can satisfy alone (size
+/// incompatible; one per build path: per-row probes for at most one
+/// `RQ` atom per disjunct, the witness query for more), two `RQ`
+/// atoms that one row can satisfy alone (size
 /// 1), two that need distinct rows (size 2), the museum-cap shape
 /// (size 3), and a CQ over the cap (no hypergraph), whose instance the
 /// solvers still answer as the oracle does.
@@ -444,19 +442,19 @@ fn conflict_hypergraphs_cover_every_edge_size_and_the_cap() {
     let r = [(0, 1), (1, 1), (2, 1), (3, 0), (1, 0)];
     let db = Arc::new(rs_db(r.into_iter().collect(), [2].into_iter().collect()));
     let items: Vec<Tuple> = r[..4].iter().map(|&(a, b)| tuple![a, b]).collect();
-    let ucq = UnionQuery::new(vec![cq("qc() :- RQ(x, y), r(y, x)."), cq("qc() :- s(z).")]);
+    let ucq = |rq: &str| UnionQuery::new(vec![cq(rq), cq("qc() :- s(z).")]).map(Query::Ucq);
     let museum = [0, 0, 0, 1];
     let cases = [
-        (Query::Ucq(ucq.unwrap()), [1, 0, 0, 0]),
+        (ucq("qc() :- RQ(x, y), r(y, x).").unwrap(), [1, 0, 0, 0]),
+        (ucq("qc() :- RQ(x1, c), RQ(x2, c), x1 != x2.").unwrap(), [1, 0, 0, 0]),
         (Query::Cq(cq("qc() :- RQ(x1, c), RQ(x2, c).")), [0, 4, 0, 0]),
         (Query::Cq(cq("qc() :- RQ(x1, c), RQ(x2, c), x1 != x2.")), [0, 0, 3, 0]),
         (Query::Cq(cq("qc() :- RQ(x, c), RQ(y, c), RQ(z, c), x != y, x != z, y != z.")), museum),
     ];
     for (qc, counts) in cases {
-        let graph = qc.conflict_hypergraph(&db, ANSWER_RELATION, 2, &items, None);
-        let graph = graph.expect("within the cap");
-        assert_eq!(graph.edge_counts(), counts, "{qc}");
         let plan = qc.compile_with_dynamic(&db, ANSWER_RELATION, 2).unwrap();
+        let graph = qc.conflict_hypergraph(&plan, &items, None).expect("within the cap");
+        assert_eq!(graph.edge_counts(), counts, "{qc}");
         for mask in 0u32..1 << items.len() {
             let rows: Vec<u32> = (0..items.len() as u32).filter(|r| mask >> r & 1 == 1).collect();
             let tuples = rows.iter().map(|&r| &items[r as usize]);
@@ -465,9 +463,10 @@ fn conflict_hypergraphs_cover_every_edge_size_and_the_cap() {
         }
     }
     // A closed walk of five steps through the package's items: one
-    // more `RQ` atom than the cap, so the search probes the pool.
+    // more `RQ` atom than the cap, so the search probes `Qc` in full.
     let capped = Query::Cq(cq("qc() :- RQ(a, b), RQ(b, c), RQ(c, d), RQ(d, e), RQ(e, a)."));
-    assert!(capped.conflict_hypergraph(&db, ANSWER_RELATION, 2, &items, None).is_none());
+    let plan = capped.compile_with_dynamic(&db, ANSWER_RELATION, 2).unwrap();
+    assert!(capped.conflict_hypergraph(&plan, &items, None).is_none());
     let inst = deep_instance((*db).clone(), capped, 2);
     let oracle = Oracle::new(&inst).expect("small");
     check_library(&inst, &oracle, &[Ext::NegInf, Ext::Finite(4.0)]);
