@@ -1,9 +1,11 @@
 //! `report` — regenerate the paper's tables with measured growth data.
 //!
-//! Runs compact versions of the benchmark sweeps (the full statistical
-//! versions live in `benches/`) and prints, for every row of the
-//! paper's Tables 8.1 and 8.2, the complexity class the paper proves
-//! next to the runtime series and an empirical growth classification.
+//! Runs compact versions of the benchmark sweeps (the `cargo bench`
+//! targets in `benches/` time the sweeps on their own; the vendored
+//! criterion stub prints best-of-N wall times, with no statistical
+//! analysis) and prints, for every row of the paper's Tables 8.1 and
+//! 8.2, the complexity class the paper proves next to the runtime
+//! series and an empirical growth classification.
 //!
 //! ```sh
 //! cargo run --release -p pkgrec-bench --bin report            # all tables

@@ -699,6 +699,30 @@ mod tests {
     }
 
     #[test]
+    fn zero_leaf_cap_still_answers() {
+        // The partitioner clamps the leaf cap to one item; the engine
+        // refines down to singleton leaves and verifies what it finds.
+        let i = inst(50, 30.0).with_k(2);
+        let opts = SolveOptions::default().with_approx(SketchParams {
+            fanout: 4,
+            leaf_cap: 0,
+            sub_steps: 5_000,
+            refine_cap: 16,
+            ..SketchParams::default()
+        });
+        let out = frp::top_k(&i, &opts).unwrap();
+        assert!(!out.exact);
+        assert_eq!(out.method, Method::Sketch);
+        assert!(out.interrupted.is_none());
+        let sel = out.value.expect("a feasible instance yields a selection");
+        assert_eq!(sel.len(), 2);
+        let ctx = i.search_context().unwrap();
+        for pkg in &sel {
+            assert!(ctx.is_valid_package(pkg, None).unwrap());
+        }
+    }
+
+    #[test]
     fn sketch_maximum_bound_is_a_lower_bound() {
         // Small enough for the exact reference: cost is count(), so
         // the exact engine enumerates all 2^12 subsets here.

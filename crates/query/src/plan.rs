@@ -841,7 +841,7 @@ impl ConjSet {
         } else {
             Mode::Eval
         };
-        let mut out = BTreeSet::new();
+        let mut out = Answers::default();
         for plan in &self.plans {
             let _span = pkgrec_trace::span!("cq.eval");
             let run = ConjRun {
@@ -857,10 +857,10 @@ impl ConjSet {
                 stop_on_first,
             };
             if run.start(pre_bound, syms, &mut out)? && stop_on_first {
-                return Ok(out);
+                break;
             }
         }
-        Ok(out)
+        Ok(out.into_set())
     }
 }
 
@@ -947,9 +947,9 @@ impl<'e> RuleRunner<'e> {
             dyn_rel: None,
             stop_on_first: false,
         };
-        let mut out = BTreeSet::new();
+        let mut out = Answers::default();
         run.start(None, &mut self.syms, &mut out)?;
-        Ok(out)
+        Ok(out.into_set())
     }
 }
 
@@ -1055,6 +1055,37 @@ impl<'a> ProbeSyms<'a> {
     }
 }
 
+/// Below this many buffered answers, [`Answers`] never compacts.
+const ANSWERS_FLOOR: usize = 1024;
+
+/// The answers a run emits, appended unsorted. Once the buffer doubles
+/// past its length after the last compaction, it is sorted and
+/// deduplicated in place, so it never holds more than twice the
+/// distinct answers plus [`ANSWERS_FLOOR`]. The set is bulk-built last.
+/// The compaction sort is stable: like the bulk build's own sort, it
+/// merges the run the last compaction left sorted with the new tail
+/// instead of sorting that run again.
+#[derive(Default)]
+struct Answers {
+    buf: Vec<Tuple>,
+    compacted: usize,
+}
+
+impl Answers {
+    fn push(&mut self, t: Tuple) {
+        self.buf.push(t);
+        if self.buf.len() >= (2 * self.compacted).max(ANSWERS_FLOOR) {
+            self.buf.sort();
+            self.buf.dedup();
+            self.compacted = self.buf.len();
+        }
+    }
+
+    fn into_set(self) -> BTreeSet<Tuple> {
+        self.buf.into_iter().collect()
+    }
+}
+
 /// One depth-first join over a compiled disjunct.
 struct ConjRun<'r> {
     ctx: EvalContext<'r>,
@@ -1079,7 +1110,7 @@ impl ConjRun<'_> {
         &self,
         pre_bound: Option<&Tuple>,
         syms: &mut ProbeSyms<'_>,
-        out: &mut BTreeSet<Tuple>,
+        out: &mut Answers,
     ) -> Result<bool> {
         let mut bindings: Vec<Option<u32>> = vec![None; self.plan.nvars];
         if let Some(t) = pre_bound {
@@ -1132,7 +1163,7 @@ impl ConjRun<'_> {
         depth: usize,
         bindings: &mut [Option<u32>],
         syms: &ProbeSyms<'_>,
-        out: &mut BTreeSet<Tuple>,
+        out: &mut Answers,
     ) -> Result<bool> {
         if depth == self.mode.order.len() {
             let mut values = Vec::with_capacity(self.plan.head.len());
@@ -1142,7 +1173,7 @@ impl ConjRun<'_> {
                     .expect("checked safe: head vars bound at emit depth");
                 values.push(syms.resolve(id).clone());
             }
-            out.insert(Tuple::new(values));
+            out.push(Tuple::new(values));
             return Ok(self.stop_on_first);
         }
         if depth == self.mode.head_at && !self.stop_on_first {
@@ -1235,7 +1266,7 @@ impl ConjRun<'_> {
         cells: &[u32],
         bindings: &mut [Option<u32>],
         syms: &ProbeSyms<'_>,
-        out: &mut BTreeSet<Tuple>,
+        out: &mut Answers,
     ) -> Result<bool> {
         self.ctx.tick()?;
         pkgrec_trace::counter!("cq.join_candidates");
@@ -1257,7 +1288,7 @@ impl ConjRun<'_> {
         cells: &[u32],
         bindings: &mut [Option<u32>],
         syms: &ProbeSyms<'_>,
-        out: &mut BTreeSet<Tuple>,
+        out: &mut Answers,
     ) -> Result<bool> {
         let atom = &self.plan.atoms[self.mode.order[depth]];
         for (term, &cell) in atom.terms.iter().zip(cells) {
@@ -1711,6 +1742,71 @@ mod tests {
             Query::Cq(c) => Query::Fo(crate::rewrite::cq_to_fo(c)),
             Query::Ucq(u) => Query::Fo(crate::rewrite::ucq_to_fo(u)),
             other => other.clone(),
+        }
+    }
+
+    /// `r(x, y)` over `rows` rows `(i % xs, i % ys)`.
+    fn pairs(rows: i64, xs: i64, ys: i64) -> Arc<Database> {
+        let r = RelationSchema::new("r", [("x", AttrType::Int), ("y", AttrType::Int)]).unwrap();
+        let rel = Relation::from_tuples(r, (0..rows).map(|i| tuple![i % xs, i % ys])).unwrap();
+        let mut db = Database::new();
+        db.add_relation(rel).unwrap();
+        Arc::new(db)
+    }
+
+    fn project(head: &str, body: [&str; 2]) -> ConjunctiveQuery {
+        ConjunctiveQuery::new(
+            vec![Term::v(head)],
+            vec![RelAtom::new("r", vec![Term::v(body[0]), Term::v(body[1])])],
+            vec![],
+        )
+    }
+
+    #[test]
+    fn answer_buffer_stays_within_twice_the_distinct_answers() {
+        let mut out = Answers::default();
+        let mut model = BTreeSet::new();
+        for i in 0..20_000i64 {
+            // Distinct answers grow slowly while duplicates pour in.
+            let t = tuple![(i * 7919) % (1 + i / 4)];
+            model.insert(t.clone());
+            out.push(t);
+            assert!(out.buf.len() <= 2 * model.len() + ANSWERS_FLOOR);
+        }
+        assert!(out.compacted > 0, "the buffer compacted along the way");
+        assert_eq!(out.into_set(), model);
+    }
+
+    #[test]
+    fn projection_duplicates_collapse_to_the_distinct_answers() {
+        // 9000 emissions of `q(x) :- r(x, y)`: 7 and 3000 distinct heads.
+        for xs in [7, 3000] {
+            let db = pairs(9000, xs, 1700);
+            let plan = Query::Cq(project("x", ["x", "y"])).compile(&db).unwrap();
+            let want: BTreeSet<Tuple> = (0..xs).map(|x| tuple![x]).collect();
+            assert_eq!(plan.eval(None, None).unwrap(), want);
+            for x in [0, xs - 1, xs, -1] {
+                let t = tuple![x];
+                let member = want.contains(&t);
+                assert_eq!(plan.contains(&t, None, None).unwrap(), member);
+                let pre = plan.eval_pre_bound(&t, None, None).unwrap();
+                assert_eq!(pre, want.iter().filter(|&a| *a == t).cloned().collect());
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_disjuncts_union_once() {
+        // Both columns project to heads: 0..3000 and 0..1700 overlap.
+        let db = pairs(9000, 3000, 1700);
+        let u = UnionQuery::new(vec![project("x", ["x", "y"]), project("y", ["x", "y"])]);
+        let plan = Query::Ucq(u.unwrap()).compile(&db).unwrap();
+        let want: BTreeSet<Tuple> = (0..3000).map(|x| tuple![x]).collect();
+        assert_eq!(plan.eval(None, None).unwrap(), want);
+        for t in [tuple![0], tuple![1699], tuple![2999], tuple![3000]] {
+            assert_eq!(plan.contains(&t, None, None).unwrap(), want.contains(&t));
+            let pre = plan.eval_pre_bound(&t, None, None).unwrap();
+            assert_eq!(pre.len(), usize::from(want.contains(&t)));
         }
     }
 
