@@ -157,27 +157,12 @@ impl SolveOptions {
     }
 }
 
-impl From<u64> for SolveOptions {
-    /// Back-compat with the old bare `node_limit` field: a plain number
-    /// bounds the number of enumerated packages.
-    fn from(limit: u64) -> SolveOptions {
-        SolveOptions::limited(limit)
-    }
-}
-
-impl From<Budget> for SolveOptions {
-    fn from(budget: Budget) -> SolveOptions {
-        SolveOptions::with_budget(budget)
-    }
-}
-
 /// Statistics reported by a completed search.
 ///
 /// Equality deliberately ignores [`workers`](SearchStats::workers):
 /// per-worker busy time and claim counts are wall-clock and scheduling
-/// dependent, while everything else — including the deterministic
-/// [`unit_skew`](SearchStats::unit_skew) summary — must stay
-/// bit-identical across job counts.
+/// dependent, while everything else must stay bit-identical across job
+/// counts.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
     /// Packages enumerated (including invalid ones). This is also the
@@ -186,7 +171,8 @@ pub struct SearchStats {
     /// Packages that passed the validity checks.
     pub valid_packages: u64,
     /// Set when the budget cut the search off before exhausting the
-    /// space; the counts above then cover only the visited prefix.
+    /// space; the counts above then cover only the visited prefix (none
+    /// at all when the cut came while the units were being built).
     pub interrupted: Option<Interrupted>,
     /// The live-progress estimate (fraction of the bounded search space
     /// visited or pruned, in `[0.0, 1.0)`) at the moment the budget cut
@@ -194,13 +180,6 @@ pub struct SearchStats {
     /// exactly 1.0, and keeping the field `None` preserves bit-identical
     /// stats across job counts.
     pub progress_at_interrupt: Option<f64>,
-    /// Size skew of the unit partition the workers walk: with
-    /// `max ≫ mean`, the in-order claim cursor can leave workers idle
-    /// behind one giant subtree. Computed in closed form from the
-    /// unit list (no wall clock involved), so it is identical across
-    /// job counts. `None` for searches that never built a unit
-    /// partition.
-    pub unit_skew: Option<UnitSkew>,
     /// Per-worker attribution, one entry per worker in index order:
     /// busy wall time, units claimed, steps ticked. Populated only
     /// while the profiler (`pkgrec_trace::timeline`) is enabled — the
@@ -215,22 +194,7 @@ impl PartialEq for SearchStats {
             && self.valid_packages == other.valid_packages
             && self.interrupted == other.interrupted
             && self.progress_at_interrupt == other.progress_at_interrupt
-            && self.unit_skew == other.unit_skew
     }
-}
-
-/// Distribution summary of the per-unit subtree sizes (in search-tree
-/// nodes, the closed-form [`count_nodes`] count) of the unit partition.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct UnitSkew {
-    /// Units in the partition.
-    pub units: u64,
-    /// Largest unit subtree, in nodes.
-    pub max_nodes: f64,
-    /// Mean unit subtree size, in nodes.
-    pub mean_nodes: f64,
-    /// 99th-percentile unit subtree size, in nodes.
-    pub p99_nodes: f64,
 }
 
 /// What one worker did during a search (profiler-enabled runs only).
@@ -346,11 +310,23 @@ pub fn reduce_valid_packages_in<R: ValidPackageReducer>(
 ) -> Result<(R::Acc, SearchStats)> {
     let items = ctx.items();
     let max_size = ctx.max_package_size();
-    let (units, preskipped) = build_units(ctx, rating_bound, max_size)?;
-    let total_nodes = count_nodes(items.len(), max_size);
-
+    let shared = opts.budget.shared_meter();
     let local_progress = Progress::new();
     let progress = opts.progress.as_deref().unwrap_or(&local_progress);
+    let (units, preskipped) = match build_units(ctx, rating_bound, max_size, &shared) {
+        // Cut before any unit ran: no run carries the cut, so set it here.
+        Err(CoreError::SearchLimitExceeded { interrupted }) => {
+            progress.begin(0);
+            let stats = SearchStats {
+                interrupted: Some(interrupted),
+                progress_at_interrupt: Some(progress.fraction()),
+                ..SearchStats::default()
+            };
+            return Ok((reducer.new_acc(), stats));
+        }
+        built => built?,
+    };
+    let total_nodes = count_nodes(items.len(), max_size);
     progress.begin(units.len());
     {
         let mut sink = ProgressSink::new(progress, total_nodes);
@@ -374,7 +350,7 @@ pub fn reduce_valid_packages_in<R: ValidPackageReducer>(
         max_size,
         sched: Scheduler::new(units.len()),
         floor: AtomicUsize::new(usize::MAX),
-        shared: opts.budget.shared_meter(),
+        shared,
         progress,
         total_nodes,
         flight: telemetry.flight,
@@ -433,7 +409,6 @@ pub fn reduce_valid_packages_in<R: ValidPackageReducer>(
     let floor = search.floor.load(Ordering::Relaxed);
     let mut acc: Option<R::Acc> = None;
     let mut stats = SearchStats {
-        unit_skew: Some(unit_skew(&units, items.len(), max_size)),
         workers,
         ..SearchStats::default()
     };
@@ -478,8 +453,9 @@ pub fn reduce_valid_packages_in<R: ValidPackageReducer>(
 /// yields `O(n²)` units (fine-grained enough to balance `n` ≫ jobs),
 /// and concatenating the units in index order reproduces the exact
 /// monolithic visitation order. Workers claim these units in index
-/// order; a lone worker therefore walks the monolithic DFS.
-#[derive(Clone, Copy)]
+/// order; a lone worker therefore walks the monolithic DFS. Units are
+/// decoded from their index by [`Units::decode`], never listed.
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Unit {
     /// The empty package.
     Root,
@@ -487,6 +463,38 @@ enum Unit {
     Single(usize),
     /// The full subtree rooted at `{items[i], items[j]}`.
     Subtree(usize, usize),
+}
+
+/// The unit partition as one prefix array: unit 0 is the root,
+/// `starts[i]` is the index of `Single(i)`, and the indices after it, up
+/// to `starts[i + 1]`, are `Subtree(i, i + 1…)`. A singleton whose
+/// subtrees are pruned (or that has none) owns only its own index. The
+/// last entry is the unit count.
+struct Units {
+    starts: Vec<usize>,
+}
+
+impl Units {
+    fn len(&self) -> usize {
+        self.starts[self.starts.len() - 1]
+    }
+
+    /// The unit at index `u < len()`. `cursor` is the caller's singleton
+    /// position: it only moves forward, so decoding increasing indices
+    /// costs amortized O(1).
+    fn decode(&self, u: usize, cursor: &mut usize) -> Unit {
+        if u == 0 {
+            return Unit::Root;
+        }
+        while self.starts[*cursor + 1] <= u {
+            *cursor += 1;
+        }
+        let i = *cursor;
+        match u - self.starts[i] {
+            0 => Unit::Single(i),
+            d => Unit::Subtree(i, i + d),
+        }
+    }
 }
 
 /// The package a walk is at, with its items' `Qc` pool rows (see
@@ -512,75 +520,51 @@ impl Path {
     }
 }
 
-/// Build the unit list in canonical order. A pruned singleton cuts off
-/// all its subtrees in the canonical walk — whether by the monotone
+/// Build the unit partition in canonical order. A pruned singleton cuts
+/// off all its subtrees in the canonical walk — whether by the monotone
 /// cost bound or by an anti-monotone `Qc` violation — so those subtree
 /// units must not exist (the singleton unit itself re-checks the prune
 /// and bumps the attributed counter). Also returns the number of
 /// search-tree nodes skipped this way, so the progress estimate can
-/// credit them upfront.
+/// credit them upfront. The budget is polled every 4096 singletons and
+/// once at the end; a cut surfaces as [`CoreError::SearchLimitExceeded`].
 fn build_units(
     ctx: &SearchContext<'_>,
     rating_bound: Option<Ext>,
     max_size: usize,
-) -> Result<(Vec<Unit>, f64)> {
+    shared: &SharedMeter,
+) -> Result<(Units, f64)> {
     let items = ctx.items();
     let n = items.len();
-    let mut units = vec![Unit::Root];
+    let meter = shared.worker();
+    let cut = |interrupted| CoreError::SearchLimitExceeded { interrupted };
+    let mut starts = Vec::with_capacity(n + 1);
+    starts.push(1);
     let mut preskipped = 0.0;
-    if max_size >= 1 {
-        for (i, item) in items.iter().enumerate() {
-            units.push(Unit::Single(i));
-            if max_size < 2 || i + 1 >= n {
-                continue;
-            }
+    // With `max_size = 0` the root is the only unit.
+    let singles = if max_size == 0 { &[] } else { items };
+    for (i, item) in singles.iter().enumerate() {
+        if i % 4096 == 4095 {
+            meter.check_now().map_err(cut)?;
+        }
+        let mut subtrees = if max_size < 2 { 0 } else { n - i - 1 };
+        if subtrees > 0 {
             let single = Package::singleton(item.clone());
-            let skip = ctx.prune(&single)
+            if ctx.prune(&single)
                 || (ctx.qc_antimonotone()
                     && matches!(
                         ctx.classify(&single, rating_bound, &[ctx.pool_row(i)])?,
                         Classified::Rejected(Reject::Compat)
-                    ));
-            if skip {
-                preskipped += count_nodes(n - i - 1, max_size - 1) - 1.0;
-            } else {
-                for j in (i + 1)..n {
-                    units.push(Unit::Subtree(i, j));
-                }
+                    ))
+            {
+                preskipped += count_nodes(subtrees, max_size - 1) - 1.0;
+                subtrees = 0;
             }
         }
+        starts.push(starts[i] + 1 + subtrees);
     }
-    Ok((units, preskipped))
-}
-
-/// Closed-form subtree size of one unit, in search-tree nodes.
-fn unit_nodes(unit: Unit, n: usize, max_size: usize) -> f64 {
-    match unit {
-        // Root and singleton units are one node each (their subtrees
-        // are separate units).
-        Unit::Root | Unit::Single(_) => 1.0,
-        // The full subtree rooted at the pair {i, j}: the pair node
-        // plus every extension drawn from the items after `j`.
-        Unit::Subtree(_, j) => count_nodes(n - j - 1, max_size - 2),
-    }
-}
-
-/// Summarize how skewed the unit subtree sizes are. Pure arithmetic on
-/// the unit list — identical for any job count.
-fn unit_skew(units: &[Unit], n: usize, max_size: usize) -> UnitSkew {
-    if units.is_empty() {
-        return UnitSkew::default();
-    }
-    let mut sizes: Vec<f64> = units.iter().map(|&u| unit_nodes(u, n, max_size)).collect();
-    sizes.sort_by(|a, b| a.partial_cmp(b).expect("sizes are finite"));
-    let total: f64 = sizes.iter().sum();
-    let rank = ((sizes.len() as f64) * 0.99).ceil() as usize;
-    UnitSkew {
-        units: units.len() as u64,
-        max_nodes: sizes[sizes.len() - 1],
-        mean_nodes: total / sizes.len() as f64,
-        p99_nodes: sizes[rank.max(1) - 1],
-    }
+    meter.check_now().map_err(cut)?;
+    Ok((Units { starts }, preskipped))
 }
 
 /// Why a unit's walk stopped before exhausting its partition. Every
@@ -661,7 +645,7 @@ struct Search<'s, 'c, R> {
     ctx: &'s SearchContext<'c>,
     reducer: &'s R,
     rating_bound: Option<Ext>,
-    units: &'s [Unit],
+    units: &'s Units,
     max_size: usize,
     sched: Scheduler,
     /// The least unit index that broke so far (`usize::MAX`: none).
@@ -707,6 +691,8 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
             pkg: Package::empty(),
             rows: Vec::new(),
         };
+        // The scheduler hands each worker increasing indices.
+        let mut cursor = 0;
         let mut sink = ProgressSink::new(self.progress, self.total_nodes);
         let mut runs = Vec::new();
         let mut open: Option<Run<R::Acc>> = None;
@@ -739,7 +725,8 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
             flight::begin_unit(u as u64);
             let claimed = self.profile.then(std::time::Instant::now);
             let steps_before = run.stats.packages_enumerated;
-            let flow = self.walk_unit(&lane, run, &mut sink, &mut path, u);
+            let unit = self.units.decode(u, &mut cursor);
+            let flow = self.walk_unit(&lane, run, &mut sink, &mut path, u, unit);
             let steps = run.stats.packages_enumerated - steps_before;
             flight::end_unit(steps, flow.is_continue());
             if let Some(claimed) = claimed {
@@ -793,8 +780,9 @@ impl<R: ValidPackageReducer> Search<'_, '_, R> {
         sink: &mut ProgressSink<'_>,
         path: &mut Path,
         u: usize,
+        unit: Unit,
     ) -> ControlFlow<UnitStop> {
-        let start = path.seed(self.ctx, &lane.items, self.units[u]);
+        let start = path.seed(self.ctx, &lane.items, unit);
         let walk = AssertUnwindSafe(|| self.walk(lane, run, sink, u, path, start));
         match std::panic::catch_unwind(walk) {
             Ok(flow) => flow,
@@ -903,6 +891,7 @@ mod tests {
     use pkgrec_data::{tuple, AttrType, Database, Relation, RelationSchema};
     use pkgrec_guard::Resource;
     use pkgrec_query::{Builtin, CmpOp, ConjunctiveQuery, Query, RelAtom, Term};
+    use proptest::prelude::*;
 
     /// Collects every valid package in visit order, breaking on
     /// `stop_at` (a position-independent test, so the fold stays a
@@ -958,6 +947,43 @@ mod tests {
         reduce_valid_packages(inst, None, opts, &COLLECT).unwrap()
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The decoder returns, for every index, the unit the partition's
+        /// definition lists there: the root, then each `Single(i)`
+        /// followed, unless `i` is skipped or `max_size < 2`, by
+        /// `Subtree(i, j)` for every `j > i`. Every stride stands for a
+        /// worker that claims every `stride`-th index with its own cursor.
+        #[test]
+        fn decoded_units_match_the_listed_partition(
+            skipped in prop::collection::vec(any::<bool>(), 0..=60),
+            max_size in 0usize..=4,
+        ) {
+            let n = skipped.len();
+            let mut listed = vec![Unit::Root];
+            let mut starts = Vec::new();
+            if max_size >= 1 {
+                for (i, &skip) in skipped.iter().enumerate() {
+                    starts.push(listed.len());
+                    listed.push(Unit::Single(i));
+                    if max_size >= 2 && !skip {
+                        listed.extend((i + 1..n).map(|j| Unit::Subtree(i, j)));
+                    }
+                }
+            }
+            starts.push(listed.len());
+            let units = Units { starts };
+            prop_assert_eq!(units.len(), listed.len());
+            for stride in 1..=3 {
+                let mut cursor = 0;
+                for (u, &want) in listed.iter().enumerate().step_by(stride) {
+                    prop_assert_eq!(units.decode(u, &mut cursor), want, "unit {}", u);
+                }
+            }
+        }
+    }
+
     #[test]
     fn size_cap_limits_enumeration() {
         let inst = instance(4).with_size_bound(SizeBound::Constant(2));
@@ -981,16 +1007,6 @@ mod tests {
         assert_eq!(valid.len(), 99);
         let frac = stats.progress_at_interrupt.expect("interrupted run");
         assert!((0.0..1.0).contains(&frac), "{frac}");
-    }
-
-    #[test]
-    fn from_u64_preserves_node_limit_back_compat() {
-        let opts: SolveOptions = 100u64.into();
-        let (_, stats) = collect(&instance(20), &opts);
-        assert_eq!(
-            stats.interrupted.map(|cut| cut.resource),
-            Some(Resource::Steps { limit: 100 })
-        );
     }
 
     #[test]

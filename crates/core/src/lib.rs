@@ -43,7 +43,7 @@ pub mod sketch;
 
 pub use constraints::{Constraint, ANSWER_RELATION};
 pub use enumerate::{
-    reduce_valid_packages, reduce_valid_packages_in, SearchStats, SolveOptions, UnitSkew,
+    reduce_valid_packages, reduce_valid_packages_in, SearchStats, SolveOptions,
     ValidPackageReducer, WorkerStat,
 };
 pub use error::{ColumnIssue, CoreError};

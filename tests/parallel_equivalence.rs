@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use common::{item_base, item_instance, qc_strategy, scores_strategy};
 use pkgrec::core::{
     problems::cpp, problems::frp, problems::mbp, problems::rpp, Budget, CancelFlag, Ext, Package,
-    PackageFn, RecInstance, SolveOptions,
+    PackageFn, RecInstance, SizeBound, SolveOptions,
 };
 use pkgrec::data::{tuple, AttrType, Database, Relation, RelationSchema};
 use pkgrec::query::{ConjunctiveQuery, Query};
@@ -223,13 +223,10 @@ proptest! {
         }
     }
 
-    /// Cancellation raised while a large search is in flight degrades
-    /// to a best-so-far partial naming `cancelled` as the cut-off —
-    /// never an error, never a wrong (over-counted) answer. The flag is
-    /// raised before the solve, but polling is amortized *per worker*
-    /// (every 1024 of a worker's own steps), so the search only
-    /// notices mid-enumeration — and with 2^14+ packages across at
-    /// most 8 workers, some worker is guaranteed to reach its poll.
+    /// Cancellation of a large search degrades to a best-so-far partial
+    /// naming `cancelled` as the cut-off — never an error, never a wrong
+    /// (over-counted) answer. The flag is raised before the solve, so
+    /// the poll before the walk already catches it.
     #[test]
     fn cancel_mid_search_degrades_to_a_partial(
         scores in prop::collection::vec((0i64..3, 1i64..50), 14..16),
@@ -249,9 +246,8 @@ proptest! {
         let p = out.stats.progress_at_interrupt.expect("interrupted run reports progress");
         prop_assert!((0.0..1.0).contains(&p));
 
-        // Same cut through FRP. Its bound-pruned search may finish
-        // before the first amortized poll; the contract is "exact, or
-        // a typed cancellation" — never an error or a silent partial.
+        // Same cut through FRP. The contract is "exact, or a typed
+        // cancellation" — never an error or a silent partial.
         let topk = frp::top_k(&inst, &opts).unwrap();
         if !topk.exact {
             prop_assert_eq!(
@@ -262,8 +258,8 @@ proptest! {
     }
 
     /// An already-expired deadline behaves exactly like cancellation:
-    /// the search runs to its first poll, then returns a partial that
-    /// names `deadline`.
+    /// the poll before the walk catches it, and the search returns a
+    /// partial that names `deadline`.
     #[test]
     fn expired_deadline_degrades_to_a_partial(
         scores in prop::collection::vec((0i64..3, 1i64..50), 14..16),
@@ -281,6 +277,30 @@ proptest! {
         );
         let p = out.stats.progress_at_interrupt.expect("interrupted run reports progress");
         prop_assert!((0.0..1.0).contains(&p));
+    }
+}
+
+/// A cancellation raised before the solve stops an exact FRP over a
+/// 20k-item pool while its unit partition is still being built: a
+/// typed `cancelled` partial with nothing enumerated, never an exact
+/// empty answer, at every jobs level.
+#[test]
+fn cancel_while_building_units_is_a_typed_partial() {
+    let scores: Vec<(i64, i64)> = (0..20_000).map(|i| (i % 3, 1 + i % 49)).collect();
+    let inst = item_base(&scores)
+        .with_size_bound(SizeBound::Constant(4))
+        .with_k(3);
+    let flag = CancelFlag::new();
+    flag.cancel();
+    for jobs in [1, 2, 4, 8] {
+        let opts = SolveOptions::with_budget(Budget::default().cancellable(&flag)).with_jobs(jobs);
+        let out = frp::top_k(&inst, &opts).unwrap();
+        assert!(!out.exact, "jobs {jobs}");
+        assert_eq!(out.value, None, "jobs {jobs}");
+        let cut = out.interrupted.expect("cancelled run is interrupted");
+        assert_eq!(cut.resource.label(), "cancelled", "jobs {jobs}");
+        assert_eq!(out.stats.packages_enumerated, 0, "jobs {jobs}");
+        assert_eq!(out.stats.progress_at_interrupt, Some(0.0), "jobs {jobs}");
     }
 }
 
